@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
+from .records import atomic_open, atomic_write_text
 
 Tokens = Sequence[str]
 
@@ -271,12 +272,12 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        atomic_write_text(path, self.to_json())
 
     def save_per_sample_csv(self, path: Union[str, Path]) -> None:
         names = ["sample_id", "bleu_1", "bleu_2", "bleu_3", "bleu_4",
                  "rouge_l", "embedding_f1", "empty_candidate"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=names)
             writer.writeheader()
             for s in self.samples:

@@ -83,6 +83,15 @@ INPUT_PRESETS: dict[str, InputMask] = {
     "o2sat": InputMask.o2sat_only(),
 }
 
+
+def resolve_input_mask(name: str) -> InputMask:
+    try:
+        return INPUT_PRESETS[name]
+    except KeyError:
+        raise ConfigurationError(f"unknown input preset {name!r}; choose from "
+                                 f"{sorted(INPUT_PRESETS)}") from None
+
+
 ABLATION_LABELS = {
     "image_only": "Baseline",
     "o2sat": "SingularO2Sat",
@@ -228,7 +237,11 @@ class ReportGenerator:
 
     @classmethod
     def load(cls, path, input_mask: Optional[InputMask] = None) -> "ReportGenerator":
+        """Rebuild a saved model. Without ``input_mask`` it conditions on the
+        input preset the checkpoint records (all inputs if none is recorded)."""
         state, meta = load_checkpoint(path)
+        if input_mask is None and "inputs" in meta:
+            input_mask = resolve_input_mask(meta["inputs"])
         try:
             config = ModelConfig.from_dict(meta["model_config"])
             sizes = meta["vocab_sizes"]

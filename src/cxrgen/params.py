@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import zipfile
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .records import atomic_open
 from .tensor import Array, Tensor
 
-CHECKPOINT_FORMAT = "cxrgen-checkpoint-v1"
+CHECKPOINT_FORMAT = "cxrgen-checkpoint-v2"
+META_KEY = "__meta__"
+ZIP_MAGIC = b"PK\x03\x04"
 
 
 class ParameterStore:
@@ -87,32 +92,56 @@ class ParameterStore:
 
 def save_checkpoint(path: Union[str, Path], state: Mapping[str, Array],
                     metadata: Optional[Mapping] = None) -> None:
-    """Write parameters (and optional metadata) as a single JSON document."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "metadata": dict(metadata or {}),
-        "parameters": {
-            p: {"shape": list(np.asarray(a).shape),
-                "data": np.asarray(a, dtype=np.float64).reshape(-1).tolist()}
-            for p, a in sorted(state.items())
-        },
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    """Write parameters and metadata as one uncompressed ``.npz`` container.
+
+    Each parameter is a float64 array named by its path; ``__meta__`` is a 0-d
+    string array holding ``{"format", "metadata"}`` as JSON. The container is
+    written to ``path`` as given (no ``.npz`` is appended), whole or not at all.
+    """
+    arrays = {p: np.asarray(a, dtype=np.float64) for p, a in sorted(state.items())}
+    arrays[META_KEY] = np.array(json.dumps(
+        {"format": CHECKPOINT_FORMAT, "metadata": dict(metadata or {})}, sort_keys=True))
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: Union[str, Path]) -> tuple[dict[str, Array], dict]:
-    """Read a checkpoint; returns (parameter arrays, metadata)."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"not a recognized checkpoint file: {path}")
+    """Read a checkpoint; returns (parameter arrays, metadata).
+
+    A missing, truncated or foreign file, a v1 JSON checkpoint, a wrong
+    format tag, and any array that is not finite float64 raise a DataError
+    naming the file (and the parameter, where there is one).
+    """
+    entries = _read_npz(path)
+    meta = entries.pop(META_KEY, None)
+    payload = None
+    if isinstance(meta, np.ndarray) and meta.shape == () and meta.dtype.kind == "U":
+        with contextlib.suppress(json.JSONDecodeError):
+            payload = json.loads(str(meta))
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise DataError(f"checkpoint {path} lacks the {CHECKPOINT_FORMAT} format tag")
     state: dict[str, Array] = {}
-    for p, entry in payload["parameters"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64)
-        shape = tuple(entry["shape"])
-        if arr.size != int(np.prod(shape, dtype=np.int64)):
-            raise DataError(f"corrupt checkpoint entry for {p!r}")
-        state[p] = arr.reshape(shape)
-    return state, payload.get("metadata", {})
+    for p, arr in entries.items():
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise DataError(f"checkpoint {path}: parameter {p!r} is not a float64 array")
+        if not np.isfinite(arr).all():
+            raise DataError(f"checkpoint {path}: parameter {p!r} holds non-finite values")
+        state[p] = arr
+    return state, dict(payload.get("metadata", {}))
+
+
+def _read_npz(path: Union[str, Path]) -> dict:
+    """Every entry of an ``.npz`` file, read without unpickling anything."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(ZIP_MAGIC))
+            if head == ZIP_MAGIC:
+                fh.seek(0)
+                with np.load(fh, allow_pickle=False) as npz:
+                    return {name: npz[name] for name in npz.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    if head.lstrip()[:1] == b"{":
+        raise DataError(f"checkpoint {path} is a v1 JSON checkpoint; v1 is no longer "
+                        f"read, so retrain to write a {CHECKPOINT_FORMAT} file")
+    raise DataError(f"checkpoint {path} is not an npz (zip) file")

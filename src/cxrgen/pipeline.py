@@ -1,8 +1,8 @@
 """End-to-end orchestration: synth -> preprocess -> train -> generate -> evaluate.
 
-Each stage reads and writes plain files (JSONL / JSON / CSV) so any stage
-can be re-run or inspected in isolation; the CLI maps one subcommand onto
-each function here.
+Each stage reads and writes plain files (JSONL / JSON / CSV, and an ``.npz``
+checkpoint) so any stage can be re-run or inspected in isolation; the CLI
+maps one subcommand onto each function here.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError
 from .metrics import EvalReport, FileEmbeddings, HashedEmbeddings, corpus_evaluate
-from .model import (ABLATION_LABELS, INPUT_PRESETS, InputMask, ModelConfig,
-                    ReportGenerator)
+from .model import (ABLATION_LABELS, ModelConfig, ReportGenerator,
+                    resolve_input_mask)
 from .preprocess import (NormalizationStats, PreprocessConfig, build_patient_record,
                          remove_outliers, tokenize_and_fit_vocab, standardize_text)
-from .records import (PatientRecord, RawRecord, load_image_features,
-                      read_patient_records, read_raw_records, write_jsonl,
-                      read_jsonl, write_patient_records)
+from .records import (PatientRecord, RawRecord, atomic_open, atomic_write_text,
+                      load_image_features, read_jsonl, read_patient_records,
+                      read_raw_records, write_jsonl, write_patient_records)
 from .synth import (DatasetManifest, SyntheticConfig, balance_by_unique_reports,
                     generate_synthetic, load_planted_phrases, write_synthetic_dataset)
 from .training import FitResult, TrainConfig, fit, split_dataset
@@ -126,8 +126,8 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     report_vocab.save(out / "report_vocab.json")
     chief_vocab.save(out / "chief_vocab.json")
     icd_vocab.save(out / "icd_vocab.json")
-    (out / "norm_stats.json").write_text(
-        json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    atomic_write_text(out / "norm_stats.json",
+                      json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n")
 
     summary = {
         "records_in": len(raw),
@@ -159,18 +159,10 @@ def load_preprocessed(data_dir: PathLike) -> dict:
     return out
 
 
-def resolve_input_mask(name: str) -> InputMask:
-    try:
-        return INPUT_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown input preset {name!r}; choose from "
-                                 f"{sorted(INPUT_PRESETS)}") from None
-
-
 def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfig,
                  train_config: TrainConfig, inputs: str = "all",
                  model_seed: Optional[int] = None) -> FitResult:
-    """Train on a preprocessed directory; write checkpoint.json + history.csv."""
+    """Train on a preprocessed directory; write checkpoint.npz + history.csv."""
     data = load_preprocessed(data_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,14 +176,14 @@ def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfi
         input_mask=mask,
     )
     result = fit(model, data["train"], data["val"], train_config)
-    model.save(out / "checkpoint.json", extra_metadata={
+    model.save(out / "checkpoint.npz", extra_metadata={
         "inputs": inputs,
         "train_config": asdict(train_config),
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
         "diverged": result.diverged,
     })
-    with open(out / "history.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(out / "history.csv", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["epoch", "train_loss", "train_acc",
                                                 "val_loss", "val_acc", "lr"])
         writer.writeheader()
@@ -201,28 +193,26 @@ def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfi
 
 def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
                    split: str = "test", inputs: Optional[str] = None) -> int:
-    """Greedy-decode one split; write {sample_id, generated, reference} JSONL."""
+    """Greedy-decode one split; write {sample_id, generated, reference} JSONL.
+
+    ``inputs`` overrides the input preset the checkpoint records. Only the
+    decoded split and the report vocabulary are read from ``data_dir``.
+    """
     if split not in SPLIT_FILES:
         raise ConfigurationError(f"split must be one of {sorted(SPLIT_FILES)}, got {split!r}")
-    data = load_preprocessed(data_dir)
+    data_dir = Path(data_dir)
+    records = read_patient_records(data_dir / SPLIT_FILES[split])
+    vocab = Vocabulary.load(data_dir / "report_vocab.json")
     mask = resolve_input_mask(inputs) if inputs is not None else None
     model = ReportGenerator.load(checkpoint, input_mask=mask)
-    if mask is None and "inputs" in _checkpoint_meta(checkpoint):
-        model.input_mask = resolve_input_mask(_checkpoint_meta(checkpoint)["inputs"])
-    vocab = data["report_vocab"]
     rows = []
-    for rec in data[split]:
+    for rec in records:
         ids = model.generate(rec)
         rows.append({"sample_id": rec.sample_id,
                      "generated": vocab.text(ids),
                      "reference": rec.report_text})
     write_jsonl(out_path, rows)
     return len(rows)
-
-
-def _checkpoint_meta(checkpoint: PathLike) -> dict:
-    from .params import load_checkpoint
-    return load_checkpoint(checkpoint)[1]
 
 
 def run_evaluation(generated_path: PathLike, out_path: Optional[PathLike] = None,
@@ -321,7 +311,7 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
         run_dir = work / f"run_{name}"
         result = run_training(prep_dir, run_dir, model_cfg, train_cfg, inputs=name)
         gen_path = run_dir / "generated.jsonl"
-        run_generation(prep_dir, run_dir / "checkpoint.json", gen_path,
+        run_generation(prep_dir, run_dir / "checkpoint.npz", gen_path,
                        split="test", inputs=name)
         report = run_evaluation(gen_path, run_dir / "eval_report.json")
         accuracy = planted_phrase_accuracy(read_jsonl(gen_path), planted)
@@ -338,6 +328,6 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
     summary = {"seed": seed, "rows": rows,
                "model_config": model_cfg.to_dict(),
                "train_config": asdict(train_cfg)}
-    (work / "ablation_report.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    atomic_write_text(work / "ablation_report.json",
+                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary

@@ -1,12 +1,15 @@
-"""Shared record types and JSONL/CSV ingestion."""
+"""Shared record types, JSONL/CSV ingestion, and atomic file writes."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import secrets
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -125,8 +128,31 @@ class PatientRecord:
             raise DataError(f"malformed patient record: {exc}") from exc
 
 
+@contextlib.contextmanager
+def atomic_open(path: PathLike, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Write ``path`` all at once: through a temp file beside it, fsynced and
+    then renamed over it. If the block raises, the temp file is removed and
+    any previous ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path: PathLike, text: str) -> None:
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_jsonl(path: PathLike, rows: Iterable[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -166,7 +192,7 @@ def write_raw_records(path: PathLike, records: Sequence[RawRecord]) -> None:
 
 def write_raw_records_csv(path: PathLike, records: Sequence[RawRecord]) -> None:
     names = [f.name for f in fields(RawRecord)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=names)
         writer.writeheader()
         for record in records:

@@ -18,8 +18,8 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .records import (RawRecord, write_image_features, write_jsonl,
-                      write_raw_records, write_raw_records_csv)
+from .records import (RawRecord, atomic_write_text, write_image_features,
+                      write_jsonl, write_raw_records, write_raw_records_csv)
 
 PathLike = Union[str, Path]
 
@@ -195,8 +195,7 @@ class DatasetManifest:
 
     def save(self, directory: PathLike) -> Path:
         path = Path(directory) / self.MANIFEST_NAME
-        path.write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+        atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
         return path
 
     @classmethod

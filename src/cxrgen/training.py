@@ -61,11 +61,13 @@ class OptimizerState:
 
 def adam_step(parameters: Mapping[str, Tensor], grads: Mapping[str, Array],
               state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam update; rebinds each parameter's data array."""
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
+    """One bias-corrected Adam update; rebinds each parameter's data array.
+
+    Every gradient is checked for shape and finiteness before any state
+    moves, so a rejected update leaves parameters, moments and the step
+    counter exactly as they were.
+    """
+    checked = {}
     for path, param in parameters.items():
         g = np.asarray(grads[path], dtype=np.float64)
         if g.shape != param.data.shape:
@@ -73,6 +75,13 @@ def adam_step(parameters: Mapping[str, Tensor], grads: Mapping[str, Array],
                                 f"{path!r} shape {param.data.shape}")
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {path!r}")
+        checked[path] = g
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for path, param in parameters.items():
+        g = checked[path]
         m = state.m[path] = ADAM_BETA1 * state.m[path] + (1.0 - ADAM_BETA1) * g
         v = state.v[path] = ADAM_BETA2 * state.v[path] + (1.0 - ADAM_BETA2) * (g * g)
         param.data = param.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
@@ -168,9 +177,9 @@ def evaluate_split(model, records: Sequence) -> tuple[float, float]:
 def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> FitResult:
     """Mini-batch Adam training with warmup and early stopping.
 
-    Loss spikes to non-finite values abort the run and restore the best
-    checkpoint seen so far; the model is always left holding the
-    best-validation parameters when fit returns.
+    A non-finite batch loss or gradient aborts the run (``diverged=True``)
+    and restores the best checkpoint seen so far; the model is always left
+    holding the best-validation parameters when fit returns.
     """
     if not train_set or not val_set:
         raise ConfigurationError("fit needs non-empty train and validation sets")
@@ -211,6 +220,9 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             loss_weighted += value * len(batch)
             tape.backward(batch_loss)
             grads = tape.gradients(parameters)
+            if not all(np.isfinite(g).all() for g in grads.values()):
+                diverged = True
+                break
             if config.grad_clip_norm is not None:
                 grads = clip_gradients(grads, config.grad_clip_norm)
             step += 1

@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .errors import ConfigurationError, ContractError, DataError
+from .records import atomic_write_text
 
 PAD_ID = 0
 START_ID = 1
@@ -93,7 +94,7 @@ class Vocabulary:
             raise DataError(f"malformed vocabulary payload: {exc}") from exc
 
     def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n", encoding="utf-8")
+        atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Vocabulary":

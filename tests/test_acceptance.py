@@ -432,7 +432,7 @@ def test_criterion_8_determinism(tmp_path):
         run_synth(root / "data", synth_cfg)
         run_preprocess(root / "data", root / "prep", prep_cfg, plan)
         run_training(root / "prep", root / "run", model_cfg, train_cfg)
-        run_generation(root / "prep", root / "run" / "checkpoint.json",
+        run_generation(root / "prep", root / "run" / "checkpoint.npz",
                        root / "gen.jsonl")
         run_evaluation(root / "gen.jsonl", root / "eval.json")
         reports.append((root / "eval.json").read_bytes())

@@ -1,5 +1,8 @@
 """End-to-end model wrapper: masking presets, config, loss, generation, checkpoints."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -213,7 +216,7 @@ class TestGenerate:
 class TestCheckpointRoundTrip:
     def test_save_load_preserves_parameters(self, tmp_path):
         model = _tiny_model(seed=7)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save(path)
         again = ReportGenerator.load(path)
         assert again.config == model.config
@@ -223,7 +226,7 @@ class TestCheckpointRoundTrip:
     def test_loaded_model_generates_identically(self, tmp_path):
         model = _tiny_model(seed=11)
         rec = _record(seed=2)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save(path, extra_metadata={"inputs": "all"})
         again = ReportGenerator.load(path)
         assert again.generate(rec) == model.generate(rec)
@@ -231,7 +234,7 @@ class TestCheckpointRoundTrip:
     def test_extra_metadata_round_trips(self, tmp_path):
         from cxrgen.params import load_checkpoint
         model = _tiny_model()
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save(path, extra_metadata={"inputs": "o2sat", "note": "x"})
         _, metadata = load_checkpoint(path)
         assert metadata["inputs"] == "o2sat"
@@ -240,7 +243,7 @@ class TestCheckpointRoundTrip:
 
     def test_load_respects_mask_argument(self, tmp_path):
         model = _tiny_model(seed=1)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         model.save(path)
         masked = ReportGenerator.load(path, input_mask=InputMask.image_only())
         rec = _record()
@@ -248,6 +251,92 @@ class TestCheckpointRoundTrip:
         loss_a, _, _ = model.loss_for_record(rec)
         loss_b, _, _ = masked.loss_for_record(rec)
         assert float(loss_a.data) != pytest.approx(float(loss_b.data), abs=1e-12)
+
+    def test_load_applies_recorded_input_preset(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        _tiny_model(seed=1).save(path, extra_metadata={"inputs": "image_only"})
+        assert ReportGenerator.load(path).input_mask == INPUT_PRESETS["image_only"]
+        override = ReportGenerator.load(path, input_mask=InputMask.all_inputs())
+        assert override.input_mask == InputMask.all_inputs()
+
+
+class TestCheckpointFile:
+    """The v2 container: one npz file, written atomically, checked on read."""
+
+    def test_single_npz_at_the_given_path(self, tmp_path):
+        path = tmp_path / "checkpoint.json"   # any name; nothing is appended
+        _tiny_model().save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+        assert zipfile.is_zipfile(path)
+        with np.load(path, allow_pickle=False) as npz:
+            meta = json.loads(str(npz["__meta__"]))
+            assert meta["format"] == "cxrgen-checkpoint-v2"
+            assert npz["decoder.output.w"].dtype == np.float64
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5, 0.99])
+    def test_truncated_file_names_path(self, tmp_path, keep):
+        path = tmp_path / "ckpt.npz"
+        _tiny_model().save(path)
+        assert zipfile.is_zipfile(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:int(keep * len(data))])
+        with pytest.raises(DataError, match="ckpt.npz"):
+            ReportGenerator.load(path)
+
+    def test_missing_and_foreign_files_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="absent.npz"):
+            ReportGenerator.load(tmp_path / "absent.npz")
+        (tmp_path / "notes.npz").write_text("not a checkpoint")
+        with pytest.raises(DataError, match="not an npz"):
+            ReportGenerator.load(tmp_path / "notes.npz")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        from cxrgen.params import load_checkpoint, save_checkpoint
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, {"w": np.array([1.0, bad, 2.0])})
+        with pytest.raises(DataError, match=r"'w'.*non-finite"):
+            load_checkpoint(path)
+
+    def test_non_float64_and_untagged_rejected(self, tmp_path):
+        from cxrgen.params import load_checkpoint
+        tag = np.array(json.dumps({"format": "cxrgen-checkpoint-v2", "metadata": {}}))
+        with open(tmp_path / "ints.npz", "wb") as fh:
+            np.savez(fh, w=np.arange(3), __meta__=tag)
+        with pytest.raises(DataError, match=r"'w'.*float64"):
+            load_checkpoint(tmp_path / "ints.npz")
+        with open(tmp_path / "untagged.npz", "wb") as fh:
+            np.savez(fh, w=np.zeros(3))
+        with pytest.raises(DataError, match="format tag"):
+            load_checkpoint(tmp_path / "untagged.npz")
+        with open(tmp_path / "v3.npz", "wb") as fh:
+            np.savez(fh, w=np.zeros(3), __meta__=np.array(json.dumps({"format": "v3"})))
+        with pytest.raises(DataError, match="format tag"):
+            load_checkpoint(tmp_path / "v3.npz")
+
+    def test_v1_json_checkpoint_no_longer_read(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps({
+            "format": "cxrgen-checkpoint-v1", "metadata": {},
+            "parameters": {"w": {"shape": [2], "data": [0.5, 1.5]}}}) + "\n")
+        with pytest.raises(DataError, match="v1 is no longer read") as info:
+            ReportGenerator.load(path)
+        assert str(path) in str(info.value)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.npz"
+        _tiny_model(seed=1).save(path)
+        before = path.read_bytes()
+
+        def half_written(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", half_written)
+        with pytest.raises(OSError, match="disk full"):
+            _tiny_model(seed=2).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
 
 class TestSeeding:

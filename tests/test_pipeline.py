@@ -1,22 +1,25 @@
 """File-level pipeline stages and the CLI wiring, end to end at toy scale."""
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 
 from cxrgen.cli import main as cli_main
 from cxrgen.errors import ConfigurationError, DataError
+from cxrgen.metrics import corpus_evaluate
 from cxrgen.model import ModelConfig
 from cxrgen.pipeline import (SplitPlan, load_preprocessed,
                              planted_phrase_accuracy, run_evaluation,
                              run_generation, run_preprocess, run_synth,
                              run_training)
 from cxrgen.preprocess import NormalizationStats, PreprocessConfig, standardize_text
-from cxrgen.records import read_jsonl, read_raw_records
+from cxrgen.records import read_jsonl, read_raw_records, write_jsonl
 from cxrgen.synth import DatasetManifest, SyntheticConfig
 from cxrgen.training import TrainConfig
-from cxrgen.vocab import UNK_ID
+from cxrgen.vocab import UNK_ID, Vocabulary
 
 TOY_SYNTH = SyntheticConfig(num_samples=80, seed=7, feature_dim=16)
 TOY_PREP = PreprocessConfig(report_len=43, image_feature_dim=16)
@@ -38,7 +41,7 @@ def workspace(tmp_path_factory):
     summary = run_preprocess(data, prep, TOY_PREP, TOY_PLAN)
     result = run_training(prep, run, TOY_MODEL, TOY_TRAIN, inputs="all")
     gen = run / "generated.jsonl"
-    n = run_generation(prep, run / "checkpoint.json", gen, split="test")
+    n = run_generation(prep, run / "checkpoint.npz", gen, split="test")
     return {"root": root, "data": data, "prep": prep, "run": run,
             "summary": summary, "fit": result, "generated": gen, "n_generated": n}
 
@@ -110,14 +113,14 @@ class TestPreprocessStage:
 class TestTrainingStage:
     def test_writes_checkpoint_and_history(self, workspace):
         run = workspace["run"]
-        assert (run / "checkpoint.json").exists()
+        assert (run / "checkpoint.npz").exists()
         history = (run / "history.csv").read_text().strip().splitlines()
         assert history[0] == "epoch,train_loss,train_acc,val_loss,val_acc,lr"
         assert len(history) - 1 == workspace["fit"].epochs_run
 
     def test_checkpoint_records_run_metadata(self, workspace):
         from cxrgen.params import load_checkpoint
-        _, meta = load_checkpoint(workspace["run"] / "checkpoint.json")
+        _, meta = load_checkpoint(workspace["run"] / "checkpoint.npz")
         assert meta["inputs"] == "all"
         assert meta["train_config"]["max_epochs"] == 2
         assert "model_config" in meta
@@ -136,15 +139,38 @@ class TestGenerationStage:
 
     def test_unknown_split_rejected(self, workspace):
         with pytest.raises(ConfigurationError):
-            run_generation(workspace["prep"], workspace["run"] / "checkpoint.json",
+            run_generation(workspace["prep"], workspace["run"] / "checkpoint.npz",
                            workspace["root"] / "x.jsonl", split="dev")
 
     def test_inputs_override_changes_conditioning(self, workspace):
         out = workspace["root"] / "gen_masked.jsonl"
-        run_generation(workspace["prep"], workspace["run"] / "checkpoint.json",
+        run_generation(workspace["prep"], workspace["run"] / "checkpoint.npz",
                        out, split="test", inputs="image_only")
         rows = read_jsonl(out)
         assert len(rows) == 10  # runs end to end under a different mask
+
+    def test_reads_checkpoint_once(self, workspace, monkeypatch):
+        import cxrgen.model
+        import cxrgen.params
+        calls = []
+        original = cxrgen.params.load_checkpoint
+
+        def counted(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(cxrgen.params, "load_checkpoint", counted)
+        monkeypatch.setattr(cxrgen.model, "load_checkpoint", counted)
+        run_generation(workspace["prep"], workspace["run"] / "checkpoint.npz",
+                       workspace["root"] / "gen_once.jsonl")
+        assert len(calls) == 1
+
+    def test_reads_only_decoded_split_and_report_vocab(self, workspace, tmp_path):
+        for name in ("test.jsonl", "report_vocab.json"):
+            shutil.copy(workspace["prep"] / name, tmp_path / name)
+        out = tmp_path / "generated.jsonl"
+        run_generation(tmp_path, workspace["run"] / "checkpoint.npz", out)
+        assert out.read_bytes() == workspace["generated"].read_bytes()
 
 
 class TestEvaluationStage:
@@ -170,6 +196,53 @@ class TestEvaluationStage:
         bad.write_text(json.dumps({"sample_id": "x", "generated": "a"}) + "\n")
         with pytest.raises(DataError):
             run_evaluation(bad)
+
+
+def _report(tag):
+    return corpus_evaluate([(tag, ["x", "y"], ["x", "y"]), ("b", ["z"], ["x", "y"])])
+
+
+# file name -> writer of a small artifact at a path, with ``tag`` varying its content
+ARTIFACT_WRITERS = {
+    "generated.jsonl": lambda path, tag: write_jsonl(path, [{"tag": tag}, {"row": 2}]),
+    "eval.json": lambda path, tag: _report(tag).save(path),
+    "per_sample.csv": lambda path, tag: _report(tag).save_per_sample_csv(path),
+    "report_vocab.json": lambda path, tag: Vocabulary([tag, "w"]).save(path),
+    "manifest.json": lambda path, tag: DatasetManifest({}, {}, {"tag": tag}).save(path.parent),
+}
+
+
+class TestAtomicWrites:
+    """A write that fails midway leaves the previous file and no temp file."""
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACT_WRITERS))
+    def test_crash_before_rename_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        path = tmp_path / name
+        ARTIFACT_WRITERS[name](path, "old")
+        before = path.read_bytes()
+
+        def crash(fd):
+            raise OSError("power cut")
+
+        monkeypatch.setattr(os, "fsync", crash)
+        with pytest.raises(OSError, match="power cut"):
+            ARTIFACT_WRITERS[name](path, "new")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_row_error_midway_keeps_previous_jsonl(self, tmp_path):
+        path = tmp_path / "generated.jsonl"
+        write_jsonl(path, [{"row": 1}])
+        before = path.read_bytes()
+
+        def rows():
+            yield {"row": 2}
+            raise ValueError("bad row")
+
+        with pytest.raises(ValueError, match="bad row"):
+            write_jsonl(path, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["generated.jsonl"]
 
 
 class TestPlantedPhraseAccuracy:
@@ -243,7 +316,7 @@ class TestCli:
         assert "best val loss" in capsys.readouterr().out
         gen = tmp_path / "gen.jsonl"
         assert cli_main(["generate", "--data", str(prep), "--checkpoint",
-                         str(run / "checkpoint.json"), "--out", str(gen)]) == 0
+                         str(run / "checkpoint.npz"), "--out", str(gen)]) == 0
         report = tmp_path / "eval.json"
         assert cli_main(["evaluate", "--generated", str(gen),
                          "--out", str(report)]) == 0

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxrgen.errors import ConfigurationError, ContractError, TrainingError
 from cxrgen.params import ParameterStore
-from cxrgen.tensor import GradientTape, Tensor, mul, reduce_sum, sub
+from cxrgen.tensor import GradientTape, Tensor, add, mul, reduce_sum, sub
 from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EarlyStopper,
                              FitResult, OptimizerState, TrainConfig, adam_step,
                              clip_gradients, evaluate_split, fit, lr_at_step,
@@ -70,6 +72,29 @@ class TestAdam:
         state = OptimizerState.for_parameters(params)
         with pytest.raises(TrainingError, match="encoder.scalars.w"):
             adam_step(params, {"encoder.scalars.w": np.array([1.0, np.nan])}, state, 0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_params=st.integers(1, 5), data=st.data(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_rejected_update_changes_nothing(self, n_params, data, bad):
+        store = ParameterStore(5)
+        params = {f"p{i}": store.dense(f"p{i}", (2, 3)) for i in range(n_params)}
+        state = OptimizerState.for_parameters(params)
+        rng = np.random.default_rng(0)
+        adam_step(params, {k: rng.standard_normal((2, 3)) for k in params}, state, 0.1)
+        before = ({k: p.data.copy() for k, p in params.items()},
+                  {k: m.copy() for k, m in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()}, state.step)
+        grads = {k: rng.standard_normal((2, 3)) for k in params}
+        victim = data.draw(st.sampled_from(sorted(params)))
+        grads[victim][data.draw(st.integers(0, 1)), data.draw(st.integers(0, 2))] = bad
+        with pytest.raises(TrainingError, match=victim):
+            adam_step(params, grads, state, 0.1)
+        for k in params:
+            np.testing.assert_array_equal(params[k].data, before[0][k])
+            np.testing.assert_array_equal(state.m[k], before[1][k])
+            np.testing.assert_array_equal(state.v[k], before[2][k])
+        assert state.step == before[3]
 
     def test_shape_mismatch_rejected(self):
         store = ParameterStore(3)
@@ -207,6 +232,22 @@ class _ToyModel:
         return reduce_sum(mul(diff, diff)), int(abs(self.x.data[0] - target) < 0.5), 1
 
 
+class _VectorModel(_ToyModel):
+    """Several vector parameters, each pulled toward the record's target."""
+
+    def __init__(self, n_params):
+        self.store = ParameterStore(0)
+        self.xs = [self.store.zeros(f"x{i}", (2,)) for i in range(n_params)]
+
+    def loss_for_record(self, target):
+        total = None
+        for x in self.xs:
+            diff = sub(x, Tensor(np.full(2, float(target))))
+            term = reduce_sum(mul(diff, diff))
+            total = term if total is None else add(total, term)
+        return total, 0, 1
+
+
 class TestFit:
     def test_learns_and_records_history(self):
         model = _ToyModel()
@@ -264,6 +305,51 @@ class TestFit:
         result = fit(model, [1.0, 1.0], [1.0], cfg)
         assert result.diverged
         assert np.isfinite(model.x.data).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_params=st.integers(1, 4), data=st.data(),
+           clip=st.sampled_from([None, 0.5]))
+    def test_non_finite_gradient_diverges_and_restores(self, n_params, data, clip):
+        """A NaN in any one gradient at any step: fit reports divergence, the
+        model holds the best state, and no Adam moment or counter moved."""
+        model = _VectorModel(n_params)
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=3,
+                          early_stop_patience=5, seed=0, grad_clip_norm=clip)
+        fault_call = data.draw(st.integers(1, 6))      # 2 batches x 3 epochs
+        victim = data.draw(st.sampled_from(sorted(model.parameters())))
+        states, seen = [], {}
+        original_gradients = GradientTape.gradients
+        original_for_parameters = OptimizerState.for_parameters.__func__
+
+        def capture_state(cls, parameters):
+            states.append(original_for_parameters(cls, parameters))
+            return states[-1]
+
+        def faulty_gradients(tape, parameters):
+            grads = original_gradients(tape, parameters)
+            seen["calls"] = seen.get("calls", 0) + 1
+            if seen["calls"] == fault_call:
+                state = states[0]
+                seen["state"] = ({k: m.copy() for k, m in state.m.items()},
+                                 {k: v.copy() for k, v in state.v.items()}, state.step)
+                grads[victim] = np.full_like(grads[victim], np.nan)
+            return grads
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(OptimizerState, "for_parameters", classmethod(capture_state))
+            mp.setattr(GradientTape, "gradients", faulty_gradients)
+            result = fit(model, [1.0, 2.0, 1.0, 2.0], [1.5], cfg)
+
+        assert result.diverged
+        assert seen["calls"] == fault_call
+        for path, param in model.parameters().items():
+            assert np.isfinite(param.data).all()
+            np.testing.assert_array_equal(param.data, result.best_state[path])
+        m_before, v_before, step_before = seen["state"]
+        assert states[0].step == step_before == fault_call - 1
+        for path in m_before:
+            np.testing.assert_array_equal(states[0].m[path], m_before[path])
+            np.testing.assert_array_equal(states[0].v[path], v_before[path])
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigurationError):
