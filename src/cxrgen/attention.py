@@ -1,16 +1,22 @@
-"""Scaled dot-product attention, multi-head attention, and masking."""
+"""Scaled dot-product attention, multi-head attention, and masking.
+
+Multi-head attention runs a whole batch at once: inputs are [B·n, d] rows,
+each of Q/K/V is one fused [d, h·d_k] projection (Megatron-LM style), and
+the heads become an axis of a [B, h, n, d_k] array.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 from .params import ParameterStore
-from .tensor import Tensor, add, concat, matmul, mul, softmax, transpose
+from .tensor import (Tensor, add, batched_matmul, matmul, mul, reshape, softmax,
+                     swap_axes)
 
 # Additive pre-softmax fill for forbidden positions; at float64 this is
 # indistinguishable from -inf after exponentiation but never produces nan.
@@ -59,99 +65,103 @@ class MultiHeadConfig:
 
 
 class AttentionResult(NamedTuple):
+    """``output`` [..., n_q, d_v]; ``weights`` [..., n_q, n_k], each row
+    summing to one. Multi-head attention returns output rows [B·n_q, d] and
+    weights [B, h, n_q, n_k]."""
+
     output: Tensor
     weights: Tensor
 
 
-class MultiHeadResult(NamedTuple):
-    output: Tensor
-    head_weights: tuple[Tensor, ...]
-
-
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
                                  mask: Optional[np.ndarray] = None) -> AttentionResult:
-    """softmax(q kT / sqrt(d_k)) v for 2-d q, k, v.
+    """softmax(q kT / sqrt(d_k)) v over the last two axes of q, k, v.
 
-    ``mask`` is a boolean [n_q, n_k] array where True marks a permitted
-    position; forbidden logits get an additive -1e30 before the softmax so
-    their weights underflow to exactly zero. A query row with every key
-    forbidden is rejected.
+    Leading axes (batch, heads) must match. ``mask`` is a boolean
+    [n_q, n_k] array, shared by every leading index, where True marks a
+    permitted position; forbidden logits get an additive -1e30 before the
+    softmax so their weights underflow to exactly zero. A query row with
+    every key forbidden is rejected.
     """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionError(
-            f"attention expects 2-d q/k/v, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[1] != k.shape[1]:
+    if q.ndim < 2 or not q.ndim == k.ndim == v.ndim or \
+            not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise DimensionError(f"attention expects q/k/v with matching leading axes, "
+                             f"got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"query width {q.shape} does not match key width {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"key count {k.shape} does not match value count {v.shape}")
-    n_q, d_k = q.shape
-    n_k = k.shape[0]
-    logits = mul(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
+    (n_q, d_k), n_k = q.shape[-2:], k.shape[-2]
+    logits = mul(batched_matmul(q, swap_axes(k, -1, -2)), 1.0 / math.sqrt(d_k))
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         if m.shape != (n_q, n_k):
             raise DimensionError(f"mask shape {m.shape} does not match logits shape {(n_q, n_k)}")
         if not m.any(axis=1).all():
             raise ContractError("attention mask leaves a query row with no permitted keys")
-        logits = add(logits, Tensor(np.where(m, 0.0, MASKED_LOGIT)))
-    weights = softmax(logits, axis=1)
-    return AttentionResult(matmul(weights, v), weights)
+        logits = add(logits, Tensor(np.broadcast_to(np.where(m, 0.0, MASKED_LOGIT),
+                                                    logits.shape)))
+    weights = softmax(logits, axis=-1)
+    return AttentionResult(batched_matmul(weights, v), weights)
 
 
 class AttentionProjections:
-    """Per-head W_q/W_k/W_v projections plus the shared output projection."""
+    """Fused W_q/W_k/W_v projections ([d, h·d_k], head i in column block i)
+    plus the output projection W_o ([h·d_v, d])."""
 
-    def __init__(self, w_q: Sequence[Tensor], w_k: Sequence[Tensor],
-                 w_v: Sequence[Tensor], w_o: Tensor, config: MultiHeadConfig):
-        h = config.num_heads
-        if not (len(w_q) == len(w_k) == len(w_v) == h):
-            raise ConfigurationError(
-                f"expected {h} per-head projections, got {len(w_q)}/{len(w_k)}/{len(w_v)}")
-        d, dk, dv = config.model_dim, config.head_key_dim, config.head_value_dim
-        for mats, width, name in ((w_q, dk, "w_q"), (w_k, dk, "w_k"), (w_v, dv, "w_v")):
-            for i, m in enumerate(mats):
-                if m.shape != (d, width):
-                    raise DimensionError(
-                        f"{name}[{i}] shape {m.shape}, expected {(d, width)}")
-        if w_o.shape != (config.concat_dim, d):
-            raise DimensionError(f"w_o shape {w_o.shape}, expected {(config.concat_dim, d)}")
-        for t in (*w_q, *w_k, *w_v, w_o):
-            if not np.isfinite(t.data).all():
+    def __init__(self, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor,
+                 config: MultiHeadConfig):
+        d, h = config.model_dim, config.num_heads
+        for m, shape, name in ((w_q, (d, h * config.head_key_dim), "w_q"),
+                               (w_k, (d, h * config.head_key_dim), "w_k"),
+                               (w_v, (d, config.concat_dim), "w_v"),
+                               (w_o, (config.concat_dim, d), "w_o")):
+            if m.shape != shape:
+                raise DimensionError(f"{name} shape {m.shape}, expected {shape}")
+            if not np.isfinite(m.data).all():
                 raise ContractError("attention projections must be finite")
-        self.w_q = tuple(w_q)
-        self.w_k = tuple(w_k)
-        self.w_v = tuple(w_v)
-        self.w_o = w_o
+        self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
         self.config = config
 
     @classmethod
     def create(cls, store: ParameterStore, prefix: str,
                config: MultiHeadConfig) -> "AttentionProjections":
-        d, dk, dv = config.model_dim, config.head_key_dim, config.head_value_dim
-        w_q = [store.dense(f"{prefix}.head{i}.wq", (d, dk)) for i in range(config.num_heads)]
-        w_k = [store.dense(f"{prefix}.head{i}.wk", (d, dk)) for i in range(config.num_heads)]
-        w_v = [store.dense(f"{prefix}.head{i}.wv", (d, dv)) for i in range(config.num_heads)]
-        w_o = store.dense(f"{prefix}.wo", (config.concat_dim, d))
-        return cls(w_q, w_k, w_v, w_o, config)
+        d, h = config.model_dim, config.num_heads
+        return cls(store.dense(f"{prefix}.wq", (d, h * config.head_key_dim), blocks=h),
+                   store.dense(f"{prefix}.wk", (d, h * config.head_key_dim), blocks=h),
+                   store.dense(f"{prefix}.wv", (d, config.concat_dim), blocks=h),
+                   store.dense(f"{prefix}.wo", (config.concat_dim, d)), config)
 
 
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
-                         projections: AttentionProjections,
-                         mask: Optional[np.ndarray] = None) -> MultiHeadResult:
-    """Concat(head_1..head_h) W_o where head_i attends over projected q/k/v."""
-    d = projections.config.model_dim
+                         projections: AttentionProjections, batch_size: int = 1,
+                         mask: Optional[np.ndarray] = None) -> AttentionResult:
+    """Concat(head_1..head_h) W_o for ``batch_size`` records at once.
+
+    ``q_in`` holds [B·n_q, d] rows and ``k_in``/``v_in`` [B·n_k, d] rows,
+    record after record; ``mask`` ([n_q, n_k]) applies to every record.
+    Returns output rows [B·n_q, d] and weights [B, h, n_q, n_k].
+    """
+    cfg = projections.config
+    d, h = cfg.model_dim, cfg.num_heads
     for t, name in ((q_in, "queries"), (k_in, "keys"), (v_in, "values")):
         if t.ndim != 2 or t.shape[1] != d:
             raise DimensionError(f"{name} shape {t.shape} does not match model width {d}")
-    outputs = []
-    weights = []
-    for wq, wk, wv in zip(projections.w_q, projections.w_k, projections.w_v):
-        head = scaled_dot_product_attention(
-            matmul(q_in, wq), matmul(k_in, wk), matmul(v_in, wv), mask)
-        outputs.append(head.output)
-        weights.append(head.weights)
-    combined = outputs[0] if len(outputs) == 1 else concat(outputs, axis=1)
-    return MultiHeadResult(matmul(combined, projections.w_o), tuple(weights))
+        if batch_size < 1 or t.shape[0] % batch_size:
+            raise DimensionError(f"{name}: {t.shape[0]} rows do not split into "
+                                 f"{batch_size} records")
+
+    def heads(x: Tensor, w: Tensor, width: int) -> Tensor:
+        # [B·n, d] -> [B·n, h·width] -> [B, h, n, width]
+        n = x.shape[0] // batch_size
+        return swap_axes(reshape(matmul(x, w), (batch_size, n, h, width)), 1, 2)
+
+    attn = scaled_dot_product_attention(heads(q_in, projections.w_q, cfg.head_key_dim),
+                                        heads(k_in, projections.w_k, cfg.head_key_dim),
+                                        heads(v_in, projections.w_v, cfg.head_value_dim),
+                                        mask)
+    combined = reshape(swap_axes(attn.output, 1, 2), (q_in.shape[0], cfg.concat_dim))
+    return AttentionResult(matmul(combined, projections.w_o), attn.weights)
 
 
 def causal_mask(n: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Post-layer-norm blocks: masked self-attention, cross-attention over the
 encoder rows, then a position-wise feed-forward, each wrapped in a residual
 add followed by layer norm. Token embeddings are scaled by sqrt(d_model)
-and summed with fixed sinusoidal position encodings.
+and summed with fixed sinusoidal position encodings. Teacher forcing runs a
+batch of records as [B·T, d] rows; greedy decoding runs one record.
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ class _DecoderLayer:
         self.ln3_beta = store.zeros(f"{prefix}.ln3.beta", (d,))
         self._eps = cfg.layer_norm_eps
 
-    def forward(self, x: Tensor, encoder_rows: Tensor, mask: np.ndarray) -> Tensor:
-        attended = multi_head_attention(x, x, x, self.self_attn, mask).output
+    def forward(self, x: Tensor, encoder_rows: Tensor, mask: np.ndarray,
+                batch_size: int) -> Tensor:
+        attended = multi_head_attention(x, x, x, self.self_attn, batch_size, mask).output
         x = layer_norm(add(x, attended), self.ln1_gamma, self.ln1_beta, self._eps)
-        crossed = multi_head_attention(x, encoder_rows, encoder_rows, self.cross_attn).output
+        crossed = multi_head_attention(x, encoder_rows, encoder_rows, self.cross_attn,
+                                       batch_size).output
         x = layer_norm(add(x, crossed), self.ln2_gamma, self.ln2_beta, self._eps)
         ffn = dense(dense(x, self.ffn_w1, self.ffn_b1, activation="relu"),
                     self.ffn_w2, self.ffn_b2)
@@ -94,25 +97,33 @@ class ReportDecoder:
         self.output_w = store.dense(f"{prefix}.output.w", (d, config.vocab_size))
         self.output_b = store.zeros(f"{prefix}.output.b", (config.vocab_size,))
 
-    def teacher_forced_forward(self, encoder_rows: Tensor, target_ids: Sequence[int]) -> Tensor:
-        """Per-position logits [T, V] for a START-led target prefix."""
-        ids = np.asarray(target_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
-            raise ContractError(f"target ids must be a non-empty 1-d sequence, got {ids.shape}")
-        if ids.size > self.config.max_len:
-            raise ContractError(f"target length {ids.size} exceeds the maximum "
+    def teacher_forced_forward(self, encoder_rows: Tensor, target_ids) -> Tensor:
+        """Per-position logits for START-led target prefixes.
+
+        ``target_ids`` is [T] for one record or [B, T] for a batch whose
+        ``encoder_rows`` hold each record's rows one after another. Returns
+        [B·T, V] logits, record after record.
+        """
+        ids = np.atleast_2d(np.asarray(target_ids, dtype=np.int64))
+        if ids.ndim != 2 or ids.size < 1:
+            raise ContractError(f"target ids must be a non-empty [T] or [B, T] array, "
+                                f"got {ids.shape}")
+        batch, length = ids.shape
+        if length > self.config.max_len:
+            raise ContractError(f"target length {length} exceeds the maximum "
                                 f"{self.config.max_len}")
-        if ids[0] != START_ID:
-            raise ContractError(f"target must begin with the START id, got {int(ids[0])}")
-        if encoder_rows.ndim != 2 or encoder_rows.shape[1] != self.config.model_dim:
+        if (ids[:, 0] != START_ID).any():
+            raise ContractError(f"every target must begin with the START id, got "
+                                f"{ids[:, 0].tolist()}")
+        d = self.config.model_dim
+        if encoder_rows.ndim != 2 or encoder_rows.shape[1] != d:
             raise DimensionError(f"encoder rows shape {encoder_rows.shape} does not match "
-                                 f"model width {self.config.model_dim}")
-        length = ids.size
-        x = add(sqrt_scale(embedding_lookup(self.token_embedding, ids), self.config.model_dim),
-                Tensor(self.positions[:length]))
+                                 f"model width {d}")
+        x = add(sqrt_scale(embedding_lookup(self.token_embedding, ids.reshape(-1)), d),
+                Tensor(np.tile(self.positions[:length], (batch, 1))))
         mask = causal_mask(length)
         for layer in self.layers:
-            x = layer.forward(x, encoder_rows, mask)
+            x = layer.forward(x, encoder_rows, mask, batch)
         return add(matmul(x, self.output_w), self.output_b)
 
     def generate_greedy(self, encoder_rows: Tensor, max_len: Optional[int] = None) -> list[int]:
@@ -150,12 +161,18 @@ def sparse_ce_loss(logits: Tensor, true_ids: Sequence[int], pad_mask) -> Tensor:
 
 
 def masked_mean(losses: Tensor, pad_mask) -> Tensor:
-    """Mean of the unmasked entries (the training objective for one sample)."""
-    mask = np.asarray(pad_mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
-        raise ContractError("masked_mean needs at least one unmasked position")
-    return mul(reduce_sum(losses), 1.0 / count)
+    """The training objective: the mean over records of each record's mean
+    over its unmasked positions (not a mean pooled over all tokens).
+
+    ``pad_mask`` is [T] for one record or [B, T] for a batch whose
+    ``losses`` are flattened record after record.
+    """
+    mask = np.atleast_2d(np.asarray(pad_mask, dtype=bool))
+    counts = mask.sum(axis=1)
+    if mask.ndim != 2 or (counts == 0).any():
+        raise ContractError("masked_mean needs at least one unmasked position per record")
+    weights = mask / (counts[:, None] * mask.shape[0])
+    return reduce_sum(mul(losses, Tensor(weights.reshape(-1))))
 
 
 def token_accuracy(logits: Tensor, true_ids: Sequence[int], pad_mask) -> tuple[int, int]:

@@ -1,29 +1,27 @@
 """Fusion encoder: scalar, ethnicity, and text pathways merged with image
 features through cross multi-head attention.
 
-The patient-side output is a short key/value sequence. In the default
-``typed_rows`` layout each source (scalars, ethnicity, chief complaint,
-ICD title) projects to its own row so cross-attention can weight sources
-separately; ``single_row`` first concatenates everything into one wide
-vector and projects it to a single row.
+Every pathway runs on a batch of records at once. Each patient source
+(scalars, ethnicity, chief complaint, ICD title) projects to its own row,
+so a record contributes one key/value row per source and cross-attention
+can weight the sources separately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import (AttentionProjections, MultiHeadConfig, MultiHeadResult,
+from .attention import (AttentionProjections, AttentionResult, MultiHeadConfig,
                         multi_head_attention)
 from .errors import ConfigurationError, ContractError, DataError, DimensionError
 from .params import ParameterStore
 from .records import ScalarFeatures
 from .tensor import (Tensor, add, concat, dense, embedding_lookup, layer_norm,
-                     matmul, reshape)
+                     reshape)
 
-PATIENT_KV_MODES = ("typed_rows", "single_row")
 NUM_ETHNICITY_GROUPS = 9
 
 
@@ -36,39 +34,31 @@ def one_hot_ethnicity(group: int) -> Tensor:
     return Tensor(v)
 
 
-def encode_scalars(scalars: ScalarFeatures, w: Tensor, b: Tensor) -> Tensor:
-    """Dense projection of the eight normalized scalars to a [1, M] row."""
-    scalars.validate()
-    x = Tensor(scalars.as_array().reshape(1, -1))
+def encode_scalars(scalars: Sequence[ScalarFeatures], w: Tensor, b: Tensor) -> Tensor:
+    """Dense projection of each record's eight normalized scalars -> [B, M]."""
+    for record_scalars in scalars:
+        record_scalars.validate()
+    x = Tensor(np.stack([record_scalars.as_array() for record_scalars in scalars]))
     if w.shape[0] != x.shape[1]:
         raise DimensionError(f"scalar projection expects width {x.shape[1]}, got {w.shape}")
     return dense(x, w, b)
 
 
-def embed_text(token_ids: Sequence[int], table: Tensor) -> Tensor:
-    """Look up a fixed-length id sequence in an embedding table -> [L, E]."""
+def embed_text(token_ids, table: Tensor) -> Tensor:
+    """Look up fixed-length id sequences ([L], or [B, L] for a batch) -> [B·L, E]."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size < 1:
-        raise DimensionError(f"token ids must be a non-empty 1-d sequence, got shape {ids.shape}")
-    return embedding_lookup(table, ids)
-
-
-class UnifiedPatientRepresentation(NamedTuple):
-    """Patient-side encoder output.
-
-    ``rows`` is the [n_rows, d_model] key/value sequence handed to
-    cross-attention; ``pre_projection`` is the [1, M + 9 + (L_c + L_i) * E]
-    concatenation of all sources before any projection, kept for
-    inspection and width checks.
-    """
-
-    rows: Tensor
-    pre_projection: Tensor
+    if ids.ndim not in (1, 2) or ids.size < 1:
+        raise DimensionError(f"token ids must be a non-empty [L] or [B, L] array, "
+                             f"got shape {ids.shape}")
+    return embedding_lookup(table, ids.reshape(-1))
 
 
 class FusionResult(NamedTuple):
+    """Fused rows [B·image_tokens, d_model] and the cross-attention over the
+    patient rows (weights [B, h, image_tokens, patient rows per record])."""
+
     output: Tensor
-    attention: MultiHeadResult
+    attention: AttentionResult
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,6 @@ class EncoderConfig:
     icd_len: int = 6
     image_feature_dim: int = 1280
     image_tokens: int = 4
-    patient_kv_mode: str = "typed_rows"
     layer_norm_eps: float = 1e-6
 
     def __post_init__(self):
@@ -92,20 +81,14 @@ class EncoderConfig:
                      "image_feature_dim", "image_tokens"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.patient_kv_mode not in PATIENT_KV_MODES:
-            raise ConfigurationError(f"patient_kv_mode must be one of {PATIENT_KV_MODES}, "
-                                     f"got {self.patient_kv_mode!r}")
 
-    @property
-    def num_scalar_features(self) -> int:
-        return len(ScalarFeatures.ORDER)
 
-    @property
-    def pre_projection_width(self) -> int:
-        """Width of the concatenated patient vector before projection:
-        scalar block + one-hot ethnicity + both embedded text blocks."""
-        return (self.scalar_out_dim + NUM_ETHNICITY_GROUPS
-                + (self.chief_len + self.icd_len) * self.embed_dim)
+def _id_grid(ids: Sequence[Sequence[int]], length: int, what: str) -> np.ndarray:
+    """Stack per-record id lists into [B, length], rejecting any other length."""
+    for row in ids:
+        if len(row) != length:
+            raise DimensionError(f"expected {length} {what} ids, got {len(row)}")
+    return np.asarray(ids, dtype=np.int64).reshape(len(ids), length)
 
 
 class FusionEncoder:
@@ -113,34 +96,28 @@ class FusionEncoder:
 
     def __init__(self, store: ParameterStore, config: EncoderConfig, prefix: str = "encoder"):
         self.config = config
-        self.prefix = prefix
         d = config.model_dim
         mha = MultiHeadConfig(num_heads=config.num_heads, model_dim=d)
 
         self.scalar_w = store.dense(f"{prefix}.scalars.w",
-                                    (config.num_scalar_features, config.scalar_out_dim))
+                                    (len(ScalarFeatures.ORDER), config.scalar_out_dim))
         self.scalar_b = store.zeros(f"{prefix}.scalars.b", (config.scalar_out_dim,))
         self.chief_table = store.embedding(f"{prefix}.chief_embedding",
                                            (config.chief_vocab_size, config.embed_dim))
         self.icd_table = store.embedding(f"{prefix}.icd_embedding",
                                          (config.icd_vocab_size, config.embed_dim))
 
-        if config.patient_kv_mode == "typed_rows":
-            widths = {
-                "scalars": config.scalar_out_dim,
-                "ethnicity": NUM_ETHNICITY_GROUPS,
-                "chief": config.chief_len * config.embed_dim,
-                "icd": config.icd_len * config.embed_dim,
-            }
-            self.row_w = {}
-            self.row_b = {}
-            for name, width in widths.items():
-                self.row_w[name] = store.dense(f"{prefix}.patient.{name}.w", (width, d))
-                self.row_b[name] = store.zeros(f"{prefix}.patient.{name}.b", (d,))
-        else:
-            self.single_w = store.dense(f"{prefix}.patient.single.w",
-                                        (config.pre_projection_width, d))
-            self.single_b = store.zeros(f"{prefix}.patient.single.b", (d,))
+        widths = {
+            "scalars": config.scalar_out_dim,
+            "ethnicity": NUM_ETHNICITY_GROUPS,
+            "chief": config.chief_len * config.embed_dim,
+            "icd": config.icd_len * config.embed_dim,
+        }
+        self.row_w = {}
+        self.row_b = {}
+        for name, width in widths.items():
+            self.row_w[name] = store.dense(f"{prefix}.patient.{name}.w", (width, d))
+            self.row_b[name] = store.zeros(f"{prefix}.patient.{name}.b", (d,))
 
         self.image_ln1_gamma = store.ones(f"{prefix}.image.ln_in.gamma",
                                           (config.image_feature_dim,))
@@ -158,125 +135,83 @@ class FusionEncoder:
         self.fusion_ln_beta = store.zeros(f"{prefix}.fusion.ln.beta", (d,))
 
     # -- patient pathway -----------------------------------------------------
-    def encode_scalars(self, scalars: ScalarFeatures) -> Tensor:
-        return encode_scalars(scalars, self.scalar_w, self.scalar_b)
-
-    def build_patient_representation(self, scalars: ScalarFeatures, ethnicity: int,
-                                     chief_ids: Sequence[int],
-                                     icd_ids: Sequence[int]) -> UnifiedPatientRepresentation:
+    def build_patient_representation(self, scalars: Sequence[ScalarFeatures],
+                                     ethnicity: Sequence[int],
+                                     chief_ids: Sequence[Sequence[int]],
+                                     icd_ids: Sequence[Sequence[int]]) -> Tensor:
+        """Patient key/value rows [B·4, d_model] for B records: per record
+        the scalars, ethnicity, chief-complaint and ICD rows, in that order."""
         cfg = self.config
-        if len(chief_ids) != cfg.chief_len:
-            raise DimensionError(f"expected {cfg.chief_len} chief-complaint ids, "
-                                 f"got {len(chief_ids)}")
-        if len(icd_ids) != cfg.icd_len:
-            raise DimensionError(f"expected {cfg.icd_len} ICD ids, got {len(icd_ids)}")
-        scalar_row = self.encode_scalars(scalars)
-        eth_row = reshape(one_hot_ethnicity(ethnicity), (1, NUM_ETHNICITY_GROUPS))
-        chief_flat = reshape(embed_text(chief_ids, self.chief_table),
-                             (1, cfg.chief_len * cfg.embed_dim))
-        icd_flat = reshape(embed_text(icd_ids, self.icd_table),
-                           (1, cfg.icd_len * cfg.embed_dim))
-        pre = concat([scalar_row, eth_row, chief_flat, icd_flat], axis=1)
-
-        if cfg.patient_kv_mode == "typed_rows":
-            rows = concat([
-                dense(scalar_row, self.row_w["scalars"], self.row_b["scalars"]),
-                dense(eth_row, self.row_w["ethnicity"], self.row_b["ethnicity"]),
-                dense(chief_flat, self.row_w["chief"], self.row_b["chief"]),
-                dense(icd_flat, self.row_w["icd"], self.row_b["icd"]),
-            ], axis=0)
-        else:
-            rows = dense(pre, self.single_w, self.single_b)
-        return UnifiedPatientRepresentation(rows=rows, pre_projection=pre)
+        batch = len(scalars)
+        chief = _id_grid(chief_ids, cfg.chief_len, "chief-complaint")
+        icd = _id_grid(icd_ids, cfg.icd_len, "ICD")
+        sources = {
+            "scalars": encode_scalars(scalars, self.scalar_w, self.scalar_b),
+            "ethnicity": Tensor(np.stack([one_hot_ethnicity(g).data for g in ethnicity])),
+            "chief": reshape(embed_text(chief, self.chief_table),
+                             (batch, cfg.chief_len * cfg.embed_dim)),
+            "icd": reshape(embed_text(icd, self.icd_table), (batch, cfg.icd_len * cfg.embed_dim)),
+        }
+        rows = concat([dense(x, self.row_w[name], self.row_b[name])
+                       for name, x in sources.items()], axis=1)
+        return reshape(rows, (batch * len(sources), cfg.model_dim))
 
     # -- image pathway ---------------------------------------------------------
-    def image_pathway(self, features: Union[Tensor, np.ndarray, Sequence[float]]) -> Tensor:
-        """Global image-feature vector -> [image_tokens, d_model] sequence."""
+    def image_pathway(self, features) -> Tensor:
+        """Global image-feature vectors [B, F] (or one [F] vector) ->
+        [B·image_tokens, d_model] rows."""
         cfg = self.config
-        t = features if isinstance(features, Tensor) else Tensor(np.asarray(features,
-                                                                            dtype=np.float64))
-        if t.shape == (cfg.image_feature_dim,):
-            t = reshape(t, (1, cfg.image_feature_dim))
-        if t.shape != (1, cfg.image_feature_dim):
-            raise DimensionError(f"expected {cfg.image_feature_dim} image features, "
-                                 f"got shape {t.shape}")
-        if not np.isfinite(t.data).all():
+        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if feats.ndim != 2 or feats.shape[1] != cfg.image_feature_dim:
+            raise DimensionError(f"expected {cfg.image_feature_dim} image features per record, "
+                                 f"got shape {feats.shape}")
+        if not np.isfinite(feats).all():
             raise DataError("image features must be finite")
-        normed = layer_norm(t, self.image_ln1_gamma, self.image_ln1_beta, cfg.layer_norm_eps)
+        batch = feats.shape[0]
+        normed = layer_norm(Tensor(feats), self.image_ln1_gamma, self.image_ln1_beta,
+                            cfg.layer_norm_eps)
         tokens = reshape(dense(normed, self.image_w, self.image_b),
-                         (cfg.image_tokens, cfg.model_dim))
-        attended = multi_head_attention(tokens, tokens, tokens, self.image_self_attn).output
+                         (batch * cfg.image_tokens, cfg.model_dim))
+        attended = multi_head_attention(tokens, tokens, tokens, self.image_self_attn,
+                                        batch).output
         return layer_norm(add(tokens, attended), self.image_ln2_gamma, self.image_ln2_beta,
                           cfg.layer_norm_eps)
 
     # -- fusion ---------------------------------------------------------------
-    def cross_attention_fusion(self, image_rows: Tensor,
-                               patient: UnifiedPatientRepresentation) -> FusionResult:
-        """Image rows query the patient rows; residual add + layer norm."""
+    def cross_attention_fusion(self, image_rows: Tensor, patient_rows: Tensor) -> FusionResult:
+        """Image rows query each record's patient rows; residual add + layer norm."""
         cfg = self.config
-        if image_rows.shape != (cfg.image_tokens, cfg.model_dim):
-            raise DimensionError(f"image rows shape {image_rows.shape}, expected "
-                                 f"{(cfg.image_tokens, cfg.model_dim)}")
-        attn = multi_head_attention(image_rows, patient.rows, patient.rows, self.cross_attn)
+        if image_rows.ndim != 2 or image_rows.shape[1] != cfg.model_dim or \
+                image_rows.shape[0] % cfg.image_tokens:
+            raise DimensionError(f"image rows shape {image_rows.shape} is not "
+                                 f"[B·{cfg.image_tokens}, {cfg.model_dim}]")
+        batch = image_rows.shape[0] // cfg.image_tokens
+        attn = multi_head_attention(image_rows, patient_rows, patient_rows, self.cross_attn,
+                                    batch)
         fused = layer_norm(add(image_rows, attn.output), self.fusion_ln_gamma,
                            self.fusion_ln_beta, cfg.layer_norm_eps)
         return FusionResult(output=fused, attention=attn)
 
-    def encode(self, scalars: ScalarFeatures, ethnicity: int, chief_ids: Sequence[int],
-               icd_ids: Sequence[int],
-               image_features: Union[Tensor, np.ndarray, Sequence[float]]) -> FusionResult:
-        patient = self.build_patient_representation(scalars, ethnicity, chief_ids, icd_ids)
+    def encode(self, scalars: Sequence[ScalarFeatures], ethnicity: Sequence[int],
+               chief_ids: Sequence[Sequence[int]], icd_ids: Sequence[Sequence[int]],
+               image_features) -> FusionResult:
+        """Fuse a batch: per-record patient sources and [B, F] image features."""
+        patient_rows = self.build_patient_representation(scalars, ethnicity, chief_ids, icd_ids)
         image_rows = self.image_pathway(image_features)
-        return self.cross_attention_fusion(image_rows, patient)
+        return self.cross_attention_fusion(image_rows, patient_rows)
 
-
-# -- image feature providers ---------------------------------------------------
 
 class PrecomputedImageFeatures:
     """Image features arrive as fixed vectors (e.g. from an offline CNN)."""
-
-    mode = "precomputed"
 
     def __init__(self, feature_dim: int = 1280):
         if feature_dim < 1:
             raise ConfigurationError(f"feature_dim must be positive, got {feature_dim}")
         self.feature_dim = feature_dim
 
-    def extract(self, payload: Union[np.ndarray, Sequence[float]]) -> Tensor:
+    def extract(self, payload) -> np.ndarray:
         arr = np.asarray(payload, dtype=np.float64)
         if arr.shape != (self.feature_dim,):
             raise DataError(f"expected {self.feature_dim} precomputed image features, "
                             f"got shape {arr.shape}")
-        return Tensor(arr)
-
-
-class ToyImageFeatureExtractor:
-    """Trainable stand-in extractor for raw 16x16 grayscale images.
-
-    Averages 4x4 patches (16 values) and maps them through a learned dense
-    layer onto the feature width, so gradients flow into the extractor.
-    """
-
-    mode = "toy_extractor"
-    image_side = 16
-    patch_side = 4
-
-    def __init__(self, store: ParameterStore, feature_dim: int = 1280,
-                 prefix: str = "image_extractor"):
-        if feature_dim < 1:
-            raise ConfigurationError(f"feature_dim must be positive, got {feature_dim}")
-        self.feature_dim = feature_dim
-        grid = self.image_side // self.patch_side
-        self._num_patches = grid * grid
-        self.w = store.dense(f"{prefix}.w", (self._num_patches, feature_dim))
-        self.b = store.zeros(f"{prefix}.b", (feature_dim,))
-
-    def extract(self, payload: Union[np.ndarray, Sequence[float]]) -> Tensor:
-        side, patch = self.image_side, self.patch_side
-        arr = np.asarray(payload, dtype=np.float64).reshape(-1)
-        if arr.size != side * side:
-            raise DataError(f"expected a flattened {side}x{side} image "
-                            f"({side * side} values), got {arr.size}")
-        grid = side // patch
-        patches = arr.reshape(grid, patch, grid, patch).mean(axis=(1, 3)).reshape(1, -1)
-        return reshape(dense(Tensor(patches), self.w, self.b), (self.feature_dim,))
+        return arr

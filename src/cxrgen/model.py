@@ -8,16 +8,15 @@ text) so every configuration trains the identical parameter set.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .decoder import (DecoderConfig, ReportDecoder, masked_mean, sparse_ce_loss,
                       token_accuracy)
-from .encoder import (EncoderConfig, FusionEncoder, FusionResult,
-                      PrecomputedImageFeatures, ToyImageFeatureExtractor)
-from .errors import ConfigurationError, ContractError
+from .encoder import EncoderConfig, FusionEncoder, FusionResult, PrecomputedImageFeatures
+from .errors import ConfigurationError, ContractError, DataError
 from .params import ParameterStore, load_checkpoint, save_checkpoint
 from .records import PatientRecord, ScalarFeatures
 from .tensor import Tensor
@@ -26,7 +25,6 @@ from .vocab import PAD_ID
 from .preprocess import ETHNICITY_UNKNOWN
 
 SCALAR_NAMES = ScalarFeatures.ORDER
-IMAGE_MODES = ("precomputed", "toy_extractor")
 
 
 @dataclass(frozen=True)
@@ -116,17 +114,9 @@ class ModelConfig:
     scalar_out_dim: int = 8
     image_feature_dim: int = 1280
     image_tokens: int = 4
-    image_mode: str = "precomputed"
-    patient_kv_mode: str = "typed_rows"
     layer_norm_eps: float = 1e-6
 
     def __post_init__(self):
-        if self.image_mode not in IMAGE_MODES:
-            raise ConfigurationError(f"image_mode must be one of {IMAGE_MODES}, "
-                                     f"got {self.image_mode!r}")
-        if self.patient_kv_mode not in ("typed_rows", "single_row"):
-            raise ConfigurationError(f"patient_kv_mode must be 'typed_rows' or "
-                                     f"'single_row', got {self.patient_kv_mode!r}")
         for name in ("model_dim", "num_heads", "ffn_dim", "embed_dim", "report_len",
                      "chief_len", "icd_len", "decoder_layers", "scalar_out_dim",
                      "image_feature_dim", "image_tokens"):
@@ -151,25 +141,20 @@ class ReportGenerator:
     def __init__(self, config: ModelConfig, vocab_size: int, chief_vocab_size: int,
                  icd_vocab_size: int, seed: int = 0,
                  input_mask: Optional[InputMask] = None):
+        self._build(config, (vocab_size, chief_vocab_size, icd_vocab_size), input_mask,
+                    ParameterStore(np.random.default_rng(seed)))
+
+    def _build(self, config: ModelConfig, vocab_sizes: Sequence[int],
+               input_mask: Optional[InputMask], store: ParameterStore) -> None:
+        vocab_size, chief_vocab_size, icd_vocab_size = vocab_sizes
         self.config = config
-        self.vocab_size = vocab_size
         self.input_mask = input_mask or InputMask.all_inputs()
-        self.store = ParameterStore(np.random.default_rng(seed))
-        self.encoder = FusionEncoder(self.store, EncoderConfig(
-            chief_vocab_size=chief_vocab_size,
-            icd_vocab_size=icd_vocab_size,
-            model_dim=config.model_dim,
-            num_heads=config.num_heads,
-            embed_dim=config.embed_dim,
-            scalar_out_dim=config.scalar_out_dim,
-            chief_len=config.chief_len,
-            icd_len=config.icd_len,
-            image_feature_dim=config.image_feature_dim,
-            image_tokens=config.image_tokens,
-            patient_kv_mode=config.patient_kv_mode,
-            layer_norm_eps=config.layer_norm_eps,
-        ))
-        self.decoder = ReportDecoder(self.store, DecoderConfig(
+        self.store = store
+        shared = {f.name for f in dataclasses.fields(EncoderConfig)} & set(config.to_dict())
+        self.encoder = FusionEncoder(store, EncoderConfig(
+            chief_vocab_size=chief_vocab_size, icd_vocab_size=icd_vocab_size,
+            **{name: getattr(config, name) for name in shared}))
+        self.decoder = ReportDecoder(store, DecoderConfig(
             vocab_size=vocab_size,
             model_dim=config.model_dim,
             num_heads=config.num_heads,
@@ -178,38 +163,44 @@ class ReportGenerator:
             num_layers=config.decoder_layers,
             layer_norm_eps=config.layer_norm_eps,
         ))
-        if config.image_mode == "toy_extractor":
-            self.image_provider = ToyImageFeatureExtractor(
-                self.store, feature_dim=config.image_feature_dim)
-        else:
-            self.image_provider = PrecomputedImageFeatures(config.image_feature_dim)
+        self.image_provider = PrecomputedImageFeatures(config.image_feature_dim)
         self._vocab_sizes = (vocab_size, chief_vocab_size, icd_vocab_size)
 
     # -- forward --------------------------------------------------------------
+    def encode_batch(self, records: Sequence[PatientRecord]) -> FusionResult:
+        """Fused encoder rows [B·image_tokens, d] for the masked records."""
+        features = []
+        for rec in records:
+            try:
+                features.append(self.image_provider.extract(rec.image_features))
+            except DataError as exc:
+                raise DataError(f"record {rec.sample_id}: {exc}") from exc
+        scalars, ethnicity, chief_ids, icd_ids = zip(*(self.input_mask.apply(rec)
+                                                       for rec in records))
+        return self.encoder.encode(scalars, ethnicity, chief_ids, icd_ids, np.stack(features))
+
     def encode_record(self, rec: PatientRecord) -> FusionResult:
-        scalars, ethnicity, chief_ids, icd_ids = self.input_mask.apply(rec)
-        features = self.image_provider.extract(np.asarray(rec.image_features,
-                                                          dtype=np.float64))
-        patient = self.encoder.build_patient_representation(scalars, ethnicity,
-                                                            chief_ids, icd_ids)
-        image_rows = self.encoder.image_pathway(features)
-        return self.encoder.cross_attention_fusion(image_rows, patient)
+        return self.encode_batch([rec])
+
+    def loss_for_batch(self, records: Sequence[PatientRecord]) -> tuple[Tensor, int, int]:
+        """(loss, correct tokens, counted tokens) from one batched forward.
+
+        The loss is the mean over records of each record's masked token
+        mean, the same objective as averaging ``loss_for_record``.
+        """
+        if not records:
+            raise ContractError("loss_for_batch needs at least one record")
+        decoder_in, labels = _teacher_forcing(records)
+        logits = self.decoder.teacher_forced_forward(self.encode_batch(records).output,
+                                                     decoder_in)
+        pad_mask = labels != PAD_ID
+        flat = (labels.reshape(-1), pad_mask.reshape(-1))
+        correct, total = token_accuracy(logits, *flat)
+        return masked_mean(sparse_ce_loss(logits, *flat), pad_mask), correct, total
 
     def loss_for_record(self, rec: PatientRecord) -> tuple[Tensor, int, int]:
         """(scalar loss, correct tokens, counted tokens) for one sample."""
-        ids = np.asarray(rec.report_ids, dtype=np.int64)
-        if ids.size < 2:
-            raise ContractError(f"record {rec.sample_id}: report too short to teacher-force")
-        decoder_in = ids[:-1]
-        labels = ids[1:]
-        pad_mask = labels != PAD_ID
-        if not pad_mask.any():
-            raise ContractError(f"record {rec.sample_id}: report has no unpadded labels")
-        logits = self.decoder.teacher_forced_forward(self.encode_record(rec).output,
-                                                     decoder_in)
-        losses = sparse_ce_loss(logits, labels, pad_mask)
-        correct, total = token_accuracy(logits, labels, pad_mask)
-        return masked_mean(losses, pad_mask), correct, total
+        return self.loss_for_batch([rec])
 
     def generate(self, rec: PatientRecord, max_len: Optional[int] = None) -> list[int]:
         """Greedy token ids for one record, START included, END if reached."""
@@ -226,11 +217,21 @@ class ReportGenerator:
         self.store.load_state_dict(state)
 
     def save(self, path, extra_metadata: Optional[Mapping] = None) -> None:
+        """Write a checkpoint that records the model's own input preset (unless
+        ``extra_metadata`` names one), so ``load`` conditions on the same
+        inputs. A mask that is no preset is rejected."""
+        inputs = next((name for name, mask in INPUT_PRESETS.items()
+                       if mask == self.input_mask), None)
+        if inputs is None:
+            raise ConfigurationError(f"input mask {self.input_mask} matches no preset in "
+                                     f"{sorted(INPUT_PRESETS)}, so a checkpoint cannot "
+                                     f"record it")
         meta = {
             "model_config": self.config.to_dict(),
             "vocab_sizes": {"report": self._vocab_sizes[0],
                             "chief": self._vocab_sizes[1],
                             "icd": self._vocab_sizes[2]},
+            "inputs": inputs,
         }
         meta.update(extra_metadata or {})
         save_checkpoint(path, self.state_dict(), meta)
@@ -238,16 +239,33 @@ class ReportGenerator:
     @classmethod
     def load(cls, path, input_mask: Optional[InputMask] = None) -> "ReportGenerator":
         """Rebuild a saved model. Without ``input_mask`` it conditions on the
-        input preset the checkpoint records (all inputs if none is recorded)."""
+        input preset the checkpoint records (all inputs if none is recorded).
+        Parameters are allocated by shape only; no initializer draws."""
         state, meta = load_checkpoint(path)
         if input_mask is None and "inputs" in meta:
             input_mask = resolve_input_mask(meta["inputs"])
         try:
             config = ModelConfig.from_dict(meta["model_config"])
             sizes = meta["vocab_sizes"]
-            model = cls(config, int(sizes["report"]), int(sizes["chief"]),
-                        int(sizes["icd"]), input_mask=input_mask)
+            model = cls.__new__(cls)
+            model._build(config, (int(sizes["report"]), int(sizes["chief"]), int(sizes["icd"])),
+                         input_mask, ParameterStore.for_loading())
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"checkpoint {path} lacks model metadata: {exc}") from exc
         model.load_state_dict(state)
         return model
+
+
+def _teacher_forcing(records: Sequence[PatientRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Decoder inputs and labels [B, T], PAD-filled and cut after the batch's
+    last real label. PAD only trails a report and the decoder is causal, so
+    the cut changes no logit at a counted position."""
+    grid = np.full((len(records), max(len(rec.report_ids) for rec in records)), PAD_ID,
+                   dtype=np.int64)
+    for row, rec in zip(grid, records):
+        row[:len(rec.report_ids)] = rec.report_ids
+        if not (row[1:] != PAD_ID).any():
+            raise ContractError(f"record {rec.sample_id}: report has no unpadded label "
+                                f"to teacher-force")
+    length = int(np.flatnonzero((grid[:, 1:] != PAD_ID).any(axis=0))[-1]) + 1
+    return grid[:, :length], grid[:, 1:length + 1]

@@ -14,7 +14,9 @@ from .errors import ConfigurationError, DataError
 from .records import atomic_open
 from .tensor import Array, Tensor
 
-CHECKPOINT_FORMAT = "cxrgen-checkpoint-v2"
+CHECKPOINT_FORMAT = "cxrgen-checkpoint-v3"
+# per-head attention matrices ({prefix}.head{i}.wq); never migrated
+RETIRED_FORMAT = "cxrgen-checkpoint-v2"
 META_KEY = "__meta__"
 ZIP_MAGIC = b"PK\x03\x04"
 
@@ -29,8 +31,16 @@ class ParameterStore:
     def __init__(self, rng: Union[np.random.Generator, int, None] = None):
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        self._rng = rng
+        self._rng: Optional[np.random.Generator] = rng
         self._params: dict[str, Tensor] = {}
+
+    @classmethod
+    def for_loading(cls) -> "ParameterStore":
+        """A store whose initializers allocate zeros and draw nothing, for a
+        model whose every value is about to come from a checkpoint."""
+        store = cls.__new__(cls)
+        store._rng, store._params = None, {}
+        return store
 
     def _register(self, path: str, data: Array) -> Tensor:
         if path in self._params:
@@ -39,15 +49,26 @@ class ParameterStore:
         self._params[path] = t
         return t
 
-    def dense(self, path: str, shape: Sequence[int]) -> Tensor:
-        """Fan-in scaled uniform init for dense / attention projections."""
-        shape = tuple(int(s) for s in shape)
-        bound = 1.0 / np.sqrt(max(1, shape[0]))
-        return self._register(path, self._rng.uniform(-bound, bound, size=shape))
+    def dense(self, path: str, shape: Sequence[int], blocks: int = 1) -> Tensor:
+        """Fan-in scaled uniform init for dense / attention projections.
+
+        ``blocks`` draws the columns as that many equal blocks, one after
+        another, so a fused per-head projection equals the per-head draws
+        placed side by side.
+        """
+        rows, cols = (int(s) for s in shape)
+        if self._rng is None:
+            return self._register(path, np.zeros((rows, cols)))
+        bound = 1.0 / np.sqrt(max(1, rows))
+        parts = [self._rng.uniform(-bound, bound, size=(rows, cols // blocks))
+                 for _ in range(blocks)]
+        return self._register(path, parts[0] if blocks == 1 else np.concatenate(parts, axis=1))
 
     def embedding(self, path: str, shape: Sequence[int]) -> Tensor:
         """N(0, 0.02) init for embedding tables."""
         shape = tuple(int(s) for s in shape)
+        if self._rng is None:
+            return self._register(path, np.zeros(shape))
         return self._register(path, self._rng.normal(0.0, 0.02, size=shape))
 
     def zeros(self, path: str, shape: Sequence[int]) -> Tensor:
@@ -68,9 +89,6 @@ class ParameterStore:
 
     def __contains__(self, path: str) -> bool:
         return path in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def state_dict(self) -> dict[str, Array]:
         """Snapshot of every parameter value (copies, safe to stash)."""
@@ -108,9 +126,9 @@ def save_checkpoint(path: Union[str, Path], state: Mapping[str, Array],
 def load_checkpoint(path: Union[str, Path]) -> tuple[dict[str, Array], dict]:
     """Read a checkpoint; returns (parameter arrays, metadata).
 
-    A missing, truncated or foreign file, a v1 JSON checkpoint, a wrong
-    format tag, and any array that is not finite float64 raise a DataError
-    naming the file (and the parameter, where there is one).
+    A missing, truncated or foreign file, a v1 JSON or v2 checkpoint, a
+    wrong format tag, and any array that is not finite float64 raise a
+    DataError naming the file (and the parameter, where there is one).
     """
     entries = _read_npz(path)
     meta = entries.pop(META_KEY, None)
@@ -118,6 +136,10 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[dict[str, Array], dict]:
     if isinstance(meta, np.ndarray) and meta.shape == () and meta.dtype.kind == "U":
         with contextlib.suppress(json.JSONDecodeError):
             payload = json.loads(str(meta))
+    if isinstance(payload, dict) and payload.get("format") == RETIRED_FORMAT:
+        raise DataError(f"checkpoint {path} is a {RETIRED_FORMAT} file, whose per-head "
+                        f"attention parameters are no longer read; retrain to write a "
+                        f"{CHECKPOINT_FORMAT} file")
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"checkpoint {path} lacks the {CHECKPOINT_FORMAT} format tag")
     state: dict[str, Array] = {}

@@ -177,7 +177,6 @@ def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfi
     )
     result = fit(model, data["train"], data["val"], train_config)
     model.save(out / "checkpoint.npz", extra_metadata={
-        "inputs": inputs,
         "train_config": asdict(train_config),
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,

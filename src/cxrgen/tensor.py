@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The op set is deliberately small: 1-D/2-D arrays plus python scalars cover
-everything the fusion architecture needs. Forward passes run as plain numpy;
+The op set is deliberately small. Position-wise ops work on 1-D/2-D rows;
+attention runs batched over leading axes through ``batched_matmul`` and
+``swap_axes``. Forward passes run as plain numpy;
 when a ``GradientTape`` is active, each op also appends a node holding a
 backward closure. Nodes are appended after their inputs, so a single reverse
 sweep over the tape is a valid topological order.
@@ -252,6 +253,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", ad @ bd, (a, b), backward)
 
 
+def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``np.matmul`` over matching leading axes: [..., n, k] x [..., k, m]."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] \
+            or a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"batched_matmul: incompatible shapes {a.shape} x {b.shape}")
+    ad, bd = a.data, b.data
+
+    def backward(g: Array) -> tuple:
+        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+
+    return _emit("batched_matmul", ad @ bd, (a, b), backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.shape == bd.shape:
@@ -420,25 +434,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _emit("concat", out, tuple(tensors), backward)
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice ``[start, start+length)`` along ``axis``."""
-    axis = _normalize_axis(x.ndim, axis, "narrow")
-    if length < 1 or start < 0 or start + length > x.shape[axis]:
-        raise DimensionError(
-            f"narrow: slice [{start}, {start + length}) out of bounds for axis {axis} of shape {x.shape}")
-    slicer = [slice(None)] * x.ndim
-    slicer[axis] = slice(start, start + length)
-    slicer = tuple(slicer)
-    shape = x.shape
-
-    def backward(g: Array) -> tuple:
-        full = np.zeros(shape)
-        full[slicer] = g
-        return (full,)
-
-    return _emit("narrow", x.data[slicer].copy(), (x,), backward)
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
@@ -451,14 +446,22 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit("reshape", x.data.reshape(shape), (x,), backward)
 
 
+def swap_axes(x: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes (a contiguous copy, like ``np.swapaxes``)."""
+    a1 = _normalize_axis(x.ndim, axis1, "swap_axes")
+    a2 = _normalize_axis(x.ndim, axis2, "swap_axes")
+
+    def backward(g: Array) -> tuple:
+        return (np.swapaxes(g, a1, a2),)
+
+    return _emit("swap_axes", np.ascontiguousarray(np.swapaxes(x.data, a1, a2)), (x,),
+                 backward)
+
+
 def transpose(x: Tensor) -> Tensor:
     if x.ndim != 2:
         raise DimensionError(f"transpose: expected a 2-d tensor, got shape {x.shape}")
-
-    def backward(g: Array) -> tuple:
-        return (g.T,)
-
-    return _emit("transpose", x.data.T.copy(), (x,), backward)
+    return swap_axes(x, 0, 1)
 
 
 def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -517,16 +520,6 @@ def take_per_row(x: Tensor, cols) -> Tensor:
         return (grad,)
 
     return _emit("take_per_row", x.data[rows, idx].copy(), (x,), backward)
-
-
-def mean_of(tensors: Sequence[Tensor]) -> Tensor:
-    """Arithmetic mean of same-shaped tensors (used for batch losses)."""
-    if not tensors:
-        raise ContractError("mean_of: need at least one tensor")
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = add(total, t)
-    return mul(total, 1.0 / len(tensors))
 
 
 def sqrt_scale(x: Tensor, dim: int) -> Tensor:

@@ -9,11 +9,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, TrainingError
-from .tensor import Array, GradientTape, Tensor, mean_of
+from .tensor import Array, GradientTape, Tensor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# records per batched forward in evaluate_split; bounds its peak memory
+EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -160,15 +162,17 @@ class FitResult:
 
 
 def evaluate_split(model, records: Sequence) -> tuple[float, float]:
-    """(mean per-sample loss, pooled token accuracy) without recording."""
+    """(mean per-sample loss, pooled token accuracy) without recording,
+    scored in batches of ``EVAL_CHUNK`` records."""
     if not records:
         raise ConfigurationError("cannot evaluate an empty split")
     loss_sum = 0.0
     correct = 0
     total = 0
-    for rec in records:
-        loss, c, t = model.loss_for_record(rec)
-        loss_sum += loss.item()
+    for start in range(0, len(records), EVAL_CHUNK):
+        chunk = records[start:start + EVAL_CHUNK]
+        loss, c, t = model.loss_for_batch(chunk)
+        loss_sum += loss.item() * len(chunk)
         correct += c
         total += t
     return loss_sum / len(records), correct / max(1, total)
@@ -177,9 +181,11 @@ def evaluate_split(model, records: Sequence) -> tuple[float, float]:
 def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> FitResult:
     """Mini-batch Adam training with warmup and early stopping.
 
-    A non-finite batch loss or gradient aborts the run (``diverged=True``)
-    and restores the best checkpoint seen so far; the model is always left
-    holding the best-validation parameters when fit returns.
+    Each mini-batch is one ``model.loss_for_batch`` forward and backward. A
+    non-finite batch loss, gradient or validation loss aborts the run
+    (``diverged=True``) and restores the best checkpoint seen so far; the
+    model is always left holding the best-validation parameters when fit
+    returns.
     """
     if not train_set or not val_set:
         raise ConfigurationError("fit needs non-empty train and validation sets")
@@ -204,15 +210,11 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
         last_lr = lr_at_step(max(1, step), config) if step else 0.0
         diverged = False
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = [train_set[i] for i in order[start:start + config.batch_size]]
             with GradientTape() as tape:
-                losses = []
-                for i in batch:
-                    loss, c, t = model.loss_for_record(train_set[i])
-                    losses.append(loss)
-                    correct += c
-                    total += t
-                batch_loss = mean_of(losses)
+                batch_loss, c, t = model.loss_for_batch(batch)
+            correct += c
+            total += t
             value = batch_loss.item()
             if not math.isfinite(value):
                 diverged = True
@@ -228,20 +230,21 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             step += 1
             last_lr = lr_at_step(step, config)
             adam_step(parameters, grads, state, last_lr)
+        if not diverged:
+            val_loss, val_acc = evaluate_split(model, val_set)
+            history.append({
+                "epoch": epoch,
+                "train_loss": loss_weighted / len(train_set),
+                "train_acc": correct / max(1, total),
+                "val_loss": val_loss,
+                "val_acc": val_acc,
+                "lr": last_lr,
+            })
+            diverged = not math.isfinite(val_loss)
         if diverged:
             model.load_state_dict(best_state)
             return FitResult(history, best_state, best_val_loss,
                              best_epoch, epochs_run, diverged=True)
-
-        val_loss, val_acc = evaluate_split(model, val_set)
-        history.append({
-            "epoch": epoch,
-            "train_loss": loss_weighted / len(train_set),
-            "train_acc": correct / max(1, total),
-            "val_loss": val_loss,
-            "val_acc": val_acc,
-            "lr": last_lr,
-        })
         if val_loss < best_val_loss:
             best_val_loss = val_loss
             best_state = model.state_dict()

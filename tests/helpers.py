@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking and tiny models."""
+"""Shared test utilities: finite-difference gradient checking and the
+per-sample reference loss."""
 
 from __future__ import annotations
 
@@ -6,7 +7,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from cxrgen.tensor import GradientTape, Tensor
+from cxrgen.decoder import masked_mean, sparse_ce_loss
+from cxrgen.tensor import GradientTape, Tensor, add, mul
+from cxrgen.vocab import PAD_ID
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-5
@@ -81,3 +84,21 @@ def check_gradients(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
                 f"gradient mismatch at entry {idx}: analytic {a[idx]:.10g}, "
                 f"numeric {numeric:.10g}, rel err {err:.3g}")
     return worst
+
+
+def per_sample_loss(model, records) -> Tensor:
+    """Reference objective for ``ReportGenerator.loss_for_batch``.
+
+    Each record runs its own forward over its whole (untrimmed) report, its
+    masked token mean is taken, and the per-record losses are averaged by a
+    chain of adds and one scale.
+    """
+    total = None
+    for rec in records:
+        ids = np.asarray(rec.report_ids, dtype=np.int64)
+        labels = ids[1:]
+        pad_mask = labels != PAD_ID
+        logits = model.decoder.teacher_forced_forward(model.encode_record(rec).output, ids[:-1])
+        loss = masked_mean(sparse_ce_loss(logits, labels, pad_mask), pad_mask)
+        total = loss if total is None else add(total, loss)
+    return mul(total, 1.0 / len(records))

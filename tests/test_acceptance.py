@@ -29,10 +29,10 @@ from cxrgen.preprocess import (FeatureStats, NormalizationStats,
                                tokenize_and_fit_vocab)
 from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.synth import SyntheticConfig, generate_synthetic
-from cxrgen.tensor import (Tensor, add, concat, dense, embedding_lookup,
-                           layer_norm, log_softmax, matmul, mean_of, mul,
-                           narrow, neg, reduce_sum, relu, reshape, softmax,
-                           sqrt_scale, sub, take_per_row, transpose)
+from cxrgen.tensor import (Tensor, add, batched_matmul, concat, dense,
+                           embedding_lookup, layer_norm, log_softmax, matmul,
+                           mul, neg, reduce_sum, relu, reshape, softmax,
+                           sqrt_scale, sub, swap_axes, take_per_row, transpose)
 from cxrgen.training import TrainConfig, fit
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
@@ -147,10 +147,15 @@ def test_criterion_1_gradient_correctness():
         wc = rng.standard_normal((2, 7))
         return lambda: weighted(concat([a, b], axis=1), wc)
 
-    def op_narrow(s):
-        a = _rand(s, "a", (4, 5), rng)
-        wn = rng.standard_normal((4, 3))
-        return lambda: weighted(narrow(a, 1, 1, 3), wn)
+    def op_batched_matmul(s):
+        a, b = _rand(s, "a", (2, 3, 4), rng), _rand(s, "b", (2, 4, 3), rng)
+        wb = rng.standard_normal((2, 3, 3))
+        return lambda: weighted(batched_matmul(a, b), wb)
+
+    def op_swap_axes(s):
+        a = _rand(s, "a", (2, 3, 4), rng)
+        ws = rng.standard_normal((4, 3, 2))
+        return lambda: weighted(swap_axes(a, 0, 2), ws)
 
     def op_reshape(s):
         a = _rand(s, "a", (3, 4), rng)
@@ -176,11 +181,6 @@ def test_criterion_1_gradient_correctness():
         return lambda: weighted(take_per_row(log_softmax(a, axis=1), cols),
                                 np.arange(1.0, 5.0))
 
-    def op_mean_of(s):
-        a, b = _rand(s, "a", (3,), rng), _rand(s, "b", (3,), rng)
-        c = _rand(s, "c", (2,), rng)
-        return lambda: mean_of([reduce_sum(mul(a, b)), reduce_sum(mul(c, c))])
-
     def op_sqrt_scale(s):
         a = _rand(s, "a", (3, 4), rng)
         return lambda: weighted(sqrt_scale(a, 9.0), w1t)
@@ -188,16 +188,17 @@ def test_criterion_1_gradient_correctness():
     def op_multi_head_attention(s):
         cfg = MultiHeadConfig(model_dim=6, num_heads=2)
         proj = AttentionProjections.create(s, "mha", cfg)
-        q = _rand(s, "q", (3, 6), rng)
-        kv = _rand(s, "kv", (4, 6), rng)
-        wm = rng.standard_normal((3, 6))
-        return lambda: weighted(multi_head_attention(q, kv, kv, proj).output, wm)
+        q = _rand(s, "q", (2 * 3, 6), rng)
+        kv = _rand(s, "kv", (2 * 4, 6), rng)
+        wm = rng.standard_normal((2 * 3, 6))
+        mask = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=bool)
+        return lambda: weighted(multi_head_attention(q, kv, kv, proj, 2, mask).output, wm)
 
-    for make in (op_matmul, op_add_same, op_add_bias_row, op_add_scalar, op_sub,
-                 op_neg, op_mul_elem, op_mul_scalar, op_relu, op_softmax,
-                 op_log_softmax, op_layer_norm, op_dense, op_concat, op_narrow,
-                 op_reshape, op_transpose, op_reduce_sum, op_embedding_lookup,
-                 op_take_per_row, op_mean_of, op_sqrt_scale,
+    for make in (op_matmul, op_batched_matmul, op_add_same, op_add_bias_row,
+                 op_add_scalar, op_sub, op_neg, op_mul_elem, op_mul_scalar, op_relu,
+                 op_softmax, op_log_softmax, op_layer_norm, op_dense, op_concat,
+                 op_reshape, op_transpose, op_swap_axes, op_reduce_sum,
+                 op_embedding_lookup, op_take_per_row, op_sqrt_scale,
                  op_multi_head_attention):
         scenario(make)
 
@@ -211,11 +212,19 @@ def test_criterion_1_gradient_correctness():
     worst = max(worst, check_gradients(
         lambda: model.loss_for_record(rec)[0], list(model.parameters().values()),
         FD_STEP, GRAD_RTOL))
+    # the batched objective on three reports of different lengths
+    batch = [_tiny_record(np.random.default_rng(seed), report=report) for seed, report in (
+        (2, (START_ID, 5, END_ID) + (PAD_ID,) * 7),
+        (3, (START_ID, 9, 13, 7, 4, 11, 6, 8, END_ID, PAD_ID)),
+        (4, (START_ID, 4, 4, 12, END_ID, PAD_ID, PAD_ID)))]
+    worst = max(worst, check_gradients(
+        lambda: model.loss_for_batch(batch)[0], list(model.parameters().values()),
+        FD_STEP, GRAD_RTOL))
 
     elapsed = time.perf_counter() - start
     _verdict(1, worst < GRAD_RTOL and elapsed < 120.0,
-             f"max rel err {worst:.2e} over {n_ops} ops + full model "
-             f"({n_params} parameter entries), {elapsed:.0f}s")
+             f"max rel err {worst:.2e} over {n_ops} ops + full model, one record and "
+             f"a batch of 3 ({n_params} parameter entries), {elapsed:.0f}s")
 
 
 def test_criterion_2_attention_invariants():

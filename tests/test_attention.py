@@ -118,6 +118,20 @@ class TestScaledDotProduct:
         if mask is not None:
             assert (w.data[~mask] == 0.0).all()
 
+    def test_leading_axes_attend_independently(self):
+        rng = np.random.default_rng(12)
+        q, k = rng.standard_normal((2, 3, 4, 5)), rng.standard_normal((2, 3, 6, 5))
+        v = rng.standard_normal((2, 3, 6, 2))
+        mask = rng.uniform(size=(4, 6)) > 0.3
+        mask[:, 0] = True
+        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        for i in range(2):
+            for j in range(3):
+                o, wij = scaled_dot_product_attention(Tensor(q[i, j]), Tensor(k[i, j]),
+                                                      Tensor(v[i, j]), mask)
+                np.testing.assert_allclose(out.data[i, j], o.data, atol=1e-12)
+                np.testing.assert_allclose(w.data[i, j], wij.data, atol=1e-12)
+
     def test_gradients(self):
         rng = np.random.default_rng(7)
         q, k = t(rng.standard_normal((2, 3))), t(rng.standard_normal((4, 3)))
@@ -159,7 +173,7 @@ class TestMultiHeadAttention:
         store = ParameterStore(0)
         cfg = MultiHeadConfig(num_heads=1, model_dim=d, key_dim=d, value_dim=d)
         proj = AttentionProjections.create(store, "attn", cfg)
-        for w in (*proj.w_q, *proj.w_k, *proj.w_v, proj.w_o):
+        for w in (proj.w_q, proj.w_k, proj.w_v, proj.w_o):
             w.data = np.eye(d)
         rng = np.random.default_rng(8)
         q, k = Tensor(rng.standard_normal((2, d))), Tensor(rng.standard_normal((3, d)))
@@ -177,17 +191,17 @@ class TestMultiHeadAttention:
         x = Tensor(rng.standard_normal((5, 10)))
         result = multi_head_attention(x, x, x, proj)
         assert result.output.shape == (5, 10)
-        assert len(result.head_weights) == 3
-        for w in result.head_weights:
-            np.testing.assert_allclose(w.data.sum(axis=1), np.ones(5), atol=1e-12)
+        assert result.weights.shape == (1, 3, 5, 5)
+        np.testing.assert_allclose(result.weights.data.sum(axis=-1), np.ones((1, 3, 5)),
+                                   atol=1e-12)
 
     def test_parameter_paths(self):
         store = ParameterStore(2)
         AttentionProjections.create(store, "enc.self_attn",
                                     MultiHeadConfig(num_heads=2, model_dim=6))
-        assert "enc.self_attn.head0.wq" in store
-        assert "enc.self_attn.head1.wv" in store
-        assert "enc.self_attn.wo" in store
+        assert sorted(store.parameters) == ["enc.self_attn.wk", "enc.self_attn.wo",
+                                            "enc.self_attn.wq", "enc.self_attn.wv"]
+        assert store["enc.self_attn.wq"].shape == (6, 6)
 
     def test_width_mismatch_rejected(self):
         store = ParameterStore(3)
@@ -210,7 +224,40 @@ class TestMultiHeadAttention:
         def loss():
             return reduce_sum(mul(multi_head_attention(x, kv, kv, proj).output, probe))
 
-        check_gradients(loss, [x, kv, *proj.w_q, *proj.w_k, *proj.w_v, proj.w_o])
+        check_gradients(loss, [x, kv, proj.w_q, proj.w_k, proj.w_v, proj.w_o])
+
+    def test_fused_init_is_per_head_draws_side_by_side(self):
+        cfg = MultiHeadConfig(num_heads=3, model_dim=6)
+        proj = AttentionProjections.create(ParameterStore(5), "attn", cfg)
+        rng = np.random.default_rng(5)
+        bound = 1.0 / math.sqrt(6)
+        for fused in (proj.w_q, proj.w_k, proj.w_v):
+            heads = [rng.uniform(-bound, bound, size=(6, 2)) for _ in range(3)]
+            np.testing.assert_array_equal(fused.data, np.concatenate(heads, axis=1))
+        np.testing.assert_array_equal(proj.w_o.data, rng.uniform(-bound, bound, size=(6, 6)))
+
+    def test_batch_matches_records_one_at_a_time(self):
+        store = ParameterStore(6)
+        cfg = MultiHeadConfig(num_heads=2, model_dim=6)
+        proj = AttentionProjections.create(store, "attn", cfg)
+        rng = np.random.default_rng(11)
+        q, kv = rng.standard_normal((3 * 4, 6)), rng.standard_normal((3 * 5, 6))
+        mask = np.tril(np.ones((4, 5), dtype=bool))
+        batched = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), proj, 3, mask)
+        assert batched.weights.shape == (3, 2, 4, 5)
+        for b in range(3):
+            one = multi_head_attention(Tensor(q[4 * b:4 * b + 4]), Tensor(kv[5 * b:5 * b + 5]),
+                                       Tensor(kv[5 * b:5 * b + 5]), proj, 1, mask)
+            np.testing.assert_allclose(batched.output.data[4 * b:4 * b + 4], one.output.data,
+                                       atol=1e-12)
+            np.testing.assert_allclose(batched.weights.data[b], one.weights.data[0], atol=1e-12)
+
+    def test_rows_must_split_into_the_batch(self):
+        proj = AttentionProjections.create(ParameterStore(7), "attn",
+                                           MultiHeadConfig(num_heads=2, model_dim=6))
+        x = Tensor(np.ones((5, 6)))
+        with pytest.raises(DimensionError):
+            multi_head_attention(x, x, x, proj, 2)
 
 
 class TestCausalMask:

@@ -90,6 +90,23 @@ class TestTeacherForcedForward:
         b = dec.teacher_forced_forward(encoder_rows(seed=3), [START_ID, 4]).data
         assert np.abs(a - b).max() > 1e-9
 
+    def test_batch_matches_records_one_at_a_time(self):
+        dec, _ = tiny_decoder()
+        ids = np.array([[START_ID, 4, 5, 6], [START_ID, 7, PAD_ID, PAD_ID]])
+        enc = encoder_rows(n=2 * 3)
+        logits = dec.teacher_forced_forward(enc, ids)
+        assert logits.shape == (2 * 4, 12)
+        for b in range(2):
+            one = dec.teacher_forced_forward(Tensor(enc.data[3 * b:3 * b + 3]), ids[b])
+            np.testing.assert_allclose(logits.data[4 * b:4 * b + 4], one.data, atol=1e-12)
+
+    def test_batch_checks_every_start_and_the_row_split(self):
+        dec, _ = tiny_decoder()
+        with pytest.raises(ContractError):
+            dec.teacher_forced_forward(encoder_rows(n=6), [[START_ID, 4], [4, START_ID]])
+        with pytest.raises(DimensionError):
+            dec.teacher_forced_forward(encoder_rows(n=5), [[START_ID, 4], [START_ID, 5]])
+
 
 class TestSparseCeLoss:
     def test_perfect_prediction_near_zero_loss(self):
@@ -124,6 +141,14 @@ class TestSparseCeLoss:
         assert mean.item() == pytest.approx(3.0)
         with pytest.raises(ContractError):
             masked_mean(losses, [False] * 4)
+
+    def test_masked_mean_of_a_batch_is_the_mean_of_record_means(self):
+        # record means 3.0 and 1.0: the objective is 2.0, not the pooled token mean 7/3
+        losses = Tensor(np.array([2.0, 4.0, 0.0, 1.0, 0.0, 0.0]))
+        mask = [[True, True, False], [True, False, False]]
+        assert masked_mean(losses, mask).item() == pytest.approx(2.0)
+        with pytest.raises(ContractError):
+            masked_mean(losses, [[True, True, False], [False, False, False]])
 
     def test_loss_gradients(self):
         rng = np.random.default_rng(1)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from cxrgen.encoder import (EncoderConfig, FusionEncoder, PrecomputedImageFeatures,
-                            ToyImageFeatureExtractor, embed_text, encode_scalars,
-                            one_hot_ethnicity)
-from cxrgen.errors import (ConfigurationError, ContractError, DataError,
-                           DimensionError)
+                            embed_text, encode_scalars, one_hot_ethnicity)
+from cxrgen.errors import ContractError, DataError, DimensionError
 from cxrgen.params import ParameterStore
 from cxrgen.records import ScalarFeatures
 from cxrgen.tensor import Tensor, reduce_sum, mul
@@ -30,6 +28,12 @@ def tiny_config(**overrides) -> EncoderConfig:
     return EncoderConfig(**base)
 
 
+def patient_rows(enc, scalars=None, ethnicity=2, chief=(1, 2), icd=(0, 1, 2, 3, 4, 5)):
+    """Patient rows for a batch of one record."""
+    return enc.build_patient_representation([scalars or make_scalars()], [ethnicity],
+                                            [list(chief)], [list(icd)])
+
+
 class TestOneHotEthnicity:
     def test_valid_groups(self):
         for g in range(1, 10):
@@ -49,7 +53,7 @@ class TestEncodeScalars:
         store = ParameterStore(0)
         w = store.dense("w", (8, 8))
         b = store.zeros("b", (8,))
-        out = encode_scalars(make_scalars(), w, b)
+        out = encode_scalars([make_scalars()], w, b)
         assert out.shape == (1, 8)
         np.testing.assert_allclose(out.data,
                                    make_scalars().as_array().reshape(1, 8) @ w.data)
@@ -58,9 +62,9 @@ class TestEncodeScalars:
         store = ParameterStore(0)
         w, b = store.dense("w", (8, 8)), store.zeros("b", (8,))
         with pytest.raises(ContractError):
-            encode_scalars(make_scalars(o2sat=1.2), w, b)
+            encode_scalars([make_scalars(), make_scalars(o2sat=1.2)], w, b)
         with pytest.raises(ContractError):
-            encode_scalars(make_scalars(gender=0.5), w, b)
+            encode_scalars([make_scalars(gender=0.5)], w, b)
 
 
 class TestEmbedText:
@@ -70,6 +74,8 @@ class TestEmbedText:
         out = embed_text([0, 3, 3], table)
         assert out.shape == (3, 4)
         np.testing.assert_allclose(out.data, table.data[[0, 3, 3]])
+        batch = embed_text([[0, 3], [3, 6]], table)
+        np.testing.assert_allclose(batch.data, table.data[[0, 3, 3, 6]])
 
     def test_out_of_range_token(self):
         store = ParameterStore(1)
@@ -79,53 +85,63 @@ class TestEmbedText:
 
 
 class TestPreProjectionWidth:
+    """Width and order of the patient sources before their row projections."""
+
     def test_default_width_is_4113(self):
-        cfg = EncoderConfig(chief_vocab_size=100, icd_vocab_size=100)
-        # 8 scalars-out + 9 ethnicity + (2 + 6) * 512 embedded text
-        assert cfg.pre_projection_width == 4113
+        enc = FusionEncoder(ParameterStore(0),
+                            EncoderConfig(chief_vocab_size=100, icd_vocab_size=100))
+        # 8 scalars-out + 9 ethnicity + (2 + 6) * 512 embedded text, over the row projections
+        assert sum(w.shape[0] for w in enc.row_w.values()) == 4113
 
     def test_pre_projection_tensor_matches_config(self):
         cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(2), cfg)
-        rep = enc.build_patient_representation(make_scalars(), 3, [1, 2], [0, 1, 2, 3, 4, 5])
-        assert rep.pre_projection.shape == (1, cfg.pre_projection_width)
-        assert rep.pre_projection.shape == (1, 8 + 9 + (2 + 6) * 4)
+        assert {name: w.shape for name, w in enc.row_w.items()} == {
+            "scalars": (8, cfg.model_dim), "ethnicity": (9, cfg.model_dim),
+            "chief": (2 * 4, cfg.model_dim), "icd": (6 * 4, cfg.model_dim)}
+        assert patient_rows(enc, ethnicity=3).shape == (4, cfg.model_dim)
 
     def test_pre_projection_layout(self):
-        # scalar block, then one-hot, then chief, then icd — in that order
+        # per record: scalar row, then ethnicity, then chief, then icd
         cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(3), cfg)
-        rep = enc.build_patient_representation(make_scalars(), 5, [1, 2], [0, 1, 2, 3, 4, 5])
-        flat = rep.pre_projection.data[0]
-        eth_block = flat[cfg.scalar_out_dim:cfg.scalar_out_dim + 9]
-        np.testing.assert_allclose(eth_block, one_hot_ethnicity(5).data)
-        chief_block = flat[17:17 + 2 * 4].reshape(2, 4)
-        np.testing.assert_allclose(chief_block, enc.chief_table.data[[1, 2]])
+        rows = patient_rows(enc, ethnicity=5).data
+        expected = {
+            "scalars": make_scalars().as_array() @ enc.scalar_w.data + enc.scalar_b.data,
+            "ethnicity": one_hot_ethnicity(5).data,
+            "chief": enc.chief_table.data[[1, 2]].reshape(-1),
+            "icd": enc.icd_table.data[[0, 1, 2, 3, 4, 5]].reshape(-1),
+        }
+        for i, (name, x) in enumerate(expected.items()):
+            np.testing.assert_allclose(rows[i], x @ enc.row_w[name].data + enc.row_b[name].data,
+                                       atol=1e-12)
 
 
 class TestPatientRows:
     def test_typed_rows_shape(self):
         cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(4), cfg)
-        rep = enc.build_patient_representation(make_scalars(), 1, [1, 2], [0, 1, 2, 3, 4, 5])
-        assert rep.rows.shape == (4, cfg.model_dim)
+        assert patient_rows(enc, ethnicity=1).shape == (4, cfg.model_dim)
 
-    def test_single_row_mode(self):
-        cfg = tiny_config(patient_kv_mode="single_row")
+    def test_batch_rows_are_records_one_after_another(self):
+        cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(5), cfg)
-        rep = enc.build_patient_representation(make_scalars(), 1, [1, 2], [0, 1, 2, 3, 4, 5])
-        assert rep.rows.shape == (1, cfg.model_dim)
+        a = (make_scalars(o2sat=0.2), 1, [1, 2], [0, 1, 2, 3, 4, 5])
+        b = (make_scalars(), 7, [3, 4], [6, 5, 4, 3, 2, 1])
+        batch = enc.build_patient_representation(*zip(a, b))
+        assert batch.shape == (2 * 4, cfg.model_dim)
+        np.testing.assert_allclose(batch.data[:4], patient_rows(enc, *a).data, atol=1e-12)
+        np.testing.assert_allclose(batch.data[4:], patient_rows(enc, *b).data, atol=1e-12)
 
     def test_wrong_text_lengths_rejected(self):
         enc = FusionEncoder(ParameterStore(6), tiny_config())
         with pytest.raises(DimensionError):
-            enc.build_patient_representation(make_scalars(), 1, [1], [0, 1, 2, 3, 4, 5])
+            patient_rows(enc, ethnicity=1, chief=[1])
         with pytest.raises(DimensionError):
-            enc.build_patient_representation(make_scalars(), 1, [1, 2], [0, 1])
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            tiny_config(patient_kv_mode="both")
+            patient_rows(enc, ethnicity=1, icd=[0, 1])
+        with pytest.raises(DimensionError):
+            enc.build_patient_representation([make_scalars()] * 2, [1], [[1, 2]] * 2,
+                                             [[0, 1, 2, 3, 4, 5]] * 2)
 
 
 class TestImagePathway:
@@ -134,6 +150,11 @@ class TestImagePathway:
         enc = FusionEncoder(ParameterStore(7), cfg)
         rows = enc.image_pathway(np.random.default_rng(0).standard_normal(10))
         assert rows.shape == (cfg.image_tokens, cfg.model_dim)
+        feats = np.random.default_rng(1).standard_normal((3, 10))
+        batch = enc.image_pathway(feats)
+        assert batch.shape == (3 * cfg.image_tokens, cfg.model_dim)
+        np.testing.assert_allclose(batch.data[cfg.image_tokens:2 * cfg.image_tokens],
+                                   enc.image_pathway(feats[1]).data, atol=1e-12)
 
     def test_wrong_width_rejected(self):
         enc = FusionEncoder(ParameterStore(8), tiny_config())
@@ -166,31 +187,32 @@ class TestImagePathway:
 
 class TestCrossAttentionFusion:
     def test_single_patient_row_gets_weight_one(self):
-        cfg = tiny_config(patient_kv_mode="single_row")
+        cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(11), cfg)
-        rep = enc.build_patient_representation(make_scalars(), 2, [1, 2], [0, 1, 2, 3, 4, 5])
-        image_rows = enc.image_pathway(np.random.default_rng(2).standard_normal(10))
-        result = enc.cross_attention_fusion(image_rows, rep)
-        for w in result.attention.head_weights:
-            np.testing.assert_allclose(w.data, np.ones((cfg.image_tokens, 1)), atol=0)
+        one_row = Tensor(np.random.default_rng(1).standard_normal((2, cfg.model_dim)))
+        image_rows = enc.image_pathway(np.random.default_rng(2).standard_normal((2, 10)))
+        result = enc.cross_attention_fusion(image_rows, one_row)
+        np.testing.assert_allclose(result.attention.weights.data,
+                                   np.ones((2, cfg.num_heads, cfg.image_tokens, 1)), atol=0)
 
     def test_weights_rows_sum_to_one(self):
         cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(12), cfg)
-        rep = enc.build_patient_representation(make_scalars(), 2, [1, 2], [0, 1, 2, 3, 4, 5])
+        rep = patient_rows(enc)
         image_rows = enc.image_pathway(np.random.default_rng(3).standard_normal(10))
         result = enc.cross_attention_fusion(image_rows, rep)
         assert result.output.shape == (cfg.image_tokens, cfg.model_dim)
-        for w in result.attention.head_weights:
-            np.testing.assert_allclose(w.data.sum(axis=1),
-                                       np.ones(cfg.image_tokens), atol=1e-12)
+        weights = result.attention.weights.data
+        assert weights.shape == (1, cfg.num_heads, cfg.image_tokens, 4)
+        np.testing.assert_allclose(weights.sum(axis=-1),
+                                   np.ones((1, cfg.num_heads, cfg.image_tokens)), atol=1e-12)
 
     def test_zeroed_cross_attention_is_layernorm_of_image(self):
         from cxrgen.tensor import layer_norm
         cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(13), cfg)
         enc.cross_attn.w_o.data = np.zeros_like(enc.cross_attn.w_o.data)
-        rep = enc.build_patient_representation(make_scalars(), 2, [1, 2], [0, 1, 2, 3, 4, 5])
+        rep = patient_rows(enc)
         image_rows = enc.image_pathway(np.random.default_rng(4).standard_normal(10))
         result = enc.cross_attention_fusion(image_rows, rep)
         expected = layer_norm(image_rows, enc.fusion_ln_gamma, enc.fusion_ln_beta,
@@ -201,10 +223,8 @@ class TestCrossAttentionFusion:
         cfg = tiny_config()
         enc = FusionEncoder(ParameterStore(14), cfg)
         image_rows = enc.image_pathway(np.random.default_rng(5).standard_normal(10))
-        rep_a = enc.build_patient_representation(make_scalars(o2sat=0.1), 2, [1, 2],
-                                                 [0, 1, 2, 3, 4, 5])
-        rep_b = enc.build_patient_representation(make_scalars(o2sat=0.9), 2, [1, 2],
-                                                 [0, 1, 2, 3, 4, 5])
+        rep_a = patient_rows(enc, make_scalars(o2sat=0.1))
+        rep_b = patient_rows(enc, make_scalars(o2sat=0.9))
         out_a = enc.cross_attention_fusion(image_rows, rep_a).output
         out_b = enc.cross_attention_fusion(image_rows, rep_b).output
         assert np.abs(out_a.data - out_b.data).max() > 1e-9
@@ -220,7 +240,7 @@ class TestEncoderGradients:
                                                                  cfg.model_dim)))
 
         def loss():
-            fused = enc.encode(make_scalars(), 3, [1, 2], [0, 1, 2, 3, 4, 5], feats)
+            fused = enc.encode([make_scalars()], [3], [[1, 2]], [[0, 1, 2, 3, 4, 5]], feats)
             return reduce_sum(mul(fused.output, probe))
 
         worst = check_gradients(loss, list(store.parameters.values()), max_entries=4)
@@ -234,18 +254,3 @@ class TestImageProviders:
         assert out.shape == (5,)
         with pytest.raises(DataError):
             provider.extract([1, 2, 3])
-
-    def test_toy_extractor_shapes_and_gradients(self):
-        store = ParameterStore(16)
-        extractor = ToyImageFeatureExtractor(store, feature_dim=6)
-        image = np.random.default_rng(8).standard_normal(256)
-        out = extractor.extract(image)
-        assert out.shape == (6,)
-        probe = Tensor(np.random.default_rng(9).standard_normal(6))
-        check_gradients(lambda: reduce_sum(mul(extractor.extract(image), probe)),
-                        [extractor.w, extractor.b], max_entries=6)
-
-    def test_toy_extractor_rejects_wrong_size(self):
-        extractor = ToyImageFeatureExtractor(ParameterStore(17), feature_dim=6)
-        with pytest.raises(DataError):
-            extractor.extract(np.zeros(100))

@@ -1,18 +1,23 @@
 """End-to-end model wrapper: masking presets, config, loss, generation, checkpoints."""
 
+import dataclasses
 import json
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cxrgen.errors import ConfigurationError, DataError
+from cxrgen.errors import ConfigurationError, ContractError, DataError
 from cxrgen.model import (ABLATION_LABELS, INPUT_PRESETS, InputMask,
                           ModelConfig, ReportGenerator)
 from cxrgen.preprocess import ETHNICITY_UNKNOWN
 from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.tensor import GradientTape
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
+
+from helpers import per_sample_loss
 
 
 def _scalars(**overrides):
@@ -145,10 +150,11 @@ class TestModelConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError):
             ModelConfig(model_dim=0)
+        # the retired image and patient-row modes are unknown keys now
         with pytest.raises(ConfigurationError):
-            ModelConfig(image_mode="resnet")
+            ModelConfig.from_dict({"image_mode": "toy_extractor"})
         with pytest.raises(ConfigurationError):
-            ModelConfig(patient_kv_mode="stacked")
+            ModelConfig.from_dict({"patient_kv_mode": "single_row"})
 
 
 class TestLossForRecord:
@@ -191,6 +197,70 @@ class TestLossForRecord:
                             report_ids=rec.report_ids, report_text=rec.report_text)
         with pytest.raises(DataError):
             model.loss_for_record(bad)
+
+
+def _report(n_real, width):
+    """START, ``n_real`` tokens, END, then PAD up to ``width`` ids."""
+    ids = [START_ID] + [4 + (7 * i) % 25 for i in range(n_real)] + [END_ID]
+    return ids + [PAD_ID] * (width - len(ids))
+
+
+class TestLossForBatch:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), preset=st.sampled_from(sorted(INPUT_PRESETS)))
+    def test_matches_the_per_sample_reference(self, data, preset):
+        """Loss and every parameter gradient equal the per-sample path."""
+        model = _tiny_model(seed=data.draw(st.integers(0, 3)),
+                            input_mask=INPUT_PRESETS[preset])
+        records = []
+        for i in range(data.draw(st.integers(1, 6), label="batch size")):
+            n_real = data.draw(st.integers(0, 6))
+            width = data.draw(st.integers(n_real + 2, 8))
+            base = _record(seed=data.draw(st.integers(0, 50)))
+            records.append(PatientRecord(
+                sample_id=f"r{i}", scalars=base.scalars, ethnicity=1 + i % 9,
+                chief_ids=[5 + i % 3, 6], icd_ids=[7, 8, 9 - i % 2, PAD_ID, PAD_ID, PAD_ID],
+                image_features=base.image_features, report_ids=_report(n_real, width),
+                report_text="t"))
+        params = model.parameters()
+        with GradientTape() as tape:
+            batched, correct, total = model.loss_for_batch(records)
+        tape.backward(batched)
+        got = tape.gradients(params)
+        with GradientTape() as tape:
+            reference = per_sample_loss(model, records)
+        tape.backward(reference)
+        want = tape.gradients(params)
+        assert abs(batched.item() - reference.item()) <= 1e-10
+        for path in params:
+            np.testing.assert_allclose(got[path], want[path], rtol=0, atol=1e-10,
+                                       err_msg=path)
+        assert total == sum(sum(t != PAD_ID for t in r.report_ids[1:]) for r in records)
+        assert 0 <= correct <= total
+
+    def test_batch_is_cut_after_the_last_real_label(self, monkeypatch):
+        model = _tiny_model()
+        seen = []
+        original = model.decoder.teacher_forced_forward
+
+        def spy(rows, ids):
+            seen.append(np.asarray(ids).shape)
+            return original(rows, ids)
+
+        monkeypatch.setattr(model.decoder, "teacher_forced_forward", spy)
+        # [START, w, END, PAD x 5]: labels w and END need inputs START and w only
+        short = dataclasses.replace(_record(), report_ids=_report(1, 8))
+        model.loss_for_batch([short, short])
+        assert seen == [(2, 2)]
+
+    def test_bad_records_are_named(self):
+        model = _tiny_model()
+        padded = dataclasses.replace(_record(), sample_id="all-pad",
+                                     report_ids=[START_ID] + [PAD_ID] * 7)
+        with pytest.raises(ContractError, match="all-pad"):
+            model.loss_for_batch([_record(), padded])
+        with pytest.raises(ContractError):
+            model.loss_for_batch([])
 
 
 class TestGenerate:
@@ -252,6 +322,37 @@ class TestCheckpointRoundTrip:
         loss_b, _, _ = masked.loss_for_record(rec)
         assert float(loss_a.data) != pytest.approx(float(loss_b.data), abs=1e-12)
 
+    def test_save_records_the_models_own_preset(self, tmp_path):
+        from cxrgen.params import load_checkpoint
+        path = tmp_path / "ckpt.npz"
+        _tiny_model(seed=1, input_mask=InputMask.image_only()).save(path)
+        assert load_checkpoint(path)[1]["inputs"] == "image_only"
+        assert ReportGenerator.load(path).input_mask == InputMask.image_only()
+
+    def test_save_rejects_masks_no_checkpoint_can_name(self, tmp_path):
+        custom = InputMask(scalars=frozenset(["o2sat", "sbp"]), ethnicity=False,
+                           chief=False, icd=False)
+        with pytest.raises(ConfigurationError, match="no preset"):
+            _tiny_model(input_mask=custom).save(tmp_path / "a.npz")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_draws_nothing_and_restores_every_array_bit_for_bit(self, tmp_path,
+                                                                    monkeypatch):
+        model = _tiny_model(seed=4)
+        path = tmp_path / "ckpt.npz"
+        model.save(path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load drew from a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        again = ReportGenerator.load(path)
+        saved = model.state_dict()
+        assert list(again.state_dict()) == list(saved)
+        for name, array in saved.items():
+            loaded = again.parameters()[name].data
+            assert loaded.dtype == array.dtype and loaded.tobytes() == array.tobytes()
+
     def test_load_applies_recorded_input_preset(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         _tiny_model(seed=1).save(path, extra_metadata={"inputs": "image_only"})
@@ -270,7 +371,7 @@ class TestCheckpointFile:
         assert zipfile.is_zipfile(path)
         with np.load(path, allow_pickle=False) as npz:
             meta = json.loads(str(npz["__meta__"]))
-            assert meta["format"] == "cxrgen-checkpoint-v2"
+            assert meta["format"] == "cxrgen-checkpoint-v3"
             assert npz["decoder.output.w"].dtype == np.float64
 
     @pytest.mark.parametrize("keep", [0.0, 0.5, 0.99])
@@ -300,7 +401,7 @@ class TestCheckpointFile:
 
     def test_non_float64_and_untagged_rejected(self, tmp_path):
         from cxrgen.params import load_checkpoint
-        tag = np.array(json.dumps({"format": "cxrgen-checkpoint-v2", "metadata": {}}))
+        tag = np.array(json.dumps({"format": "cxrgen-checkpoint-v3", "metadata": {}}))
         with open(tmp_path / "ints.npz", "wb") as fh:
             np.savez(fh, w=np.arange(3), __meta__=tag)
         with pytest.raises(DataError, match=r"'w'.*float64"):
@@ -313,6 +414,16 @@ class TestCheckpointFile:
             np.savez(fh, w=np.zeros(3), __meta__=np.array(json.dumps({"format": "v3"})))
         with pytest.raises(DataError, match="format tag"):
             load_checkpoint(tmp_path / "v3.npz")
+
+    def test_v2_checkpoint_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "old.npz"
+        tag = {"format": "cxrgen-checkpoint-v2", "metadata": {}}
+        with open(path, "wb") as fh:
+            np.savez(fh, **{"attn.head0.wq": np.zeros((2, 2))},
+                     __meta__=np.array(json.dumps(tag)))
+        with pytest.raises(DataError, match="cxrgen-checkpoint-v2") as info:
+            ReportGenerator.load(path)
+        assert str(path) in str(info.value)
 
     def test_v1_json_checkpoint_no_longer_read(self, tmp_path):
         path = tmp_path / "checkpoint.json"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cxrgen.errors import ContractError, DimensionError
-from cxrgen.tensor import (GradientTape, Tensor, add, concat, dense, embedding_lookup,
-                           layer_norm, log_softmax, matmul, mean_of, mul, narrow,
-                           neg, reduce_sum, relu, reshape, softmax, sub,
+from cxrgen.tensor import (GradientTape, Tensor, add, batched_matmul, concat, dense,
+                           embedding_lookup, layer_norm, log_softmax, matmul, mul,
+                           neg, reduce_sum, relu, reshape, softmax, sub, swap_axes,
                            take_per_row, transpose)
 
 from helpers import check_gradients, numeric_grad, rel_err
@@ -65,10 +65,35 @@ class TestForwardSemantics:
         a, b = t(np.arange(6).reshape(2, 3)), t(np.arange(6, 14).reshape(2, 4))
         joined = concat([a, b], axis=1)
         assert joined.shape == (2, 7)
-        back_a = narrow(joined, 1, 0, 3)
-        back_b = narrow(joined, 1, 3, 4)
-        np.testing.assert_allclose(back_a.data, a.data)
-        np.testing.assert_allclose(back_b.data, b.data)
+        np.testing.assert_allclose(joined.data[:, :3], a.data)
+        np.testing.assert_allclose(joined.data[:, 3:], b.data)
+
+    def test_batched_matmul_is_matmul_per_leading_index(self):
+        rng = np.random.default_rng(5)
+        a, b = t(rng.standard_normal((2, 3, 4, 5))), t(rng.standard_normal((2, 3, 5, 2)))
+        out = batched_matmul(a, b)
+        assert out.shape == (2, 3, 4, 2)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(out.data[i, j], a.data[i, j] @ b.data[i, j],
+                                           atol=1e-12)
+        two_d = batched_matmul(t(a.data[0, 0]), t(b.data[0, 0]))
+        np.testing.assert_allclose(two_d.data, a.data[0, 0] @ b.data[0, 0], atol=1e-12)
+
+    def test_batched_matmul_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            batched_matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 2))))
+        with pytest.raises(DimensionError):
+            batched_matmul(t(np.ones((2, 3, 4))), t(np.ones((2, 3, 2))))
+        with pytest.raises(DimensionError):
+            batched_matmul(t(np.ones((2, 3, 4))), t(np.ones((4, 2))))
+
+    def test_swap_axes_matches_numpy(self):
+        x = t(np.arange(24.0).reshape(2, 3, 4))
+        np.testing.assert_array_equal(swap_axes(x, 0, 2).data, np.swapaxes(x.data, 0, 2))
+        np.testing.assert_array_equal(swap_axes(x, -1, -2).data, np.swapaxes(x.data, 1, 2))
+        with pytest.raises(DimensionError):
+            swap_axes(x, 0, 3)
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -219,15 +244,27 @@ class TestGradientsAgainstFiniteDifferences:
         b = t(self.rng.standard_normal(2))
         check_gradients(lambda: reduce_sum(mul(dense(x, w, b), dense(x, w, b))), [x, w, b])
 
-    def test_concat_and_narrow(self):
+    def test_concat(self):
         a = t(self.rng.standard_normal((2, 3)))
         b = t(self.rng.standard_normal((2, 2)))
+        w = Tensor(self.rng.standard_normal((2, 5)))
 
         def loss():
             joined = concat([a, b], axis=1)
-            return reduce_sum(mul(narrow(joined, 1, 1, 3), narrow(joined, 1, 1, 3)))
+            return reduce_sum(mul(mul(joined, joined), w))
 
         check_gradients(loss, [a, b])
+
+    def test_batched_matmul(self):
+        a = t(self.rng.standard_normal((2, 3, 4)))
+        b = t(self.rng.standard_normal((2, 4, 2)))
+        w = Tensor(self.rng.standard_normal((2, 3, 2)))
+        check_gradients(lambda: reduce_sum(mul(batched_matmul(a, b), w)), [a, b])
+
+    def test_swap_axes(self):
+        x = t(self.rng.standard_normal((2, 3, 4)))
+        w = Tensor(self.rng.standard_normal((4, 3, 2)))
+        check_gradients(lambda: reduce_sum(mul(swap_axes(x, 0, 2), w)), [x])
 
     def test_reshape_transpose(self):
         x = t(self.rng.standard_normal((3, 4)))
@@ -254,10 +291,6 @@ class TestGradientsAgainstFiniteDifferences:
         cols = [0, 3, 3, 1]
         check_gradients(lambda: reduce_sum(mul(take_per_row(x, cols),
                                                take_per_row(x, cols))), [x])
-
-    def test_mean_of(self):
-        parts = [t(self.rng.standard_normal(())) for _ in range(3)]
-        check_gradients(lambda: mean_of([mul(p, p) for p in parts]), parts)
 
     def test_numeric_grad_helper_self_check(self):
         # d/dx sum(x*x) at [1,2,3] is [2,4,6]

@@ -231,6 +231,16 @@ class _ToyModel:
         diff = sub(self.x, Tensor(np.array([float(target)])))
         return reduce_sum(mul(diff, diff)), int(abs(self.x.data[0] - target) < 0.5), 1
 
+    def loss_for_batch(self, targets):
+        """The batch protocol fit uses: the mean of the per-record losses."""
+        total, correct, count = None, 0, 0
+        for target in targets:
+            loss, c, t = self.loss_for_record(target)
+            total = loss if total is None else add(total, loss)
+            correct += c
+            count += t
+        return mul(total, 1.0 / len(targets)), correct, count
+
 
 class _VectorModel(_ToyModel):
     """Several vector parameters, each pulled toward the record's target."""
@@ -306,6 +316,31 @@ class TestFit:
         assert result.diverged
         assert np.isfinite(model.x.data).all()
 
+    def test_non_finite_validation_loss_diverges_and_restores(self):
+        class NanValidation(_ToyModel):
+            """Validation loss is finite after epoch 1 and NaN after epoch 2."""
+
+            def __init__(self):
+                super().__init__()
+                self.validations = 0
+
+            def loss_for_batch(self, targets):
+                if list(targets) == ["val"]:
+                    self.validations += 1
+                    value = 1.0 if self.validations == 1 else np.nan
+                    return reduce_sum(mul(Tensor(np.array([value])), 1.0)), 0, 1
+                return super().loss_for_batch(targets)
+
+        model = NanValidation()
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=10,
+                          early_stop_patience=5, seed=0)
+        result = fit(model, [2.0, 2.0], ["val"], cfg)
+        assert result.diverged
+        assert (result.epochs_run, result.best_epoch, result.best_val_loss) == (2, 1, 1.0)
+        assert math.isnan(result.history[-1]["val_loss"])
+        assert result.best_state["x"][0] != 0.0      # epoch 1 moved x toward 2
+        np.testing.assert_array_equal(model.x.data, result.best_state["x"])
+
     @settings(max_examples=30, deadline=None)
     @given(n_params=st.integers(1, 4), data=st.data(),
            clip=st.sampled_from([None, 0.5]))
@@ -375,3 +410,15 @@ class TestEvaluateSplit:
         loss, acc = evaluate_split(model, [1.0, 1.0, 3.0])
         assert loss == pytest.approx((0.0 + 0.0 + 4.0) / 3)
         assert acc == pytest.approx(2.0 / 3.0)
+
+    def test_scores_fixed_size_chunks(self, monkeypatch):
+        import cxrgen.training as training
+        monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+        model = _ToyModel(value=1.0)
+        sizes = []
+        original = model.loss_for_batch
+        model.loss_for_batch = lambda chunk: sizes.append(len(chunk)) or original(chunk)
+        loss, acc = evaluate_split(model, [1.0, 1.0, 3.0, 1.0, 3.0])
+        assert sizes == [2, 2, 1]
+        assert loss == pytest.approx(8.0 / 5)
+        assert acc == pytest.approx(3.0 / 5.0)
