@@ -6,10 +6,10 @@ data, a transformer decoder, training with Adam + warmup, and overlap /
 embedding metrics for evaluating generated reports.
 """
 
-from .attention import (AttentionProjections, MultiHeadConfig, causal_mask,
-                        multi_head_attention, scaled_dot_product_attention)
-from .decoder import DecoderConfig, ReportDecoder, sparse_ce_loss
-from .encoder import EncoderConfig, FusionEncoder, one_hot_ethnicity
+from .attention import (AttentionProjections, causal_mask, multi_head_attention,
+                        scaled_dot_product_attention)
+from .decoder import ReportDecoder, sparse_ce_loss
+from .encoder import FusionEncoder, one_hot_ethnicity
 from .errors import (ConfigurationError, ContractError, CxrgenError, DataError,
                      DimensionError, EvaluationError, TrainingError)
 from .metrics import (EvalReport, HashedEmbeddings, bleu, corpus_evaluate,
@@ -27,10 +27,10 @@ from .vocab import Vocabulary
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionProjections", "MultiHeadConfig", "causal_mask",
-    "multi_head_attention", "scaled_dot_product_attention",
-    "DecoderConfig", "ReportDecoder", "sparse_ce_loss",
-    "EncoderConfig", "FusionEncoder", "one_hot_ethnicity",
+    "AttentionProjections", "causal_mask", "multi_head_attention",
+    "scaled_dot_product_attention",
+    "ReportDecoder", "sparse_ce_loss",
+    "FusionEncoder", "one_hot_ethnicity",
     "ConfigurationError", "ContractError", "CxrgenError", "DataError",
     "DimensionError", "EvaluationError", "TrainingError",
     "EvalReport", "HashedEmbeddings", "bleu", "corpus_evaluate",

@@ -8,7 +8,6 @@ the heads become an axis of a [B, h, n, d_k] array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -21,47 +20,6 @@ from .tensor import (Tensor, add, batched_matmul, matmul, mul, reshape, softmax,
 # Additive pre-softmax fill for forbidden positions; at float64 this is
 # indistinguishable from -inf after exponentiation but never produces nan.
 MASKED_LOGIT = -1e30
-
-
-@dataclass(frozen=True)
-class MultiHeadConfig:
-    """Head count and per-head widths for multi-head attention.
-
-    ``key_dim``/``value_dim`` default to ``model_dim // num_heads``. The
-    output projection maps ``num_heads * value_dim`` back to ``model_dim``,
-    so the head width does not have to divide the model width: 512 with 3
-    heads gives 170 per head and a 510 -> 512 output projection.
-    """
-
-    num_heads: int = 3
-    model_dim: int = 512
-    key_dim: Optional[int] = None
-    value_dim: Optional[int] = None
-
-    def __post_init__(self):
-        if self.num_heads < 1:
-            raise ConfigurationError(f"num_heads must be >= 1, got {self.num_heads}")
-        if self.model_dim < 1:
-            raise ConfigurationError(f"model_dim must be >= 1, got {self.model_dim}")
-        if self.key_dim is None and self.model_dim // self.num_heads < 1:
-            raise ConfigurationError(
-                f"model_dim {self.model_dim} too small for {self.num_heads} heads; pass key_dim")
-        for name in ("key_dim", "value_dim"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {v}")
-
-    @property
-    def head_key_dim(self) -> int:
-        return self.key_dim if self.key_dim is not None else self.model_dim // self.num_heads
-
-    @property
-    def head_value_dim(self) -> int:
-        return self.value_dim if self.value_dim is not None else self.head_key_dim
-
-    @property
-    def concat_dim(self) -> int:
-        return self.num_heads * self.head_value_dim
 
 
 class AttentionResult(NamedTuple):
@@ -106,31 +64,32 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
 
 
 class AttentionProjections:
-    """Fused W_q/W_k/W_v projections ([d, h·d_k], head i in column block i)
-    plus the output projection W_o ([h·d_v, d])."""
+    """Fused W_q/W_k/W_v projections ([d, h·w], head i in column block i)
+    plus the output projection W_o ([h·w, d]), where the head width w is
+    d // h."""
 
-    def __init__(self, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor,
-                 config: MultiHeadConfig):
-        d, h = config.model_dim, config.num_heads
-        for m, shape, name in ((w_q, (d, h * config.head_key_dim), "w_q"),
-                               (w_k, (d, h * config.head_key_dim), "w_k"),
-                               (w_v, (d, config.concat_dim), "w_v"),
-                               (w_o, (config.concat_dim, d), "w_o")):
+    def __init__(self, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor, num_heads: int):
+        d = w_q.shape[0]
+        qkv = (d, num_heads * (d // num_heads))
+        for m, shape, name in ((w_q, qkv, "w_q"), (w_k, qkv, "w_k"), (w_v, qkv, "w_v"),
+                               (w_o, qkv[::-1], "w_o")):
             if m.shape != shape:
                 raise DimensionError(f"{name} shape {m.shape}, expected {shape}")
             if not np.isfinite(m.data).all():
                 raise ContractError("attention projections must be finite")
         self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
-        self.config = config
+        self.num_heads = num_heads
 
     @classmethod
-    def create(cls, store: ParameterStore, prefix: str,
-               config: MultiHeadConfig) -> "AttentionProjections":
-        d, h = config.model_dim, config.num_heads
-        return cls(store.dense(f"{prefix}.wq", (d, h * config.head_key_dim), blocks=h),
-                   store.dense(f"{prefix}.wk", (d, h * config.head_key_dim), blocks=h),
-                   store.dense(f"{prefix}.wv", (d, config.concat_dim), blocks=h),
-                   store.dense(f"{prefix}.wo", (config.concat_dim, d)), config)
+    def create(cls, store: ParameterStore, prefix: str, model_dim: int,
+               num_heads: int) -> "AttentionProjections":
+        if not 1 <= num_heads <= model_dim:
+            raise ConfigurationError(f"{num_heads} heads do not fit model width {model_dim}")
+        concat = num_heads * (model_dim // num_heads)
+        return cls(store.dense(f"{prefix}.wq", (model_dim, concat), blocks=num_heads),
+                   store.dense(f"{prefix}.wk", (model_dim, concat), blocks=num_heads),
+                   store.dense(f"{prefix}.wv", (model_dim, concat), blocks=num_heads),
+                   store.dense(f"{prefix}.wo", (concat, model_dim)), num_heads)
 
 
 def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
@@ -142,8 +101,8 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
     record after record; ``mask`` ([n_q, n_k]) applies to every record.
     Returns output rows [B·n_q, d] and weights [B, h, n_q, n_k].
     """
-    cfg = projections.config
-    d, h = cfg.model_dim, cfg.num_heads
+    d, h = projections.w_q.shape[0], projections.num_heads
+    width = d // h
     for t, name in ((q_in, "queries"), (k_in, "keys"), (v_in, "values")):
         if t.ndim != 2 or t.shape[1] != d:
             raise DimensionError(f"{name} shape {t.shape} does not match model width {d}")
@@ -151,16 +110,15 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
             raise DimensionError(f"{name}: {t.shape[0]} rows do not split into "
                                  f"{batch_size} records")
 
-    def heads(x: Tensor, w: Tensor, width: int) -> Tensor:
+    def heads(x: Tensor, w: Tensor) -> Tensor:
         # [B·n, d] -> [B·n, h·width] -> [B, h, n, width]
         n = x.shape[0] // batch_size
         return swap_axes(reshape(matmul(x, w), (batch_size, n, h, width)), 1, 2)
 
-    attn = scaled_dot_product_attention(heads(q_in, projections.w_q, cfg.head_key_dim),
-                                        heads(k_in, projections.w_k, cfg.head_key_dim),
-                                        heads(v_in, projections.w_v, cfg.head_value_dim),
-                                        mask)
-    combined = reshape(swap_axes(attn.output, 1, 2), (q_in.shape[0], cfg.concat_dim))
+    attn = scaled_dot_product_attention(heads(q_in, projections.w_q),
+                                        heads(k_in, projections.w_k),
+                                        heads(v_in, projections.w_v), mask)
+    combined = reshape(swap_axes(attn.output, 1, 2), (q_in.shape[0], h * width))
     return AttentionResult(matmul(combined, projections.w_o), attn.weights)
 
 

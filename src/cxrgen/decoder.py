@@ -9,17 +9,19 @@ batch of records as [B·T, d] rows; greedy decoding runs one record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .attention import AttentionProjections, MultiHeadConfig, causal_mask, multi_head_attention
+from .attention import AttentionProjections, causal_mask, multi_head_attention
 from .errors import ConfigurationError, ContractError, DimensionError
 from .params import ParameterStore
 from .tensor import (Tensor, add, dense, embedding_lookup, layer_norm, log_softmax,
                      matmul, mul, neg, reduce_sum, sqrt_scale, take_per_row)
 from .vocab import END_ID, PAD_ID, START_ID
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -33,34 +35,13 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class DecoderConfig:
-    vocab_size: int
-    model_dim: int = 512
-    num_heads: int = 3
-    ffn_dim: int = 512
-    max_len: int = 43
-    num_layers: int = 1
-    layer_norm_eps: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("vocab_size", "model_dim", "num_heads", "ffn_dim",
-                     "max_len", "num_layers"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.vocab_size <= END_ID:
-            raise ConfigurationError(f"vocab_size must cover the reserved ids, "
-                                     f"got {self.vocab_size}")
-
-
 class _DecoderLayer:
-    def __init__(self, store: ParameterStore, cfg: DecoderConfig, prefix: str):
-        d = cfg.model_dim
-        mha = MultiHeadConfig(num_heads=cfg.num_heads, model_dim=d)
-        self.self_attn = AttentionProjections.create(store, f"{prefix}.self_attn", mha)
+    def __init__(self, store: ParameterStore, cfg: "ModelConfig", prefix: str):
+        d, h = cfg.model_dim, cfg.num_heads
+        self.self_attn = AttentionProjections.create(store, f"{prefix}.self_attn", d, h)
         self.ln1_gamma = store.ones(f"{prefix}.ln1.gamma", (d,))
         self.ln1_beta = store.zeros(f"{prefix}.ln1.beta", (d,))
-        self.cross_attn = AttentionProjections.create(store, f"{prefix}.cross_attn", mha)
+        self.cross_attn = AttentionProjections.create(store, f"{prefix}.cross_attn", d, h)
         self.ln2_gamma = store.ones(f"{prefix}.ln2.gamma", (d,))
         self.ln2_beta = store.zeros(f"{prefix}.ln2.beta", (d,))
         self.ffn_w1 = store.dense(f"{prefix}.ffn.w1", (d, cfg.ffn_dim))
@@ -86,16 +67,15 @@ class _DecoderLayer:
 class ReportDecoder:
     """Token embedding, decoder layers, and the output projection."""
 
-    def __init__(self, store: ParameterStore, config: DecoderConfig, prefix: str = "decoder"):
+    def __init__(self, store: ParameterStore, config: "ModelConfig", vocab_size: int):
         self.config = config
         d = config.model_dim
-        self.token_embedding = store.embedding(f"{prefix}.token_embedding",
-                                               (config.vocab_size, d))
-        self.positions = sinusoidal_positions(config.max_len, d)
-        self.layers = [_DecoderLayer(store, config, f"{prefix}.layer{i}")
-                       for i in range(config.num_layers)]
-        self.output_w = store.dense(f"{prefix}.output.w", (d, config.vocab_size))
-        self.output_b = store.zeros(f"{prefix}.output.b", (config.vocab_size,))
+        self.token_embedding = store.embedding("decoder.token_embedding", (vocab_size, d))
+        self.positions = sinusoidal_positions(config.report_len, d)
+        self.layers = [_DecoderLayer(store, config, f"decoder.layer{i}")
+                       for i in range(config.decoder_layers)]
+        self.output_w = store.dense("decoder.output.w", (d, vocab_size))
+        self.output_b = store.zeros("decoder.output.b", (vocab_size,))
 
     def teacher_forced_forward(self, encoder_rows: Tensor, target_ids) -> Tensor:
         """Per-position logits for START-led target prefixes.
@@ -109,9 +89,9 @@ class ReportDecoder:
             raise ContractError(f"target ids must be a non-empty [T] or [B, T] array, "
                                 f"got {ids.shape}")
         batch, length = ids.shape
-        if length > self.config.max_len:
+        if length > self.config.report_len:
             raise ContractError(f"target length {length} exceeds the maximum "
-                                f"{self.config.max_len}")
+                                f"{self.config.report_len}")
         if (ids[:, 0] != START_ID).any():
             raise ContractError(f"every target must begin with the START id, got "
                                 f"{ids[:, 0].tolist()}")
@@ -128,9 +108,9 @@ class ReportDecoder:
 
     def generate_greedy(self, encoder_rows: Tensor, max_len: Optional[int] = None) -> list[int]:
         """Argmax decoding from START until END or the length cap."""
-        cap = self.config.max_len if max_len is None else max_len
-        if not 1 <= cap <= self.config.max_len:
-            raise ContractError(f"max_len must be in 1..{self.config.max_len}, got {cap}")
+        cap = self.config.report_len if max_len is None else max_len
+        if not 1 <= cap <= self.config.report_len:
+            raise ContractError(f"max_len must be in 1..{self.config.report_len}, got {cap}")
         ids = [START_ID]
         while len(ids) < cap:
             logits = self.teacher_forced_forward(encoder_rows, ids)

@@ -9,18 +9,19 @@ can weight the sources separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .attention import (AttentionProjections, AttentionResult, MultiHeadConfig,
-                        multi_head_attention)
-from .errors import ConfigurationError, ContractError, DataError, DimensionError
+from .attention import AttentionProjections, AttentionResult, multi_head_attention
+from .errors import ContractError, DataError, DimensionError
 from .params import ParameterStore
 from .records import ScalarFeatures
 from .tensor import (Tensor, add, concat, dense, embedding_lookup, layer_norm,
                      reshape)
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 NUM_ETHNICITY_GROUPS = 9
 
@@ -61,28 +62,6 @@ class FusionResult(NamedTuple):
     attention: AttentionResult
 
 
-@dataclass(frozen=True)
-class EncoderConfig:
-    chief_vocab_size: int
-    icd_vocab_size: int
-    model_dim: int = 512
-    num_heads: int = 3
-    embed_dim: int = 512
-    scalar_out_dim: int = 8
-    chief_len: int = 2
-    icd_len: int = 6
-    image_feature_dim: int = 1280
-    image_tokens: int = 4
-    layer_norm_eps: float = 1e-6
-
-    def __post_init__(self):
-        for name in ("chief_vocab_size", "icd_vocab_size", "model_dim", "num_heads",
-                     "embed_dim", "scalar_out_dim", "chief_len", "icd_len",
-                     "image_feature_dim", "image_tokens"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-
-
 def _id_grid(ids: Sequence[Sequence[int]], length: int, what: str) -> np.ndarray:
     """Stack per-record id lists into [B, length], rejecting any other length."""
     for row in ids:
@@ -94,18 +73,18 @@ def _id_grid(ids: Sequence[Sequence[int]], length: int, what: str) -> np.ndarray
 class FusionEncoder:
     """Owns all encoder parameters and the patient/image/fusion pathways."""
 
-    def __init__(self, store: ParameterStore, config: EncoderConfig, prefix: str = "encoder"):
+    def __init__(self, store: ParameterStore, config: "ModelConfig", chief_vocab_size: int,
+                 icd_vocab_size: int):
         self.config = config
-        d = config.model_dim
-        mha = MultiHeadConfig(num_heads=config.num_heads, model_dim=d)
+        d, h = config.model_dim, config.num_heads
 
-        self.scalar_w = store.dense(f"{prefix}.scalars.w",
+        self.scalar_w = store.dense("encoder.scalars.w",
                                     (len(ScalarFeatures.ORDER), config.scalar_out_dim))
-        self.scalar_b = store.zeros(f"{prefix}.scalars.b", (config.scalar_out_dim,))
-        self.chief_table = store.embedding(f"{prefix}.chief_embedding",
-                                           (config.chief_vocab_size, config.embed_dim))
-        self.icd_table = store.embedding(f"{prefix}.icd_embedding",
-                                         (config.icd_vocab_size, config.embed_dim))
+        self.scalar_b = store.zeros("encoder.scalars.b", (config.scalar_out_dim,))
+        self.chief_table = store.embedding("encoder.chief_embedding",
+                                           (chief_vocab_size, config.embed_dim))
+        self.icd_table = store.embedding("encoder.icd_embedding",
+                                         (icd_vocab_size, config.embed_dim))
 
         widths = {
             "scalars": config.scalar_out_dim,
@@ -116,23 +95,23 @@ class FusionEncoder:
         self.row_w = {}
         self.row_b = {}
         for name, width in widths.items():
-            self.row_w[name] = store.dense(f"{prefix}.patient.{name}.w", (width, d))
-            self.row_b[name] = store.zeros(f"{prefix}.patient.{name}.b", (d,))
+            self.row_w[name] = store.dense(f"encoder.patient.{name}.w", (width, d))
+            self.row_b[name] = store.zeros(f"encoder.patient.{name}.b", (d,))
 
-        self.image_ln1_gamma = store.ones(f"{prefix}.image.ln_in.gamma",
+        self.image_ln1_gamma = store.ones("encoder.image.ln_in.gamma",
                                           (config.image_feature_dim,))
-        self.image_ln1_beta = store.zeros(f"{prefix}.image.ln_in.beta",
+        self.image_ln1_beta = store.zeros("encoder.image.ln_in.beta",
                                           (config.image_feature_dim,))
-        self.image_w = store.dense(f"{prefix}.image.proj.w",
+        self.image_w = store.dense("encoder.image.proj.w",
                                    (config.image_feature_dim, config.image_tokens * d))
-        self.image_b = store.zeros(f"{prefix}.image.proj.b", (config.image_tokens * d,))
-        self.image_self_attn = AttentionProjections.create(store, f"{prefix}.image.self_attn", mha)
-        self.image_ln2_gamma = store.ones(f"{prefix}.image.ln_out.gamma", (d,))
-        self.image_ln2_beta = store.zeros(f"{prefix}.image.ln_out.beta", (d,))
+        self.image_b = store.zeros("encoder.image.proj.b", (config.image_tokens * d,))
+        self.image_self_attn = AttentionProjections.create(store, "encoder.image.self_attn", d, h)
+        self.image_ln2_gamma = store.ones("encoder.image.ln_out.gamma", (d,))
+        self.image_ln2_beta = store.zeros("encoder.image.ln_out.beta", (d,))
 
-        self.cross_attn = AttentionProjections.create(store, f"{prefix}.fusion.cross_attn", mha)
-        self.fusion_ln_gamma = store.ones(f"{prefix}.fusion.ln.gamma", (d,))
-        self.fusion_ln_beta = store.zeros(f"{prefix}.fusion.ln.beta", (d,))
+        self.cross_attn = AttentionProjections.create(store, "encoder.fusion.cross_attn", d, h)
+        self.fusion_ln_gamma = store.ones("encoder.fusion.ln.gamma", (d,))
+        self.fusion_ln_beta = store.zeros("encoder.fusion.ln.beta", (d,))
 
     # -- patient pathway -----------------------------------------------------
     def build_patient_representation(self, scalars: Sequence[ScalarFeatures],
@@ -199,19 +178,3 @@ class FusionEncoder:
         patient_rows = self.build_patient_representation(scalars, ethnicity, chief_ids, icd_ids)
         image_rows = self.image_pathway(image_features)
         return self.cross_attention_fusion(image_rows, patient_rows)
-
-
-class PrecomputedImageFeatures:
-    """Image features arrive as fixed vectors (e.g. from an offline CNN)."""
-
-    def __init__(self, feature_dim: int = 1280):
-        if feature_dim < 1:
-            raise ConfigurationError(f"feature_dim must be positive, got {feature_dim}")
-        self.feature_dim = feature_dim
-
-    def extract(self, payload) -> np.ndarray:
-        arr = np.asarray(payload, dtype=np.float64)
-        if arr.shape != (self.feature_dim,):
-            raise DataError(f"expected {self.feature_dim} precomputed image features, "
-                            f"got shape {arr.shape}")
-        return arr

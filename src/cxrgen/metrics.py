@@ -40,11 +40,6 @@ class BleuResult:
     reference_length: int
     empty_candidate: bool = False
 
-    def bleu(self, n: int) -> float:
-        if not 1 <= n <= len(self.scores):
-            raise ConfigurationError(f"BLEU order {n} not computed (max {len(self.scores)})")
-        return self.scores[n - 1]
-
 
 def _ngram_counts(tokens: Tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))

@@ -13,14 +13,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .decoder import (DecoderConfig, ReportDecoder, masked_mean, sparse_ce_loss,
-                      token_accuracy)
-from .encoder import EncoderConfig, FusionEncoder, FusionResult, PrecomputedImageFeatures
-from .errors import ConfigurationError, ContractError, DataError
+from .decoder import ReportDecoder, masked_mean, sparse_ce_loss, token_accuracy
+from .encoder import FusionEncoder, FusionResult
+from .errors import ConfigurationError, ContractError, DataError, DimensionError
 from .params import ParameterStore, load_checkpoint, save_checkpoint
 from .records import PatientRecord, ScalarFeatures
 from .tensor import Tensor
-from .vocab import PAD_ID
+from .vocab import END_ID, PAD_ID
 
 from .preprocess import ETHNICITY_UNKNOWN
 
@@ -101,7 +100,15 @@ ABLATION_LABELS = {
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters (defaults mirror the full-size model)."""
+    """Architecture hyperparameters of the whole generator: the encoder, the
+    decoder and every attention layer read them from here. Defaults mirror
+    the full-size model.
+
+    Each attention head is ``model_dim // num_heads`` wide, and the output
+    projection maps ``num_heads`` heads back to ``model_dim``, so the head
+    count does not have to divide the model width: 512 with 3 heads gives
+    170 per head and a 510 -> 512 output projection.
+    """
 
     model_dim: int = 512
     num_heads: int = 3
@@ -122,6 +129,9 @@ class ModelConfig:
                      "image_feature_dim", "image_tokens"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.num_heads > self.model_dim:
+            raise ConfigurationError(f"model_dim {self.model_dim} is too narrow for "
+                                     f"{self.num_heads} heads")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -147,37 +157,45 @@ class ReportGenerator:
     def _build(self, config: ModelConfig, vocab_sizes: Sequence[int],
                input_mask: Optional[InputMask], store: ParameterStore) -> None:
         vocab_size, chief_vocab_size, icd_vocab_size = vocab_sizes
+        if vocab_size <= END_ID:
+            raise ConfigurationError(f"report vocabulary must cover the reserved ids, "
+                                     f"got {vocab_size}")
+        if chief_vocab_size < 1 or icd_vocab_size < 1:
+            raise ConfigurationError(f"chief and ICD vocabularies must be non-empty, got "
+                                     f"{chief_vocab_size} and {icd_vocab_size}")
         self.config = config
         self.input_mask = input_mask or InputMask.all_inputs()
         self.store = store
-        shared = {f.name for f in dataclasses.fields(EncoderConfig)} & set(config.to_dict())
-        self.encoder = FusionEncoder(store, EncoderConfig(
-            chief_vocab_size=chief_vocab_size, icd_vocab_size=icd_vocab_size,
-            **{name: getattr(config, name) for name in shared}))
-        self.decoder = ReportDecoder(store, DecoderConfig(
-            vocab_size=vocab_size,
-            model_dim=config.model_dim,
-            num_heads=config.num_heads,
-            ffn_dim=config.ffn_dim,
-            max_len=config.report_len,
-            num_layers=config.decoder_layers,
-            layer_norm_eps=config.layer_norm_eps,
-        ))
-        self.image_provider = PrecomputedImageFeatures(config.image_feature_dim)
+        self.encoder = FusionEncoder(store, config, chief_vocab_size, icd_vocab_size)
+        self.decoder = ReportDecoder(store, config, vocab_size)
         self._vocab_sizes = (vocab_size, chief_vocab_size, icd_vocab_size)
 
     # -- forward --------------------------------------------------------------
     def encode_batch(self, records: Sequence[PatientRecord]) -> FusionResult:
-        """Fused encoder rows [B·image_tokens, d] for the masked records."""
+        """Fused encoder rows [B·image_tokens, d] for the masked records.
+
+        An input error names the record that caused it: when a batch fails,
+        its records are encoded one at a time until the faulty one raises.
+        """
+        dim = self.config.image_feature_dim
         features = []
         for rec in records:
-            try:
-                features.append(self.image_provider.extract(rec.image_features))
-            except DataError as exc:
-                raise DataError(f"record {rec.sample_id}: {exc}") from exc
+            feats = np.asarray(rec.image_features, dtype=np.float64)
+            if feats.shape != (dim,):
+                raise DataError(f"record {rec.sample_id}: expected {dim} image features, "
+                                f"got shape {feats.shape}")
+            features.append(feats)
         scalars, ethnicity, chief_ids, icd_ids = zip(*(self.input_mask.apply(rec)
                                                        for rec in records))
-        return self.encoder.encode(scalars, ethnicity, chief_ids, icd_ids, np.stack(features))
+        try:
+            return self.encoder.encode(scalars, ethnicity, chief_ids, icd_ids,
+                                       np.stack(features))
+        except (ContractError, DataError, DimensionError) as exc:
+            if len(records) == 1:
+                raise type(exc)(f"record {records[0].sample_id}: {exc}") from exc
+            for rec in records:
+                self.encode_batch([rec])
+            raise
 
     def encode_record(self, rec: PatientRecord) -> FusionResult:
         return self.encode_batch([rec])

@@ -79,41 +79,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # -- operator sugar, routed through the module-level ops ----------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis: Optional[int] = None) -> "Tensor":
-        return reduce_sum(self, axis)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
 
 # Backward closures take the output gradient and return one gradient per
 # recorded input (aligned positionally; None for inputs that are untracked).

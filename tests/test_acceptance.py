@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import FD_STEP, GRAD_RTOL, check_gradients
-from cxrgen.attention import (MultiHeadConfig, AttentionProjections,
-                              multi_head_attention,
+from cxrgen.attention import (AttentionProjections, multi_head_attention,
                               scaled_dot_product_attention)
 from cxrgen.metrics import BLEU_BUCKET_LABELS, bleu, corpus_evaluate, rouge_l
 from cxrgen.model import ModelConfig, ReportGenerator
@@ -101,7 +100,7 @@ def test_criterion_1_gradient_correctness():
 
     def op_add_scalar(s):
         a = _rand(s, "a", (3, 4), rng)
-        return lambda: weighted(a + 2.5, w1t)
+        return lambda: weighted(add(a, Tensor(2.5)), w1t)
 
     def op_sub(s):
         a, b = _rand(s, "a", (3, 4), rng), _rand(s, "b", (3, 4), rng)
@@ -186,8 +185,7 @@ def test_criterion_1_gradient_correctness():
         return lambda: weighted(sqrt_scale(a, 9.0), w1t)
 
     def op_multi_head_attention(s):
-        cfg = MultiHeadConfig(model_dim=6, num_heads=2)
-        proj = AttentionProjections.create(s, "mha", cfg)
+        proj = AttentionProjections.create(s, "mha", 6, 2)
         q = _rand(s, "q", (2 * 3, 6), rng)
         kv = _rand(s, "kv", (2 * 4, 6), rng)
         wm = rng.standard_normal((2 * 3, 6))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrgen.attention import (AttentionProjections, MultiHeadConfig, causal_mask,
-                              multi_head_attention, scaled_dot_product_attention)
+from cxrgen.attention import (AttentionProjections, causal_mask, multi_head_attention,
+                              scaled_dot_product_attention)
 from cxrgen.errors import ConfigurationError, ContractError, DimensionError
 from cxrgen.params import ParameterStore
 from cxrgen.tensor import Tensor, reduce_sum, mul
@@ -147,32 +147,11 @@ class TestScaledDotProduct:
         check_gradients(loss, [q, k, v])
 
 
-class TestMultiHeadConfig:
-    def test_defaults_with_non_divisible_heads(self):
-        cfg = MultiHeadConfig(num_heads=3, model_dim=512)
-        assert cfg.head_key_dim == 170
-        assert cfg.head_value_dim == 170
-        assert cfg.concat_dim == 510  # output projection is 510 -> 512
-
-    def test_explicit_dims_respected(self):
-        cfg = MultiHeadConfig(num_heads=2, model_dim=8, key_dim=5, value_dim=3)
-        assert cfg.head_key_dim == 5 and cfg.head_value_dim == 3 and cfg.concat_dim == 6
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MultiHeadConfig(num_heads=0)
-        with pytest.raises(ConfigurationError):
-            MultiHeadConfig(num_heads=5, model_dim=3)  # head dim would be 0
-        with pytest.raises(ConfigurationError):
-            MultiHeadConfig(num_heads=2, model_dim=8, key_dim=-1)
-
-
 class TestMultiHeadAttention:
     def test_single_identity_head_matches_sdpa(self):
         d = 4
         store = ParameterStore(0)
-        cfg = MultiHeadConfig(num_heads=1, model_dim=d, key_dim=d, value_dim=d)
-        proj = AttentionProjections.create(store, "attn", cfg)
+        proj = AttentionProjections.create(store, "attn", d, 1)
         for w in (proj.w_q, proj.w_k, proj.w_v, proj.w_o):
             w.data = np.eye(d)
         rng = np.random.default_rng(8)
@@ -184,8 +163,7 @@ class TestMultiHeadAttention:
 
     def test_output_shape_and_head_count(self):
         store = ParameterStore(1)
-        cfg = MultiHeadConfig(num_heads=3, model_dim=10)  # head dim 3, concat 9
-        proj = AttentionProjections.create(store, "attn", cfg)
+        proj = AttentionProjections.create(store, "attn", 10, 3)  # head dim 3, concat 9
         assert proj.w_o.shape == (9, 10)
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((5, 10)))
@@ -197,16 +175,14 @@ class TestMultiHeadAttention:
 
     def test_parameter_paths(self):
         store = ParameterStore(2)
-        AttentionProjections.create(store, "enc.self_attn",
-                                    MultiHeadConfig(num_heads=2, model_dim=6))
+        AttentionProjections.create(store, "enc.self_attn", 6, 2)
         assert sorted(store.parameters) == ["enc.self_attn.wk", "enc.self_attn.wo",
                                             "enc.self_attn.wq", "enc.self_attn.wv"]
         assert store["enc.self_attn.wq"].shape == (6, 6)
 
     def test_width_mismatch_rejected(self):
         store = ParameterStore(3)
-        proj = AttentionProjections.create(store, "attn",
-                                           MultiHeadConfig(num_heads=2, model_dim=6))
+        proj = AttentionProjections.create(store, "attn", 6, 2)
         bad = Tensor(np.ones((2, 5)))
         good = Tensor(np.ones((2, 6)))
         with pytest.raises(DimensionError):
@@ -214,8 +190,7 @@ class TestMultiHeadAttention:
 
     def test_gradients_through_all_projections(self):
         store = ParameterStore(4)
-        cfg = MultiHeadConfig(num_heads=2, model_dim=6)
-        proj = AttentionProjections.create(store, "attn", cfg)
+        proj = AttentionProjections.create(store, "attn", 6, 2)
         rng = np.random.default_rng(10)
         x = t(rng.standard_normal((3, 6)))
         kv = t(rng.standard_normal((4, 6)))
@@ -227,8 +202,7 @@ class TestMultiHeadAttention:
         check_gradients(loss, [x, kv, proj.w_q, proj.w_k, proj.w_v, proj.w_o])
 
     def test_fused_init_is_per_head_draws_side_by_side(self):
-        cfg = MultiHeadConfig(num_heads=3, model_dim=6)
-        proj = AttentionProjections.create(ParameterStore(5), "attn", cfg)
+        proj = AttentionProjections.create(ParameterStore(5), "attn", 6, 3)
         rng = np.random.default_rng(5)
         bound = 1.0 / math.sqrt(6)
         for fused in (proj.w_q, proj.w_k, proj.w_v):
@@ -238,8 +212,7 @@ class TestMultiHeadAttention:
 
     def test_batch_matches_records_one_at_a_time(self):
         store = ParameterStore(6)
-        cfg = MultiHeadConfig(num_heads=2, model_dim=6)
-        proj = AttentionProjections.create(store, "attn", cfg)
+        proj = AttentionProjections.create(store, "attn", 6, 2)
         rng = np.random.default_rng(11)
         q, kv = rng.standard_normal((3 * 4, 6)), rng.standard_normal((3 * 5, 6))
         mask = np.tril(np.ones((4, 5), dtype=bool))
@@ -252,9 +225,13 @@ class TestMultiHeadAttention:
                                        atol=1e-12)
             np.testing.assert_allclose(batched.weights.data[b], one.weights.data[0], atol=1e-12)
 
+    @pytest.mark.parametrize("heads", [0, 7])
+    def test_head_count_must_fit_the_width(self, heads):
+        with pytest.raises(ConfigurationError):
+            AttentionProjections.create(ParameterStore(8), "attn", 6, heads)
+
     def test_rows_must_split_into_the_batch(self):
-        proj = AttentionProjections.create(ParameterStore(7), "attn",
-                                           MultiHeadConfig(num_heads=2, model_dim=6))
+        proj = AttentionProjections.create(ParameterStore(7), "attn", 6, 2)
         x = Tensor(np.ones((5, 6)))
         with pytest.raises(DimensionError):
             multi_head_attention(x, x, x, proj, 2)

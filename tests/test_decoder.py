@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from cxrgen.decoder import (DecoderConfig, ReportDecoder, masked_mean,
+from cxrgen.decoder import (ReportDecoder, masked_mean,
                             sinusoidal_positions, sparse_ce_loss, token_accuracy)
 from cxrgen.errors import ConfigurationError, ContractError, DimensionError
+from cxrgen.model import ModelConfig
 from cxrgen.params import ParameterStore
 from cxrgen.tensor import GradientTape, Tensor, reduce_sum, mul
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
@@ -14,11 +15,10 @@ from helpers import check_gradients
 
 
 def tiny_decoder(seed=0, **overrides):
-    base = dict(vocab_size=12, model_dim=8, num_heads=2, ffn_dim=8,
-                max_len=9, num_layers=1)
+    base = dict(model_dim=8, num_heads=2, ffn_dim=8, report_len=9, decoder_layers=1)
     base.update(overrides)
     store = ParameterStore(seed)
-    return ReportDecoder(store, DecoderConfig(**base)), store
+    return ReportDecoder(store, ModelConfig(**base), vocab_size=12), store
 
 
 def encoder_rows(seed=1, n=3, d=8):
@@ -75,7 +75,7 @@ class TestTeacherForcedForward:
             dec.teacher_forced_forward(encoder_rows(), [5, 6])
 
     def test_overlong_target_rejected(self):
-        dec, _ = tiny_decoder(max_len=4)
+        dec, _ = tiny_decoder(report_len=4)
         with pytest.raises(ContractError):
             dec.teacher_forced_forward(encoder_rows(), [START_ID, 4, 5, 6, 7])
 
@@ -169,7 +169,7 @@ class TestGreedyGeneration:
         dec, _ = tiny_decoder()
         ids = dec.generate_greedy(encoder_rows())
         assert ids[0] == START_ID
-        assert len(ids) <= dec.config.max_len
+        assert len(ids) <= dec.config.report_len
 
     def test_deterministic(self):
         dec, _ = tiny_decoder()
@@ -187,7 +187,7 @@ class TestGreedyGeneration:
         assert ids == [START_ID, END_ID]
 
     def test_max_len_override_validated(self):
-        dec, _ = tiny_decoder(max_len=6)
+        dec, _ = tiny_decoder(report_len=6)
         with pytest.raises(ContractError):
             dec.generate_greedy(encoder_rows(), max_len=7)
         assert len(dec.generate_greedy(encoder_rows(), max_len=3)) <= 3
@@ -196,7 +196,7 @@ class TestGreedyGeneration:
         dec, _ = tiny_decoder(seed=5)
         enc = encoder_rows(seed=6)
         ids = [START_ID]
-        for _ in range(dec.config.max_len - 1):
+        for _ in range(dec.config.report_len - 1):
             logits = dec.teacher_forced_forward(enc, ids)
             nxt = int(np.argmax(logits.data[-1]))
             ids.append(nxt)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cxrgen.encoder import (EncoderConfig, FusionEncoder, PrecomputedImageFeatures,
-                            embed_text, encode_scalars, one_hot_ethnicity)
+from cxrgen.encoder import FusionEncoder, embed_text, encode_scalars, one_hot_ethnicity
 from cxrgen.errors import ContractError, DataError, DimensionError
+from cxrgen.model import ModelConfig
 from cxrgen.params import ParameterStore
 from cxrgen.records import ScalarFeatures
 from cxrgen.tensor import Tensor, reduce_sum, mul
@@ -20,12 +20,16 @@ def make_scalars(**overrides) -> ScalarFeatures:
     return ScalarFeatures(**base)
 
 
-def tiny_config(**overrides) -> EncoderConfig:
-    base = dict(chief_vocab_size=7, icd_vocab_size=9, model_dim=8, num_heads=2,
-                embed_dim=4, scalar_out_dim=8, chief_len=2, icd_len=6,
-                image_feature_dim=10, image_tokens=3)
+def tiny_config(**overrides) -> ModelConfig:
+    base = dict(model_dim=8, num_heads=2, embed_dim=4, scalar_out_dim=8, chief_len=2,
+                icd_len=6, image_feature_dim=10, image_tokens=3)
     base.update(overrides)
-    return EncoderConfig(**base)
+    return ModelConfig(**base)
+
+
+def tiny_encoder(seed, cfg=None) -> FusionEncoder:
+    return FusionEncoder(ParameterStore(seed), cfg or tiny_config(), chief_vocab_size=7,
+                         icd_vocab_size=9)
 
 
 def patient_rows(enc, scalars=None, ethnicity=2, chief=(1, 2), icd=(0, 1, 2, 3, 4, 5)):
@@ -88,14 +92,14 @@ class TestPreProjectionWidth:
     """Width and order of the patient sources before their row projections."""
 
     def test_default_width_is_4113(self):
-        enc = FusionEncoder(ParameterStore(0),
-                            EncoderConfig(chief_vocab_size=100, icd_vocab_size=100))
+        enc = FusionEncoder(ParameterStore(0), ModelConfig(), chief_vocab_size=100,
+                            icd_vocab_size=100)
         # 8 scalars-out + 9 ethnicity + (2 + 6) * 512 embedded text, over the row projections
         assert sum(w.shape[0] for w in enc.row_w.values()) == 4113
 
     def test_pre_projection_tensor_matches_config(self):
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(2), cfg)
+        enc = tiny_encoder(2, cfg)
         assert {name: w.shape for name, w in enc.row_w.items()} == {
             "scalars": (8, cfg.model_dim), "ethnicity": (9, cfg.model_dim),
             "chief": (2 * 4, cfg.model_dim), "icd": (6 * 4, cfg.model_dim)}
@@ -104,7 +108,7 @@ class TestPreProjectionWidth:
     def test_pre_projection_layout(self):
         # per record: scalar row, then ethnicity, then chief, then icd
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(3), cfg)
+        enc = tiny_encoder(3, cfg)
         rows = patient_rows(enc, ethnicity=5).data
         expected = {
             "scalars": make_scalars().as_array() @ enc.scalar_w.data + enc.scalar_b.data,
@@ -120,12 +124,12 @@ class TestPreProjectionWidth:
 class TestPatientRows:
     def test_typed_rows_shape(self):
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(4), cfg)
+        enc = tiny_encoder(4, cfg)
         assert patient_rows(enc, ethnicity=1).shape == (4, cfg.model_dim)
 
     def test_batch_rows_are_records_one_after_another(self):
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(5), cfg)
+        enc = tiny_encoder(5, cfg)
         a = (make_scalars(o2sat=0.2), 1, [1, 2], [0, 1, 2, 3, 4, 5])
         b = (make_scalars(), 7, [3, 4], [6, 5, 4, 3, 2, 1])
         batch = enc.build_patient_representation(*zip(a, b))
@@ -134,7 +138,7 @@ class TestPatientRows:
         np.testing.assert_allclose(batch.data[4:], patient_rows(enc, *b).data, atol=1e-12)
 
     def test_wrong_text_lengths_rejected(self):
-        enc = FusionEncoder(ParameterStore(6), tiny_config())
+        enc = tiny_encoder(6)
         with pytest.raises(DimensionError):
             patient_rows(enc, ethnicity=1, chief=[1])
         with pytest.raises(DimensionError):
@@ -147,7 +151,7 @@ class TestPatientRows:
 class TestImagePathway:
     def test_output_shape(self):
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(7), cfg)
+        enc = tiny_encoder(7, cfg)
         rows = enc.image_pathway(np.random.default_rng(0).standard_normal(10))
         assert rows.shape == (cfg.image_tokens, cfg.model_dim)
         feats = np.random.default_rng(1).standard_normal((3, 10))
@@ -157,12 +161,12 @@ class TestImagePathway:
                                    enc.image_pathway(feats[1]).data, atol=1e-12)
 
     def test_wrong_width_rejected(self):
-        enc = FusionEncoder(ParameterStore(8), tiny_config())
+        enc = tiny_encoder(8)
         with pytest.raises(DimensionError):
             enc.image_pathway(np.zeros(11))
 
     def test_non_finite_rejected(self):
-        enc = FusionEncoder(ParameterStore(9), tiny_config())
+        enc = tiny_encoder(9)
         feats = np.zeros(10)
         feats[3] = np.nan
         with pytest.raises(DataError):
@@ -172,7 +176,7 @@ class TestImagePathway:
         # with W_o = 0 the residual branch vanishes: output = LN(tokens)
         from cxrgen.tensor import layer_norm, dense, reshape
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(10), cfg)
+        enc = tiny_encoder(10, cfg)
         enc.image_self_attn.w_o.data = np.zeros_like(enc.image_self_attn.w_o.data)
         feats = np.random.default_rng(1).standard_normal(10)
         out = enc.image_pathway(feats)
@@ -188,7 +192,7 @@ class TestImagePathway:
 class TestCrossAttentionFusion:
     def test_single_patient_row_gets_weight_one(self):
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(11), cfg)
+        enc = tiny_encoder(11, cfg)
         one_row = Tensor(np.random.default_rng(1).standard_normal((2, cfg.model_dim)))
         image_rows = enc.image_pathway(np.random.default_rng(2).standard_normal((2, 10)))
         result = enc.cross_attention_fusion(image_rows, one_row)
@@ -197,7 +201,7 @@ class TestCrossAttentionFusion:
 
     def test_weights_rows_sum_to_one(self):
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(12), cfg)
+        enc = tiny_encoder(12, cfg)
         rep = patient_rows(enc)
         image_rows = enc.image_pathway(np.random.default_rng(3).standard_normal(10))
         result = enc.cross_attention_fusion(image_rows, rep)
@@ -210,7 +214,7 @@ class TestCrossAttentionFusion:
     def test_zeroed_cross_attention_is_layernorm_of_image(self):
         from cxrgen.tensor import layer_norm
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(13), cfg)
+        enc = tiny_encoder(13, cfg)
         enc.cross_attn.w_o.data = np.zeros_like(enc.cross_attn.w_o.data)
         rep = patient_rows(enc)
         image_rows = enc.image_pathway(np.random.default_rng(4).standard_normal(10))
@@ -221,7 +225,7 @@ class TestCrossAttentionFusion:
 
     def test_patient_data_changes_fused_output(self):
         cfg = tiny_config()
-        enc = FusionEncoder(ParameterStore(14), cfg)
+        enc = tiny_encoder(14, cfg)
         image_rows = enc.image_pathway(np.random.default_rng(5).standard_normal(10))
         rep_a = patient_rows(enc, make_scalars(o2sat=0.1))
         rep_b = patient_rows(enc, make_scalars(o2sat=0.9))
@@ -234,7 +238,7 @@ class TestEncoderGradients:
     def test_full_encoder_gradcheck(self):
         cfg = tiny_config()
         store = ParameterStore(15)
-        enc = FusionEncoder(store, cfg)
+        enc = FusionEncoder(store, cfg, chief_vocab_size=7, icd_vocab_size=9)
         feats = np.random.default_rng(6).standard_normal(10)
         probe = Tensor(np.random.default_rng(7).standard_normal((cfg.image_tokens,
                                                                  cfg.model_dim)))
@@ -245,12 +249,3 @@ class TestEncoderGradients:
 
         worst = check_gradients(loss, list(store.parameters.values()), max_entries=4)
         assert worst < 1e-5
-
-
-class TestImageProviders:
-    def test_precomputed_validates_width(self):
-        provider = PrecomputedImageFeatures(feature_dim=5)
-        out = provider.extract([1, 2, 3, 4, 5])
-        assert out.shape == (5,)
-        with pytest.raises(DataError):
-            provider.extract([1, 2, 3])

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrgen.errors import ConfigurationError, ContractError, DataError
+from cxrgen.attention import AttentionProjections
+from cxrgen.errors import ConfigurationError, ContractError, DataError, DimensionError
 from cxrgen.model import (ABLATION_LABELS, INPUT_PRESETS, InputMask,
                           ModelConfig, ReportGenerator)
+from cxrgen.params import ParameterStore
 from cxrgen.preprocess import ETHNICITY_UNKNOWN
 from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.tensor import GradientTape
@@ -156,6 +158,25 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig.from_dict({"patient_kv_mode": "single_row"})
 
+    def test_defaults_with_non_divisible_heads(self):
+        cfg = ModelConfig()
+        proj = AttentionProjections.create(ParameterStore(0), "attn", cfg.model_dim,
+                                           cfg.num_heads)
+        assert cfg.model_dim // cfg.num_heads == 170
+        assert proj.w_q.shape == proj.w_k.shape == proj.w_v.shape == (512, 510)
+        assert proj.w_o.shape == (510, 512)  # output projection is 510 -> 512
+
+    def test_invalid_head_counts_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ModelConfig(num_heads=0)
+        with pytest.raises(ConfigurationError):
+            ModelConfig(num_heads=5, model_dim=3)  # head dim would be 0
+
+    @pytest.mark.parametrize("sizes", [(END_ID, 12, 12), (30, 0, 12), (30, 12, 0)])
+    def test_degenerate_vocabularies_rejected(self, sizes):
+        with pytest.raises(ConfigurationError):
+            ReportGenerator(_tiny_config(), *sizes)
+
 
 class TestLossForRecord:
     def test_returns_scalar_loss_and_counts(self):
@@ -195,7 +216,7 @@ class TestLossForRecord:
                             ethnicity=rec.ethnicity, chief_ids=rec.chief_ids,
                             icd_ids=rec.icd_ids, image_features=[0.0] * 7,
                             report_ids=rec.report_ids, report_text=rec.report_text)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=rec.sample_id):
             model.loss_for_record(bad)
 
 
@@ -261,6 +282,19 @@ class TestLossForBatch:
             model.loss_for_batch([_record(), padded])
         with pytest.raises(ContractError):
             model.loss_for_batch([])
+
+    @pytest.mark.parametrize("error, fault", [
+        (DataError, {"image_features": [0.0] * 5 + [np.nan] + [0.0] * 18}),
+        (ContractError, {"scalars": _scalars(o2sat=1.5)}),
+        (ContractError, {"ethnicity": 10}),
+        (DimensionError, {"icd_ids": [7, 8, 9]}),
+    ], ids=["non_finite_image", "scalar_out_of_range", "ethnicity_out_of_range",
+            "icd_wrong_length"])
+    def test_input_errors_name_the_record(self, error, fault):
+        records = [_record(seed=i) for i in range(3)]
+        records[1] = dataclasses.replace(records[1], **fault)
+        with pytest.raises(error, match="rec-1"):
+            _tiny_model().loss_for_batch(records)
 
 
 class TestGenerate:
