@@ -4,11 +4,14 @@ Post-layer-norm blocks: masked self-attention, cross-attention over the
 encoder rows, then a position-wise feed-forward, each wrapped in a residual
 add followed by layer norm. Token embeddings are scaled by sqrt(d_model)
 and summed with fixed sinusoidal position encodings. Teacher forcing runs a
-batch of records as [B·T, d] rows; greedy decoding runs one record.
+batch of records as [B·T, d] rows. Greedy decoding also runs a batch: it
+caches each layer's keys and values and computes only the newest position
+per step, dropping each record from the batch once it emits END.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -18,7 +21,7 @@ from .errors import ConfigurationError, ContractError, DimensionError
 from .params import ParameterStore
 from .tensor import (Tensor, add, dense, embedding_lookup, layer_norm, log_softmax,
                      matmul, mul, neg, reduce_sum, sqrt_scale, take_per_row)
-from .vocab import END_ID, PAD_ID, START_ID
+from .vocab import END_ID, START_ID
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -106,19 +109,106 @@ class ReportDecoder:
             x = layer.forward(x, encoder_rows, mask, batch)
         return add(matmul(x, self.output_w), self.output_b)
 
-    def generate_greedy(self, encoder_rows: Tensor, max_len: Optional[int] = None) -> list[int]:
-        """Argmax decoding from START until END or the length cap."""
+    def generate_batch(self, encoder_rows: Tensor, batch_size: int,
+                       max_len: Optional[int] = None) -> list[list[int]]:
+        """Greedy ids for ``batch_size`` records whose ``encoder_rows`` lie one
+        after another: START first, then the argmax until END or the cap.
+
+        Incremental decoding in plain numpy, so no tape records it: each step
+        runs only the newest position of every unfinished record against the
+        cached keys and values, and a record leaves the batch at its END.
+        """
         cap = self.config.report_len if max_len is None else max_len
         if not 1 <= cap <= self.config.report_len:
             raise ContractError(f"max_len must be in 1..{self.config.report_len}, got {cap}")
-        ids = [START_ID]
-        while len(ids) < cap:
-            logits = self.teacher_forced_forward(encoder_rows, ids)
-            nxt = int(np.argmax(logits.data[-1]))
-            ids.append(nxt)
-            if nxt == END_ID:
-                break
+        cache = _KVCache(self, encoder_rows, batch_size, cap)
+        ids = [[START_ID] for _ in range(batch_size)]
+        active = np.arange(batch_size)
+        tokens = np.full(batch_size, START_ID)
+        for _ in range(cap - 1):
+            tokens = np.argmax(cache.step(tokens), axis=1)
+            for row, token in zip(active, tokens.tolist()):
+                ids[row].append(token)
+            going = tokens != END_ID
+            if not going.all():
+                active, tokens = active[going], tokens[going]
+                if not active.size:
+                    break
+                cache.keep(going)
         return ids
+
+
+class _KVCache:
+    """Keys and values for incremental decoding of a batch.
+
+    Each layer's cross-attention K/V are projected once from the encoder
+    rows; its self-attention K/V [B, h, length, d // h] fill one position per
+    step. ``step`` repeats the tensor ops' formulas in their order (fused
+    projections, max-shifted softmax, biased-variance layer norm with eps
+    inside the root) on numpy arrays. No mask is needed: the cache holds only
+    positions <= t.
+    """
+
+    def __init__(self, decoder: ReportDecoder, encoder_rows: Tensor, batch_size: int,
+                 length: int):
+        cfg = decoder.config
+        d, self.heads = cfg.model_dim, cfg.num_heads
+        if encoder_rows.ndim != 2 or encoder_rows.shape[1] != d:
+            raise DimensionError(f"encoder rows shape {encoder_rows.shape} does not match "
+                                 f"model width {d}")
+        if batch_size < 1 or encoder_rows.shape[0] % batch_size:
+            raise DimensionError(f"{encoder_rows.shape[0]} encoder rows do not split into "
+                                 f"{batch_size} records")
+        self.decoder, self.t = decoder, 0
+        enc = encoder_rows.data
+        self.cross = [(self._split(enc @ layer.cross_attn.w_k.data, batch_size),
+                       self._split(enc @ layer.cross_attn.w_v.data, batch_size))
+                      for layer in decoder.layers]
+        shape = (batch_size, self.heads, length, d // self.heads)
+        self.self_kv = [(np.empty(shape), np.empty(shape)) for _ in decoder.layers]
+
+    def _split(self, x: np.ndarray, batch: int) -> np.ndarray:
+        # [B·n, h·width] -> [B, h, n, width]
+        return np.swapaxes(x.reshape(batch, x.shape[0] // batch, self.heads, -1), 1, 2)
+
+    def _attend(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                projections) -> np.ndarray:
+        q = self._split(x @ projections.w_q.data, x.shape[0])
+        logits = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
+        e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+        out = (e / e.sum(axis=-1, keepdims=True)) @ values
+        return np.swapaxes(out, 1, 2).reshape(x.shape[0], -1) @ projections.w_o.data
+
+    @staticmethod
+    def _norm(x: np.ndarray, gamma: Tensor, beta: Tensor, eps: float) -> np.ndarray:
+        mean = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+        return gamma.data * ((x - mean) * inv) + beta.data
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the batch rows selected by the boolean ``rows``."""
+        self.cross = [(k[rows], v[rows]) for k, v in self.cross]
+        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+
+    def step(self, tokens: np.ndarray) -> np.ndarray:
+        """Logits [B, V] at the next position, given each record's last token."""
+        dec, t = self.decoder, self.t
+        d = dec.config.model_dim
+        x = dec.token_embedding.data[tokens] * math.sqrt(d) + dec.positions[t]
+        for layer, (keys, values), (cross_k, cross_v) in zip(dec.layers, self.self_kv,
+                                                            self.cross):
+            attn = layer.self_attn
+            keys[:, :, t] = self._split(x @ attn.w_k.data, x.shape[0])[:, :, 0]
+            values[:, :, t] = self._split(x @ attn.w_v.data, x.shape[0])[:, :, 0]
+            attended = self._attend(x, keys[:, :, :t + 1], values[:, :, :t + 1], attn)
+            x = self._norm(x + attended, layer.ln1_gamma, layer.ln1_beta, layer._eps)
+            crossed = self._attend(x, cross_k, cross_v, layer.cross_attn)
+            x = self._norm(x + crossed, layer.ln2_gamma, layer.ln2_beta, layer._eps)
+            hidden = x @ layer.ffn_w1.data + layer.ffn_b1.data
+            ffn = np.where(hidden > 0, hidden, 0.0) @ layer.ffn_w2.data + layer.ffn_b2.data
+            x = self._norm(x + ffn, layer.ln3_gamma, layer.ln3_beta, layer._eps)
+        self.t += 1
+        return x @ dec.output_w.data + dec.output_b.data
 
 
 def sparse_ce_loss(logits: Tensor, true_ids: Sequence[int], pad_mask) -> Tensor:

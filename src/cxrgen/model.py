@@ -18,7 +18,7 @@ from .encoder import FusionEncoder, FusionResult
 from .errors import ConfigurationError, ContractError, DataError, DimensionError
 from .params import ParameterStore, load_checkpoint, save_checkpoint
 from .records import PatientRecord, ScalarFeatures
-from .tensor import Tensor
+from .tensor import Tensor, no_tape
 from .vocab import END_ID, PAD_ID
 
 from .preprocess import ETHNICITY_UNKNOWN
@@ -220,9 +220,19 @@ class ReportGenerator:
         """(scalar loss, correct tokens, counted tokens) for one sample."""
         return self.loss_for_batch([rec])
 
+    def generate_batch(self, records: Sequence[PatientRecord],
+                       max_len: Optional[int] = None) -> list[list[int]]:
+        """Greedy token ids per record, START included, END if reached. Records
+        nothing on an active tape."""
+        if not records:
+            raise ContractError("generate_batch needs at least one record")
+        with no_tape():
+            rows = self.encode_batch(records).output
+        return self.decoder.generate_batch(rows, len(records), max_len)
+
     def generate(self, rec: PatientRecord, max_len: Optional[int] = None) -> list[int]:
         """Greedy token ids for one record, START included, END if reached."""
-        return self.decoder.generate_greedy(self.encode_record(rec).output, max_len)
+        return self.generate_batch([rec], max_len)[0]
 
     # -- parameters / persistence ----------------------------------------------
     def parameters(self) -> dict[str, Tensor]:

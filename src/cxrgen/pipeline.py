@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -27,7 +26,7 @@ from .records import (PatientRecord, RawRecord, atomic_open, atomic_write_text,
                       read_raw_records, write_jsonl, write_patient_records)
 from .synth import (DatasetManifest, SyntheticConfig, balance_by_unique_reports,
                     generate_synthetic, load_planted_phrases, write_synthetic_dataset)
-from .training import FitResult, TrainConfig, fit, split_dataset
+from .training import EVAL_CHUNK, FitResult, TrainConfig, fit, split_dataset
 from .vocab import Vocabulary
 
 PathLike = Union[str, Path]
@@ -192,7 +191,8 @@ def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfi
 
 def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
                    split: str = "test", inputs: Optional[str] = None) -> int:
-    """Greedy-decode one split; write {sample_id, generated, reference} JSONL.
+    """Greedy-decode one split in batches of ``EVAL_CHUNK`` records; write
+    {sample_id, generated, reference} JSONL.
 
     ``inputs`` overrides the input preset the checkpoint records. Only the
     decoded split and the report vocabulary are read from ``data_dir``.
@@ -205,11 +205,12 @@ def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
     mask = resolve_input_mask(inputs) if inputs is not None else None
     model = ReportGenerator.load(checkpoint, input_mask=mask)
     rows = []
-    for rec in records:
-        ids = model.generate(rec)
-        rows.append({"sample_id": rec.sample_id,
-                     "generated": vocab.text(ids),
-                     "reference": rec.report_text})
+    for start in range(0, len(records), EVAL_CHUNK):
+        chunk = records[start:start + EVAL_CHUNK]
+        for rec, ids in zip(chunk, model.generate_batch(chunk)):
+            rows.append({"sample_id": rec.sample_id,
+                         "generated": vocab.text(ids),
+                         "reference": rec.report_text})
     write_jsonl(out_path, rows)
     return len(rows)
 

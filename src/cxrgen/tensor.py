@@ -2,8 +2,8 @@
 
 The op set is deliberately small. Position-wise ops work on 1-D/2-D rows;
 attention runs batched over leading axes through ``batched_matmul`` and
-``swap_axes``. Forward passes run as plain numpy;
-when a ``GradientTape`` is active, each op also appends a node holding a
+``swap_axes``. Forward passes run as plain numpy; when a ``GradientTape`` is
+active and not paused by ``no_tape``, each op also appends a node holding a
 backward closure. Nodes are appended after their inputs, so a single reverse
 sweep over the tape is a valid topological order.
 
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Mapping, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ Array = np.ndarray
 _STATE = threading.local()
 
 
-def _tape_stack() -> list["GradientTape"]:
+def _tape_stack() -> list[Optional["GradientTape"]]:
     stack = getattr(_STATE, "tapes", None)
     if stack is None:
         stack = []
@@ -39,6 +40,17 @@ def active_tape() -> Optional["GradientTape"]:
     """The innermost tape currently recording on this thread, if any."""
     stack = _tape_stack()
     return stack[-1] if stack else None
+
+
+@contextmanager
+def no_tape() -> Iterator[None]:
+    """Run ops inside without recording them on any tape (inference)."""
+    stack = _tape_stack()
+    stack.append(None)
+    try:
+        yield
+    finally:
+        stack.pop()
 
 
 class Tensor:

@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference gradient checking and the
-per-sample reference loss."""
+"""Shared test utilities: finite-difference gradient checking, the
+per-sample reference loss, and the full-prefix greedy decoder that cached
+decoding is checked against."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from cxrgen.decoder import masked_mean, sparse_ce_loss
+from cxrgen.decoder import _KVCache, masked_mean, sparse_ce_loss
 from cxrgen.tensor import GradientTape, Tensor, add, mul
-from cxrgen.vocab import PAD_ID
+from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-5
@@ -102,3 +103,42 @@ def per_sample_loss(model, records) -> Tensor:
         loss = masked_mean(sparse_ce_loss(logits, labels, pad_mask), pad_mask)
         total = loss if total is None else add(total, loss)
     return mul(total, 1.0 / len(records))
+
+
+def greedy_full_prefix(decoder, encoder_rows: Tensor) -> list[int]:
+    """Reference for ``ReportDecoder.generate_batch`` on one record: argmax
+    decoding from START that re-runs ``teacher_forced_forward`` on the whole
+    prefix for every token, until END or ``report_len`` ids."""
+    ids = [START_ID]
+    while len(ids) < decoder.config.report_len:
+        logits = decoder.teacher_forced_forward(encoder_rows, ids)
+        nxt = int(np.argmax(logits.data[-1]))
+        ids.append(nxt)
+        if nxt == END_ID:
+            break
+    return ids
+
+
+def check_cached_decoding(decoder, encoder_rows: Tensor, batch_size: int) -> list[list[int]]:
+    """Assert that ``generate_batch`` gives every record the ids of
+    ``greedy_full_prefix``, and that each cached step's logits are within
+    1e-9 of the last row of ``teacher_forced_forward`` on that prefix.
+    Returns the ids."""
+    n = encoder_rows.shape[0] // batch_size
+    per_record = [Tensor(encoder_rows.data[n * b:n * (b + 1)]) for b in range(batch_size)]
+    expected = [greedy_full_prefix(decoder, rows) for rows in per_record]
+    assert decoder.generate_batch(encoder_rows, batch_size) == expected
+    # step the cache along the greedy ids, dropping records after their END
+    cache = _KVCache(decoder, encoder_rows, batch_size, decoder.config.report_len)
+    active = list(range(batch_size))
+    for t in range(decoder.config.report_len - 1):
+        logits = cache.step(np.array([expected[b][t] for b in active]))
+        for row, b in enumerate(active):
+            full = decoder.teacher_forced_forward(per_record[b], expected[b][:t + 1])
+            np.testing.assert_allclose(logits[row], full.data[-1], rtol=0, atol=1e-9)
+        going = np.array([len(expected[b]) > t + 2 for b in active])
+        active = [b for b, g in zip(active, going) if g]
+        if not active:
+            break
+        cache.keep(going)
+    return expected

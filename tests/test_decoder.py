@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxrgen.decoder import (ReportDecoder, masked_mean,
                             sinusoidal_positions, sparse_ce_loss, token_accuracy)
-from cxrgen.errors import ConfigurationError, ContractError, DimensionError
+from cxrgen.errors import ContractError, DimensionError
 from cxrgen.model import ModelConfig
 from cxrgen.params import ParameterStore
-from cxrgen.tensor import GradientTape, Tensor, reduce_sum, mul
+from cxrgen.tensor import GradientTape, Tensor
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
-from helpers import check_gradients
+from helpers import check_cached_decoding, check_gradients, greedy_full_prefix
 
 
 def tiny_decoder(seed=0, **overrides):
@@ -23,6 +25,13 @@ def tiny_decoder(seed=0, **overrides):
 
 def encoder_rows(seed=1, n=3, d=8):
     return Tensor(np.random.default_rng(seed).standard_normal((n, d)))
+
+
+def set_end_bias(store, value):
+    bias = store["decoder.output.b"]
+    tuned = bias.data.copy()
+    tuned[END_ID] = value
+    bias.data = tuned
 
 
 class TestSinusoidalPositions:
@@ -167,42 +176,77 @@ class TestSparseCeLoss:
 class TestGreedyGeneration:
     def test_starts_with_start_and_caps_length(self):
         dec, _ = tiny_decoder()
-        ids = dec.generate_greedy(encoder_rows())
+        ids = dec.generate_batch(encoder_rows(), 1)[0]
         assert ids[0] == START_ID
         assert len(ids) <= dec.config.report_len
 
     def test_deterministic(self):
         dec, _ = tiny_decoder()
         enc = encoder_rows()
-        assert dec.generate_greedy(enc) == dec.generate_greedy(enc)
+        assert dec.generate_batch(enc, 1) == dec.generate_batch(enc, 1)
 
     def test_stops_at_end_token(self):
         dec, store = tiny_decoder()
-        # bias the output projection so END always wins
-        bias = store["decoder.output.b"]
-        boosted = bias.data.copy()
-        boosted[END_ID] = 50.0
-        bias.data = boosted
-        ids = dec.generate_greedy(encoder_rows())
+        set_end_bias(store, 50.0)  # END always wins
+        ids = dec.generate_batch(encoder_rows(), 1)[0]
         assert ids == [START_ID, END_ID]
 
     def test_max_len_override_validated(self):
         dec, _ = tiny_decoder(report_len=6)
         with pytest.raises(ContractError):
-            dec.generate_greedy(encoder_rows(), max_len=7)
-        assert len(dec.generate_greedy(encoder_rows(), max_len=3)) <= 3
+            dec.generate_batch(encoder_rows(), 1, max_len=7)
+        assert len(dec.generate_batch(encoder_rows(), 1, max_len=3)[0]) <= 3
 
     def test_matches_stepwise_argmax(self):
         dec, _ = tiny_decoder(seed=5)
         enc = encoder_rows(seed=6)
-        ids = [START_ID]
-        for _ in range(dec.config.report_len - 1):
-            logits = dec.teacher_forced_forward(enc, ids)
-            nxt = int(np.argmax(logits.data[-1]))
-            ids.append(nxt)
-            if nxt == END_ID:
-                break
-        assert dec.generate_greedy(enc) == ids
+        assert dec.generate_batch(enc, 1)[0] == greedy_full_prefix(dec, enc)
+
+    def test_records_stop_at_different_steps(self):
+        dec, store = tiny_decoder(seed=1)
+        set_end_bias(store, 1.5)  # END wins for some records early, for others never
+        enc = Tensor(np.random.default_rng(2).standard_normal((6 * 3, 8)) * 2)
+        batch = dec.generate_batch(enc, 6)
+        cap = dec.config.report_len
+        lengths = [len(ids) for ids in batch]
+        assert min(lengths) < cap and max(lengths) == cap
+        assert len({n for n in lengths if n < cap}) > 1
+        for b, ids in enumerate(batch):
+            assert ids == greedy_full_prefix(dec, Tensor(enc.data[3 * b:3 * b + 3]))
+            assert END_ID not in ids[:-1]
+            if len(ids) < cap:
+                assert ids[-1] == END_ID
+
+    def test_max_len_one_is_start_only(self):
+        dec, _ = tiny_decoder()
+        assert dec.generate_batch(encoder_rows(n=9), 3, max_len=1) == [[START_ID]] * 3
+        for bad in (0, -1, dec.config.report_len + 1):
+            with pytest.raises(ContractError):
+                dec.generate_batch(encoder_rows(), 1, max_len=bad)
+
+    def test_rows_must_split_into_the_batch(self):
+        dec, _ = tiny_decoder()
+        with pytest.raises(DimensionError):
+            dec.generate_batch(encoder_rows(n=5), 2)
+        with pytest.raises(DimensionError):
+            dec.generate_batch(Tensor(np.zeros((3, 7))), 1)
+
+    def test_records_nothing_on_an_active_tape(self):
+        dec, _ = tiny_decoder()
+        with GradientTape() as tape:
+            dec.teacher_forced_forward(encoder_rows(), [START_ID, 4])
+            before = len(tape)
+            dec.generate_batch(encoder_rows(n=6), 2)
+            assert len(tape) == before > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.integers(1, 6), seed=st.integers(0, 2**16),
+           layers=st.integers(1, 2), heads=st.sampled_from([1, 2, 3]),
+           end_bias=st.floats(0.0, 2.0))
+    def test_cached_steps_match_the_full_prefix(self, batch, seed, layers, heads, end_bias):
+        dec, store = tiny_decoder(seed=seed, decoder_layers=layers, num_heads=heads)
+        set_end_bias(store, end_bias)  # larger values end records earlier, at varied steps
+        check_cached_decoding(dec, encoder_rows(seed=seed + 1, n=3 * batch), batch)
 
 
 class TestDecoderGradients:

@@ -19,7 +19,7 @@ from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.tensor import GradientTape
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
-from helpers import per_sample_loss
+from helpers import check_cached_decoding, per_sample_loss
 
 
 def _scalars(**overrides):
@@ -315,6 +315,45 @@ class TestGenerate:
         model = _tiny_model()
         ids = model.generate(_record(), max_len=3)
         assert len(ids) <= 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), preset=st.sampled_from(sorted(INPUT_PRESETS)))
+    def test_batch_matches_the_full_prefix_reference(self, data, preset):
+        """Cached batch decoding gives every record the full-prefix ids, and
+        each step's logits match the full-prefix forward."""
+        model = _tiny_model(seed=data.draw(st.integers(0, 2**16)),
+                            input_mask=INPUT_PRESETS[preset])
+        bias = model.store["decoder.output.b"]
+        tuned = bias.data.copy()
+        tuned[END_ID] = data.draw(st.floats(0.0, 2.0))  # records end at varied steps
+        bias.data = tuned
+        records = [dataclasses.replace(_record(seed=data.draw(st.integers(0, 1000))),
+                                       sample_id=f"r{i}", ethnicity=1 + i % 9,
+                                       chief_ids=[5 + i % 3, 6])
+                   for i in range(data.draw(st.integers(1, 6), label="batch size"))]
+        ids = check_cached_decoding(model.decoder, model.encode_batch(records).output,
+                                    len(records))
+        assert model.generate_batch(records) == ids
+        assert [model.generate(rec) for rec in records] == ids
+
+    def test_max_len_bounds(self):
+        model = _tiny_model()
+        records = [_record(seed=i) for i in range(3)]
+        assert model.generate_batch(records, max_len=1) == [[START_ID]] * 3
+        for bad in (0, model.config.report_len + 1):
+            with pytest.raises(ContractError):
+                model.generate_batch(records, max_len=bad)
+        with pytest.raises(ContractError):
+            model.generate_batch([])
+
+    def test_records_nothing_on_an_active_tape(self):
+        model = _tiny_model()
+        with GradientTape() as tape:
+            model.loss_for_batch([_record()])
+            before = len(tape)
+            model.generate_batch([_record(seed=1), _record(seed=2)])
+            model.generate(_record(seed=3))
+            assert len(tape) == before > 0
 
 
 class TestCheckpointRoundTrip:

@@ -172,6 +172,37 @@ class TestGenerationStage:
         run_generation(tmp_path, workspace["run"] / "checkpoint.npz", out)
         assert out.read_bytes() == workspace["generated"].read_bytes()
 
+    def test_decodes_in_chunks_of_eval_chunk(self, workspace, tmp_path, monkeypatch):
+        import cxrgen.model
+        import cxrgen.pipeline
+        sizes = []
+        original = cxrgen.model.ReportGenerator.generate_batch
+
+        def counted(self, records, max_len=None):
+            sizes.append(len(records))
+            return original(self, records, max_len)
+
+        monkeypatch.setattr(cxrgen.model.ReportGenerator, "generate_batch", counted)
+        monkeypatch.setattr(cxrgen.pipeline, "EVAL_CHUNK", 3)
+        out = tmp_path / "generated.jsonl"
+        assert run_generation(workspace["prep"], workspace["run"] / "checkpoint.npz",
+                              out) == 10
+        assert sizes == [3, 3, 3, 1]
+        assert out.read_bytes() == workspace["generated"].read_bytes()
+
+    def test_empty_split_writes_an_empty_file(self, workspace, tmp_path, monkeypatch):
+        import cxrgen.model
+
+        def refuse(self, records):
+            raise AssertionError(f"encode_batch called with {len(records)} records")
+
+        monkeypatch.setattr(cxrgen.model.ReportGenerator, "encode_batch", refuse)
+        (tmp_path / "test.jsonl").write_text("")
+        shutil.copy(workspace["prep"] / "report_vocab.json", tmp_path / "report_vocab.json")
+        out = tmp_path / "generated.jsonl"
+        assert run_generation(tmp_path, workspace["run"] / "checkpoint.npz", out) == 0
+        assert out.read_bytes() == b""
+
 
 class TestEvaluationStage:
     def test_report_written_and_deterministic(self, workspace):

@@ -1,6 +1,5 @@
 """Preprocessing: golden text rules, encodings, normalization, outliers."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -11,7 +11,7 @@ from cxrgen.errors import ConfigurationError, ContractError, TrainingError
 from cxrgen.params import ParameterStore
 from cxrgen.tensor import GradientTape, Tensor, add, mul, reduce_sum, sub
 from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EarlyStopper,
-                             FitResult, OptimizerState, TrainConfig, adam_step,
+                             OptimizerState, TrainConfig, adam_step,
                              clip_gradients, evaluate_split, fit, lr_at_step,
                              split_dataset)
 
