@@ -27,3 +27,7 @@ class EvaluationError(CxrgenError):
 
 class TrainingError(CxrgenError):
     """Optimization failed, e.g. non-finite gradients."""
+
+
+class NonFiniteGradientError(TrainingError):
+    """A gradient holds NaN or infinity: the run diverged."""

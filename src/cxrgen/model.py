@@ -268,7 +268,8 @@ class ReportGenerator:
     def load(cls, path, input_mask: Optional[InputMask] = None) -> "ReportGenerator":
         """Rebuild a saved model. Without ``input_mask`` it conditions on the
         input preset the checkpoint records (all inputs if none is recorded).
-        Parameters are allocated by shape only; no initializer draws."""
+        Each parameter takes the checkpoint's array itself; no initializer
+        draws or allocates."""
         state, meta = load_checkpoint(path)
         if input_mask is None and "inputs" in meta:
             input_mask = resolve_input_mask(meta["inputs"])
@@ -277,10 +278,14 @@ class ReportGenerator:
             sizes = meta["vocab_sizes"]
             model = cls.__new__(cls)
             model._build(config, (int(sizes["report"]), int(sizes["chief"]), int(sizes["icd"])),
-                         input_mask, ParameterStore.for_loading())
+                         input_mask, ParameterStore.for_loading(state))
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"checkpoint {path} lacks model metadata: {exc}") from exc
-        model.load_state_dict(state)
+        except DataError as exc:
+            raise DataError(f"checkpoint {path}: {exc}") from exc
+        unexpected = sorted(set(state) - set(model.store.parameters))
+        if unexpected:
+            raise DataError(f"checkpoint {path}: unexpected parameters {unexpected}")
         return model
 
 

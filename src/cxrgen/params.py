@@ -6,7 +6,7 @@ import contextlib
 import json
 import zipfile
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,22 +32,38 @@ class ParameterStore:
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         self._rng: Optional[np.random.Generator] = rng
+        self._source: Optional[Mapping[str, Array]] = None
         self._params: dict[str, Tensor] = {}
 
     @classmethod
-    def for_loading(cls) -> "ParameterStore":
-        """A store whose initializers allocate zeros and draw nothing, for a
-        model whose every value is about to come from a checkpoint."""
+    def for_loading(cls, state: Mapping[str, Array]) -> "ParameterStore":
+        """A store whose initializers draw and allocate nothing: each hands its
+        path the array ``state`` holds for it, as is, for a model whose every
+        value comes from a checkpoint. A path ``state`` lacks or holds in
+        another shape raises a DataError naming it."""
         store = cls.__new__(cls)
-        store._rng, store._params = None, {}
+        store._rng, store._source, store._params = None, state, {}
         return store
 
-    def _register(self, path: str, data: Array) -> Tensor:
+    def _register(self, path: str, shape: Sequence[int],
+                  init: Callable[[tuple], Array]) -> Tensor:
         if path in self._params:
             raise ConfigurationError(f"duplicate parameter path: {path!r}")
+        shape = tuple(int(s) for s in shape)
+        data = init(shape) if self._source is None else self._take(path, shape)
         t = Tensor(data, requires_grad=True)
         self._params[path] = t
         return t
+
+    def _take(self, path: str, shape: tuple) -> Array:
+        if path not in self._source:
+            raise DataError(f"missing parameter {path!r}")
+        # adam_step updates parameters in place: C order, writeable
+        arr = np.require(self._source[path], np.float64, ["C", "W"])
+        if arr.shape != shape:
+            raise DataError(f"shape mismatch for {path!r}: checkpoint {arr.shape}, "
+                            f"model {shape}")
+        return arr
 
     def dense(self, path: str, shape: Sequence[int], blocks: int = 1) -> Tensor:
         """Fan-in scaled uniform init for dense / attention projections.
@@ -56,26 +72,24 @@ class ParameterStore:
         another, so a fused per-head projection equals the per-head draws
         placed side by side.
         """
-        rows, cols = (int(s) for s in shape)
-        if self._rng is None:
-            return self._register(path, np.zeros((rows, cols)))
-        bound = 1.0 / np.sqrt(max(1, rows))
-        parts = [self._rng.uniform(-bound, bound, size=(rows, cols // blocks))
-                 for _ in range(blocks)]
-        return self._register(path, parts[0] if blocks == 1 else np.concatenate(parts, axis=1))
+        def draw(shape):
+            rows, cols = shape
+            bound = 1.0 / np.sqrt(max(1, rows))
+            parts = [self._rng.uniform(-bound, bound, size=(rows, cols // blocks))
+                     for _ in range(blocks)]
+            return parts[0] if blocks == 1 else np.concatenate(parts, axis=1)
+        return self._register(path, shape, draw)
 
     def embedding(self, path: str, shape: Sequence[int]) -> Tensor:
         """N(0, 0.02) init for embedding tables."""
-        shape = tuple(int(s) for s in shape)
-        if self._rng is None:
-            return self._register(path, np.zeros(shape))
-        return self._register(path, self._rng.normal(0.0, 0.02, size=shape))
+        return self._register(path, shape,
+                              lambda shape: self._rng.normal(0.0, 0.02, size=shape))
 
     def zeros(self, path: str, shape: Sequence[int]) -> Tensor:
-        return self._register(path, np.zeros(tuple(int(s) for s in shape)))
+        return self._register(path, shape, np.zeros)
 
     def ones(self, path: str, shape: Sequence[int]) -> Tensor:
-        return self._register(path, np.ones(tuple(int(s) for s in shape)))
+        return self._register(path, shape, np.ones)
 
     @property
     def parameters(self) -> dict[str, Tensor]:
@@ -95,17 +109,20 @@ class ParameterStore:
         return {path: t.data.copy() for path, t in self._params.items()}
 
     def load_state_dict(self, state: Mapping[str, Array]) -> None:
-        """Rebind parameter data from ``state``; key sets must match exactly."""
+        """Copy ``state`` into each parameter's own array; key sets and shapes
+        must match exactly, and nothing is copied unless all do. No parameter
+        takes a ``state`` array, so a later in-place update cannot reach it."""
         missing = sorted(set(self._params) - set(state))
         extra = sorted(set(state) - set(self._params))
         if missing or extra:
             raise DataError(f"state dict mismatch; missing={missing} unexpected={extra}")
+        arrays = {path: np.asarray(state[path], dtype=np.float64) for path in self._params}
         for path, t in self._params.items():
-            arr = np.asarray(state[path], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise DataError(
-                    f"shape mismatch for {path!r}: checkpoint {arr.shape}, model {t.data.shape}")
-            t.data = arr
+            if arrays[path].shape != t.data.shape:
+                raise DataError(f"shape mismatch for {path!r}: checkpoint "
+                                f"{arrays[path].shape}, model {t.data.shape}")
+        for path, t in self._params.items():
+            np.copyto(t.data, arrays[path])
 
 
 def save_checkpoint(path: Union[str, Path], state: Mapping[str, Array],

@@ -7,9 +7,10 @@ active and not paused by ``no_tape``, each op also appends a node holding a
 backward closure. Nodes are appended after their inputs, so a single reverse
 sweep over the tape is a valid topological order.
 
-Tensors are treated as immutable once constructed. The optimizer swaps in a
-fresh ``data`` array between steps instead of mutating in place, which keeps
-closures recorded on an older tape valid.
+Ops never write into a tensor's ``data``. The optimizer does: ``adam_step``
+updates each parameter's array in place between steps. That is safe because a
+tape serves one step: its backward closures, which read the old values, have
+all run before the update, and the next step records a fresh tape.
 """
 
 from __future__ import annotations

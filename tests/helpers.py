@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, the
-per-sample reference loss, and the full-prefix greedy decoder that cached
-decoding is checked against."""
+per-sample reference loss, the full-prefix greedy decoder that cached
+decoding is checked against, and the out-of-place Adam update that the
+in-place one is checked against."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from cxrgen.decoder import _KVCache, masked_mean, sparse_ce_loss
 from cxrgen.tensor import GradientTape, Tensor, add, mul
+from cxrgen.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
 FD_STEP = 1e-5
@@ -103,6 +105,18 @@ def per_sample_loss(model, records) -> Tensor:
         loss = masked_mean(sparse_ce_loss(logits, labels, pad_mask), pad_mask)
         total = loss if total is None else add(total, loss)
     return mul(total, 1.0 / len(records))
+
+
+def adam_reference(theta: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,
+                   step: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for ``adam_step`` on one parameter: the bias-corrected update
+    written out of place. ``step`` is the counter after the increment, as in
+    ``adam_step``. Returns new (theta, m, v) arrays."""
+    bc1 = 1.0 - ADAM_BETA1 ** step
+    bc2 = 1.0 - ADAM_BETA2 ** step
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    return theta - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS), m, v
 
 
 def greedy_full_prefix(decoder, encoder_rows: Tensor) -> list[int]:

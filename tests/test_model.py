@@ -434,6 +434,105 @@ class TestCheckpointRoundTrip:
         assert override.input_mask == InputMask.all_inputs()
 
 
+class TestParametersOwnTheirArrays:
+    """Adam updates parameters in place, so no parameter may share its array
+    with a caller, except a freshly read checkpoint's."""
+
+    def test_load_state_dict_copies(self):
+        model = _tiny_model(seed=1)
+        state = _tiny_model(seed=2).state_dict()
+        model.load_state_dict(state)
+        kept = {k: a.copy() for k, a in state.items()}
+        for a in state.values():
+            a += 1.0
+        for k, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, kept[k])
+
+    def test_load_state_dict_rejects_mismatches_without_loading(self):
+        model = _tiny_model(seed=1)
+        before = model.state_dict()
+        state = _tiny_model(seed=2).state_dict()
+        with pytest.raises(DataError, match=r"missing=\['decoder.output.b'\]"):
+            model.load_state_dict({k: a for k, a in state.items() if k != "decoder.output.b"})
+        with pytest.raises(DataError, match=r"unexpected=\['extra'\]"):
+            model.load_state_dict({**state, "extra": np.zeros(2)})
+        with pytest.raises(DataError, match="'decoder.output.w'"):
+            model.load_state_dict({**state, "decoder.output.w": np.zeros((2, 2))})
+        for k, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, before[k])
+
+    def test_load_hands_parameters_the_checkpoint_arrays(self, tmp_path, monkeypatch):
+        import cxrgen.model as model_module
+        path = tmp_path / "ckpt.npz"
+        _tiny_model(seed=3).save(path)
+        original, read = model_module.load_checkpoint, {}
+
+        def spy(p):
+            read["state"], meta = original(p)
+            return read["state"], meta
+
+        monkeypatch.setattr(model_module, "load_checkpoint", spy)
+        again = ReportGenerator.load(path)
+        for k, p in again.parameters().items():
+            assert p.data is read["state"][k]
+
+    @pytest.mark.parametrize("edit, names", [
+        (lambda s: s.pop("decoder.output.b"), "missing parameter 'decoder.output.b'"),
+        (lambda s: s.update(extra=np.zeros(2)), r"unexpected parameters \['extra'\]"),
+        (lambda s: s.update({"decoder.output.w": np.zeros((3, 3))}),
+         "shape mismatch for 'decoder.output.w'"),
+    ], ids=["missing", "unexpected", "shape"])
+    def test_load_names_file_and_parameter(self, tmp_path, edit, names):
+        from cxrgen.params import load_checkpoint, save_checkpoint
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        _tiny_model(seed=3).save(good)
+        state, meta = load_checkpoint(good)
+        edit(state)
+        save_checkpoint(bad, state, meta)
+        with pytest.raises(DataError, match=names) as info:
+            ReportGenerator.load(bad)
+        assert str(bad) in str(info.value)
+
+    def test_fresh_forward_after_update_equals_loaded_model(self, tmp_path):
+        """Forward, backward and Adam, then a fresh forward on the same (now
+        updated in place) parameters: loss and gradients equal those of a
+        model loaded from the updated values."""
+        from cxrgen.training import OptimizerState, adam_step
+        model = _tiny_model(seed=3)
+        records = [_record(seed=i) for i in range(3)]
+        params = model.parameters()
+        state = OptimizerState.for_parameters(params)
+        for _ in range(2):
+            with GradientTape() as tape:
+                loss, _, _ = model.loss_for_batch(records)
+            tape.backward(loss)
+            adam_step(params, tape.gradients(params), state, 1e-2)
+        model.save(tmp_path / "ckpt.npz")
+        results = []
+        for m in (model, ReportGenerator.load(tmp_path / "ckpt.npz")):
+            with GradientTape() as tape:
+                loss, _, _ = m.loss_for_batch(records)
+            tape.backward(loss)
+            results.append((loss.item(), tape.gradients(m.parameters())))
+        assert results[0][0] == results[1][0]
+        for k, g in results[0][1].items():
+            np.testing.assert_array_equal(g, results[1][1][k])
+
+    def test_loaded_model_takes_an_adam_step(self, tmp_path):
+        from cxrgen.training import OptimizerState, adam_step
+        path = tmp_path / "ckpt.npz"
+        _tiny_model(seed=4).save(path)
+        model = ReportGenerator.load(path)
+        params = model.parameters()
+        before = model.state_dict()
+        with GradientTape() as tape:
+            loss, _, _ = model.loss_for_batch([_record(seed=1), _record(seed=2)])
+        tape.backward(loss)
+        adam_step(params, tape.gradients(params), OptimizerState.for_parameters(params), 0.1)
+        moved = [k for k, p in params.items() if not np.array_equal(p.data, before[k])]
+        assert "decoder.output.w" in moved
+
+
 class TestCheckpointFile:
     """The v2 container: one npz file, written atomically, checked on read."""
 

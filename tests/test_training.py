@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrgen.errors import ConfigurationError, ContractError, TrainingError
+from cxrgen.errors import (ConfigurationError, ContractError, NonFiniteGradientError,
+                           TrainingError)
+from cxrgen.model import ModelConfig, ReportGenerator
 from cxrgen.params import ParameterStore
 from cxrgen.tensor import GradientTape, Tensor, add, mul, reduce_sum, sub
-from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EarlyStopper,
-                             OptimizerState, TrainConfig, adam_step,
+from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS,
+                             EarlyStopper, OptimizerState, TrainConfig, adam_step,
                              clip_gradients, evaluate_split, fit, lr_at_step,
                              split_dataset)
+
+from helpers import adam_reference
 
 
 class TestLrSchedule:
@@ -117,6 +121,96 @@ class TestAdam:
             tape.backward(loss)
             adam_step(params, tape.gradients(params), state, lr=0.05)
         assert x.data[0] == pytest.approx(3.0, abs=1e-3)
+
+
+def _check_against_reference(params, state, grads, lr):
+    """One ``adam_step`` and one ``adam_reference`` per parameter, from the
+    same values; every array must come out bit-identical."""
+    before = {k: (p.data.copy(), state.m[k].copy(), state.v[k].copy())
+              for k, p in params.items()}
+    adam_step(params, grads, state, lr)
+    for k, p in params.items():
+        theta, m, v = adam_reference(*before[k], grads[k], state.step, lr)
+        np.testing.assert_array_equal(p.data, theta)
+        np.testing.assert_array_equal(state.m[k], m)
+        np.testing.assert_array_equal(state.v[k], v)
+
+
+# sizes either side of each chunk boundary; 2-D where the size factors
+ADAM_SHAPES = [(), (1,), (ADAM_CHUNK - 1,), (ADAM_CHUNK,), (3, (ADAM_CHUNK + 1) // 3),
+               (3, (2 * ADAM_CHUNK + 5) // 3)]
+
+
+class TestInPlaceAdam:
+    """``adam_step`` writes into the arrays it is given, chunk by chunk, and
+    matches the out-of-place expression bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(shapes=st.lists(st.sampled_from(ADAM_SHAPES), min_size=1, max_size=3),
+           lrs=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4),
+           seed=st.integers(0, 2**16))
+    def test_bit_identical_to_reference(self, shapes, lrs, seed):
+        rng = np.random.default_rng(seed)
+        store = ParameterStore(seed)
+        params = {f"p{i}": store.embedding(f"p{i}", shape) for i, shape in enumerate(shapes)}
+        state = OptimizerState.for_parameters(params)
+        for lr in lrs:
+            grads = {k: rng.standard_normal(p.shape) * rng.uniform(1e-3, 1e3)
+                     for k, p in params.items()}
+            _check_against_reference(params, state, grads, lr)
+        assert state.step == len(lrs)
+
+    def test_full_size_model_five_steps(self):
+        model = ReportGenerator(ModelConfig(), vocab_size=64, chief_vocab_size=40,
+                                icd_vocab_size=60, seed=0)
+        params = model.parameters()
+        state = OptimizerState.for_parameters(params)
+        rng = np.random.default_rng(0)
+        for step in range(1, 6):
+            grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+            _check_against_reference(params, state, grads, lr=3e-4 * step / 4)
+        assert state.step == 5
+
+    def test_updates_the_parameters_own_arrays(self):
+        store = ParameterStore(0)
+        params = {"w": store.dense("w", (4, 3)), "s": store.zeros("s", ())}
+        arrays = {k: p.data for k, p in params.items()}
+        state = OptimizerState.for_parameters(params)
+        moments = {k: (state.m[k], state.v[k]) for k in params}
+        _check_against_reference(params, state, {"w": np.ones((4, 3)), "s": np.array(2.0)},
+                                  0.1)
+        for k, p in params.items():
+            assert p.data is arrays[k]
+            assert state.m[k] is moments[k][0] and state.v[k] is moments[k][1]
+        assert params["s"].data == pytest.approx(-0.1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.asfortranarray(np.ones((3, 2))),
+        lambda: np.ones((3, 4))[:, ::2],
+        lambda: np.broadcast_to(np.ones(2), (3, 2)),
+        lambda: np.ones((3, 2)).astype(np.float32),
+    ], ids=["fortran", "strided", "read-only", "float32"])
+    def test_rejects_arrays_it_cannot_update_in_place(self, make):
+        store = ParameterStore(0)
+        params = {"ok": store.dense("ok", (3, 2)), "odd": store.dense("odd", (3, 2))}
+        state = OptimizerState.for_parameters(params)
+        params["odd"].data = make()
+        before = params["ok"].data.copy()
+        with pytest.raises(ContractError, match="'odd'"):
+            adam_step(params, {k: np.ones((3, 2)) for k in params}, state, 0.1)
+        np.testing.assert_array_equal(params["ok"].data, before)
+        assert state.step == 0
+
+    def test_non_finite_gradient_is_a_training_error(self):
+        store = ParameterStore(0)
+        params = {"w": store.zeros("w", (2,))}
+        state = OptimizerState.for_parameters(params)
+        with pytest.raises(NonFiniteGradientError, match="'w'") as info:
+            adam_step(params, {"w": np.array([np.inf, 0.0])}, state, 0.1)
+        assert isinstance(info.value, TrainingError)
+        with pytest.raises(TrainingError) as info:
+            adam_step(params, {"w": np.zeros(3)}, state, 0.1)
+        assert not isinstance(info.value, NonFiniteGradientError)
 
 
 class TestClipGradients:
@@ -385,6 +479,27 @@ class TestFit:
         for path in m_before:
             np.testing.assert_array_equal(states[0].m[path], m_before[path])
             np.testing.assert_array_equal(states[0].v[path], v_before[path])
+
+    def test_gradient_shape_error_is_not_divergence(self, monkeypatch):
+        """fit learns of a non-finite gradient only through adam_step's
+        NonFiniteGradientError; any other rejection propagates."""
+        model = _VectorModel(2)
+        monkeypatch.setattr(GradientTape, "gradients",
+                            lambda tape, parameters: {k: np.zeros(3) for k in parameters})
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=2)
+        with pytest.raises(TrainingError, match="gradient shape"):
+            fit(model, [1.0, 2.0], [1.5], cfg)
+
+    def test_second_fit_leaves_first_best_state_alone(self):
+        model = _VectorModel(2)
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=3,
+                          early_stop_patience=5, seed=0)
+        first = fit(model, [1.0, 2.0, 1.0, 2.0], [1.5], cfg)
+        kept = {k: a.copy() for k, a in first.best_state.items()}
+        second = fit(model, [4.0, 4.0], [4.0], cfg)
+        assert second.best_state["x0"][0] != kept["x0"][0]
+        for k, a in first.best_state.items():
+            np.testing.assert_array_equal(a, kept[k])
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigurationError):
