@@ -4,6 +4,14 @@ BLEU follows the classic clipped-precision definition with the geometric
 mean over orders 1..n and the short-candidate brevity penalty; there is no
 smoothing unless explicitly requested, so any zero precision zeroes the
 score. ROUGE-L is the LCS-based F-measure with a recall-weighted beta.
+Embedding F1 greedily matches token vectors by cosine similarity.
+
+``corpus_evaluate`` scores a whole corpus at once from one corpus-local
+``{token: id}`` encoding. The clipped n-gram matches of every pair come
+from integer n-gram codes counted with numpy, the LCS is the bit-parallel
+recurrence on Python ints, and the embedding provider is asked once per
+distinct token. ``bleu``, ``rouge_l`` and ``embedding_f1`` run the same
+kernels on one pair, so a pair scores the same bit for bit either way.
 """
 
 from __future__ import annotations
@@ -12,8 +20,8 @@ import csv
 import hashlib
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 
@@ -27,6 +35,55 @@ Tokens = Sequence[str]
 # BLEU-1 histogram buckets; the last one includes its upper edge.
 BLEU_BUCKET_EDGES = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
 BLEU_BUCKET_LABELS = ("[0.0,0.1)", "[0.1,0.3)", "[0.3,0.5)", "[0.5,0.7)", "[0.7,1.0]")
+MAX_BLEU_ORDER = 4
+
+
+def _encode(seqs: Sequence[Tokens]) -> tuple[list, np.ndarray, list]:
+    """Corpus-local ids: the distinct tokens in first-seen order, the id of
+    every token of every sequence in one flat array, and each sequence's
+    start offset in it (``len(seqs) + 1`` entries)."""
+    flat = list(chain.from_iterable(seqs))
+    vocab = list(dict.fromkeys(flat))
+    index = dict(zip(vocab, range(len(vocab))))
+    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    offsets = [0]
+    for seq in seqs:
+        offsets.append(offsets[-1] + len(seq))
+    return vocab, ids, offsets
+
+
+def _clipped_matches(ids: np.ndarray, offsets: Sequence[int], pairs: int,
+                     max_n: int) -> np.ndarray:
+    """[pairs, max_n] clipped n-gram matches of candidate ``p`` (sequence ``p``
+    of the encoding) against reference ``p`` (sequence ``pairs + p``).
+
+    Each window of ``n`` tokens gets a key: the rank of (the key of the
+    window of ``n - 1`` tokens that starts where it does, its last token id),
+    where the keys of single tokens rank (pair, token id). So a key names a
+    pair and an n-gram, stays below the token count, and is shared by the
+    candidate and the reference of that pair. Windows that cross a sequence
+    boundary get keys too but are never counted."""
+    lengths = np.diff(offsets)
+    seq = np.repeat(np.arange(lengths.size), lengths)
+    pair, is_ref = seq % pairs, seq >= pairs
+    width = len(ids) + 1
+    matches = np.zeros((pairs, max_n), dtype=np.int64)
+    key = pair * width + ids
+    for n in range(1, max_n + 1):
+        if n > 1:
+            key = key[:-1] * width + ids[n - 1:]
+        if key.size == 0:
+            break
+        distinct, key = np.unique(key, return_inverse=True)
+        inside = seq[:key.size] == seq[n - 1:]
+        ref = is_ref[:key.size]
+        cand_counts = np.bincount(key[inside & ~ref], minlength=distinct.size)
+        ref_counts = np.bincount(key[inside & ref], minlength=distinct.size)
+        key_pair = np.empty(distinct.size, dtype=np.int64)
+        key_pair[key] = pair[:key.size]
+        matches[:, n - 1] = np.bincount(key_pair, weights=np.minimum(cand_counts, ref_counts),
+                                        minlength=pairs)
+    return matches
 
 
 @dataclass(frozen=True)
@@ -41,40 +98,23 @@ class BleuResult:
     empty_candidate: bool = False
 
 
-def _ngram_counts(tokens: Tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
-def bleu(candidate: Tokens, reference: Tokens, max_n: int = 4,
-         smooth: bool = False) -> BleuResult:
-    """Sentence BLEU of ``candidate`` against a single reference.
-
-    ``smooth`` applies add-one smoothing to orders >= 2 (corpus reporting
-    convenience); the default is the strict unsmoothed definition.
-    An empty candidate scores zero everywhere and is flagged.
-    """
-    if not 1 <= max_n <= 4:
-        raise ConfigurationError(f"max_n must be in 1..4, got {max_n}")
-    cand = list(candidate)
-    ref = list(reference)
-    c, r = len(cand), len(ref)
+def _bleu_result(matches: Sequence[int], c: int, r: int, smooth: bool) -> BleuResult:
+    """BLEU-1..len(matches) of a length-``c`` candidate against a length-``r``
+    reference, from its clipped n-gram ``matches`` per order."""
+    max_n = len(matches)
     if c == 0:
         zeros = (0.0,) * max_n
         return BleuResult(zeros, 0.0, zeros, 0, r, empty_candidate=True)
 
     precisions = []
-    for n in range(1, max_n + 1):
+    for n, hits in enumerate(matches, start=1):
         total = max(0, c - n + 1)
         if total == 0:
             precisions.append(0.0)
-            continue
-        ref_counts = _ngram_counts(ref, n)
-        matches = sum(min(count, ref_counts[gram])
-                      for gram, count in _ngram_counts(cand, n).items())
-        if smooth and n >= 2:
-            precisions.append((matches + 1) / (total + 1))
+        elif smooth and n >= 2:
+            precisions.append((hits + 1) / (total + 1))
         else:
-            precisions.append(matches / total)
+            precisions.append(hits / total)
 
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     scores = []
@@ -87,6 +127,23 @@ def bleu(candidate: Tokens, reference: Tokens, max_n: int = 4,
     return BleuResult(tuple(precisions), bp, tuple(scores), c, r)
 
 
+def bleu(candidate: Tokens, reference: Tokens, max_n: int = MAX_BLEU_ORDER,
+         smooth: bool = False) -> BleuResult:
+    """Sentence BLEU of ``candidate`` against a single reference.
+
+    ``smooth`` applies add-one smoothing to orders >= 2 (corpus reporting
+    convenience); the default is the strict unsmoothed definition.
+    An empty candidate scores zero everywhere and is flagged.
+    """
+    if not 1 <= max_n <= MAX_BLEU_ORDER:
+        raise ConfigurationError(f"max_n must be in 1..{MAX_BLEU_ORDER}, got {max_n}")
+    cand = list(candidate)
+    ref = list(reference)
+    _, ids, offsets = _encode([cand, ref])
+    matches = _clipped_matches(ids, offsets, 1, max_n)[0].tolist()
+    return _bleu_result(matches, len(cand), len(ref), smooth)
+
+
 @dataclass(frozen=True)
 class RougeLResult:
     lcs_length: int
@@ -96,34 +153,48 @@ class RougeLResult:
 
 
 def lcs_length(a: Tokens, b: Tokens) -> int:
-    """Longest common subsequence length by dynamic programming."""
+    """Longest common subsequence length, bit-parallel (Allison & Dix 1986,
+    in the form of Hyyrö 2004): bit ``i`` of a Python int stands for
+    ``a[i]``, so one reference token costs a few big-int operations and
+    either side may have any length."""
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    masks: dict = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for token in b:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
-def rouge_l(candidate: Tokens, reference: Tokens, beta: float = 1.2) -> RougeLResult:
-    """LCS-based F-measure; ``beta`` > 1 weights recall more heavily."""
+def _check_beta(beta: float) -> None:
     if beta <= 0:
         raise ConfigurationError(f"beta must be positive, got {beta}")
-    cand = list(candidate)
-    ref = list(reference)
-    if not cand or not ref:
+
+
+def _rouge_result(lcs: int, c: int, r: int, beta: float) -> RougeLResult:
+    """ROUGE-L of a length-``c`` candidate against a length-``r`` reference
+    that share a longest common subsequence of ``lcs`` tokens."""
+    if not c or not r:
         return RougeLResult(0, 0.0, 0.0, 0.0)
-    lcs = lcs_length(cand, ref)
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
+    precision = lcs / c
+    recall = lcs / r
     if precision + recall == 0.0:
         return RougeLResult(lcs, precision, recall, 0.0)
     b2 = beta * beta
     f = (1 + b2) * precision * recall / (recall + b2 * precision)
     return RougeLResult(lcs, precision, recall, f)
+
+
+def rouge_l(candidate: Tokens, reference: Tokens, beta: float = 1.2) -> RougeLResult:
+    """LCS-based F-measure; ``beta`` > 1 weights recall more heavily."""
+    _check_beta(beta)
+    cand = list(candidate)
+    ref = list(reference)
+    return _rouge_result(lcs_length(cand, ref), len(cand), len(ref), beta)
 
 
 class EmbeddingProvider(Protocol):
@@ -159,25 +230,51 @@ class HashedEmbeddings:
 
 
 class FileEmbeddings:
-    """Unit-normalized embeddings loaded from a {token: [floats]} JSON file."""
+    """Unit-normalized embeddings loaded from a {token: [floats]} JSON file.
+
+    Every vector must be a 1-d list of finite numbers with a nonzero, finite
+    norm, and all vectors must have one width; otherwise an
+    ``EvaluationError`` names the token (and, from ``load``, the file).
+    """
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
         self._vectors: dict[str, np.ndarray] = {}
+        width = None
         for token, vec in vectors.items():
-            arr = np.asarray(vec, dtype=np.float64)
+            try:
+                arr = np.array(vec)
+            except ValueError:  # ragged nesting
+                arr = None
+            # numpy reads a JSON true among numbers as 1, so bools are looked for
+            if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf"
+                    or any(isinstance(x, bool) for x in vec)):
+                raise EvaluationError(f"embedding for token {token!r} must be a "
+                                      f"1-d list of numbers")
+            if width is None:
+                width = arr.size
+            if arr.size != width:
+                raise EvaluationError(f"embedding for token {token!r} has {arr.size} "
+                                      f"entries, the first vector has {width}")
+            arr = arr.astype(np.float64)
             norm = float(np.linalg.norm(arr))
-            if arr.ndim != 1 or norm == 0.0:
-                raise ConfigurationError(f"embedding for token {token!r} must be a "
-                                         f"nonzero 1-d vector")
+            if not np.isfinite(arr).all() or not math.isfinite(norm) or norm == 0.0:
+                raise EvaluationError(f"embedding for token {token!r} must be finite "
+                                      f"with a nonzero, finite norm")
             self._vectors[token] = arr / norm
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FileEmbeddings":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise EvaluationError(f"cannot read embeddings {path}: {exc}") from exc
-        return cls(payload)
+        if not isinstance(payload, dict):
+            raise EvaluationError(f"embeddings {path}: expected a JSON object of "
+                                  f"token vectors, got {type(payload).__name__}")
+        try:
+            return cls(payload)
+        except EvaluationError as exc:
+            raise EvaluationError(f"embeddings {path}: {exc}") from exc
 
     def vector(self, token: str) -> np.ndarray:
         try:
@@ -186,17 +283,33 @@ class FileEmbeddings:
             raise EvaluationError(f"no embedding available for token {token!r}") from None
 
 
-def _token_matrix(tokens: Tokens, provider: EmbeddingProvider) -> np.ndarray:
+def _embedding_rows(tokens: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
+    """[len(tokens), dim] float64 rows, from one ``provider.vector`` call each."""
     rows = []
     for token in tokens:
         try:
-            rows.append(np.asarray(provider.vector(token), dtype=np.float64))
+            row = np.asarray(provider.vector(token), dtype=np.float64)
         except EvaluationError:
             raise
         except Exception as exc:
             raise EvaluationError(f"embedding provider failed for token {token!r}: "
                                   f"{exc}") from exc
-    return np.stack(rows)
+        if row.ndim != 1 or (rows and row.shape != rows[0].shape):
+            raise EvaluationError(f"embedding for token {token!r} has shape {row.shape}; "
+                                  f"expected one width for every token")
+        rows.append(row)
+    return np.stack(rows) if rows else np.zeros((0, 0))
+
+
+def _greedy_f1(cand: np.ndarray, ref: np.ndarray) -> float:
+    """Greedy-matching cosine F1 between candidate and reference rows."""
+    sim = cand @ ref.T
+    precision = float(sim.max(axis=1).mean())
+    recall = float(sim.max(axis=0).mean())
+    denom = precision + recall
+    if abs(denom) < 1e-12:
+        return 0.0
+    return 2.0 * precision * recall / denom
 
 
 def embedding_f1(candidate: Tokens, reference: Tokens,
@@ -210,14 +323,9 @@ def embedding_f1(candidate: Tokens, reference: Tokens,
     ref = list(reference)
     if not cand or not ref:
         return 0.0
-    provider = provider or HashedEmbeddings()
-    sim = _token_matrix(cand, provider) @ _token_matrix(ref, provider).T
-    precision = float(sim.max(axis=1).mean())
-    recall = float(sim.max(axis=0).mean())
-    denom = precision + recall
-    if abs(denom) < 1e-12:
-        return 0.0
-    return 2.0 * precision * recall / denom
+    vocab, ids, _ = _encode([cand, ref])
+    matrix = _embedding_rows(vocab, provider or HashedEmbeddings())
+    return _greedy_f1(matrix[ids[:len(cand)]], matrix[ids[len(cand):]])
 
 
 def bleu1_bucket(score: float) -> str:
@@ -284,22 +392,41 @@ def corpus_evaluate(pairs: Iterable[tuple[str, Tokens, Tokens]],
                     beta: float = 1.2, smooth: bool = False) -> EvalReport:
     """Score (sample_id, candidate_tokens, reference_tokens) triples.
 
-    Corpus numbers are the arithmetic means of the per-sample scores.
+    Every pair is scored from one encoding of the whole corpus, and the
+    provider is asked once per distinct token of the pairs whose two sides
+    are both nonempty. Corpus numbers are the arithmetic means of the
+    per-sample scores.
     """
-    provider = provider or HashedEmbeddings()
+    pairs = [(str(sid), list(cand), list(ref)) for sid, cand, ref in pairs]
+    if not pairs:
+        raise ConfigurationError("corpus_evaluate needs at least one pair")
+    _check_beta(beta)
+    n = len(pairs)
+    cands = [cand for _, cand, _ in pairs]
+    refs = [ref for _, _, ref in pairs]
+    vocab, ids, offsets = _encode(cands + refs)
+    matches = _clipped_matches(ids, offsets, n, MAX_BLEU_ORDER).tolist()
+    lengths = np.diff(offsets)
+    scored = (lengths[:n] > 0) & (lengths[n:] > 0)
+    wanted = np.unique(ids[np.repeat(np.tile(scored, 2), lengths)])
+    rows = _embedding_rows([vocab[i] for i in wanted.tolist()], provider or HashedEmbeddings())
+    matrix = np.zeros((len(vocab), rows.shape[1]))
+    matrix[wanted] = rows
+
     samples: list[SampleScores] = []
     counts = {label: 0 for label in BLEU_BUCKET_LABELS}
-    for sample_id, cand, ref in pairs:
-        b = bleu(cand, ref, max_n=4, smooth=smooth)
-        r = rouge_l(cand, ref, beta=beta)
-        f1 = embedding_f1(cand, ref, provider)
-        samples.append(SampleScores(str(sample_id), b.scores[0], b.scores[1],
-                                    b.scores[2], b.scores[3], r.f_score, f1,
+    for p, (sample_id, cand, ref) in enumerate(pairs):
+        c, r = len(cand), len(ref)
+        b = _bleu_result(matches[p], c, r, smooth)
+        rouge = _rouge_result(lcs_length(cand, ref), c, r, beta)
+        f1 = 0.0
+        if c and r:
+            f1 = _greedy_f1(matrix[ids[offsets[p]:offsets[p + 1]]],
+                            matrix[ids[offsets[n + p]:offsets[n + p + 1]]])
+        samples.append(SampleScores(sample_id, b.scores[0], b.scores[1],
+                                    b.scores[2], b.scores[3], rouge.f_score, f1,
                                     b.empty_candidate))
         counts[bleu1_bucket(b.scores[0])] += 1
-    if not samples:
-        raise ConfigurationError("corpus_evaluate needs at least one pair")
-    n = len(samples)
     corpus = {
         "bleu_1": sum(s.bleu_1 for s in samples) / n,
         "bleu_2": sum(s.bleu_2 for s in samples) / n,

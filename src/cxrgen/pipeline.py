@@ -222,12 +222,19 @@ def run_evaluation(generated_path: PathLike, out_path: Optional[PathLike] = None
     """Score a generation file and optionally persist the JSON report."""
     rows = read_jsonl(generated_path)
     pairs = []
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
+        where = f"{generated_path}: generation row {number}"
+        if not isinstance(row, dict):
+            raise DataError(f"{where} is a {type(row).__name__}, not a JSON object")
         try:
-            pairs.append((str(row["sample_id"]), str(row["generated"]).split(),
-                          str(row["reference"]).split()))
+            sample_id, generated, reference = row["sample_id"], row["generated"], row["reference"]
         except KeyError as exc:
-            raise DataError(f"generation row missing field {exc}") from exc
+            raise DataError(f"{where} is missing field {exc}") from exc
+        for field, text in (("generated", generated), ("reference", reference)):
+            if not isinstance(text, str):
+                raise DataError(f"{where} (sample {sample_id!r}): {field!r} must be a "
+                                f"string, got {type(text).__name__}")
+        pairs.append((str(sample_id), generated.split(), reference.split()))
     provider = FileEmbeddings.load(embeddings_path) if embeddings_path else HashedEmbeddings()
     report = corpus_evaluate(pairs, provider=provider, smooth=smooth)
     if out_path is not None:

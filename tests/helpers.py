@@ -1,15 +1,22 @@
 """Shared test utilities: finite-difference gradient checking, the
 per-sample reference loss, the full-prefix greedy decoder that cached
-decoding is checked against, and the out-of-place Adam update that the
-in-place one is checked against."""
+decoding is checked against, the out-of-place Adam update that the
+in-place one is checked against, and the per-pair metrics (Counter
+n-grams, dynamic-programming LCS, one provider call per token) that
+corpus-at-once scoring is checked against."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from cxrgen.decoder import _KVCache, masked_mean, sparse_ce_loss
+from cxrgen.errors import EvaluationError
+from cxrgen.metrics import (BLEU_BUCKET_LABELS, BleuResult, EvalReport, HashedEmbeddings,
+                            RougeLResult, SampleScores, bleu1_bucket)
 from cxrgen.tensor import GradientTape, Tensor, add, mul
 from cxrgen.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
@@ -156,3 +163,132 @@ def check_cached_decoding(decoder, encoder_rows: Tensor, batch_size: int) -> lis
             break
         cache.keep(going)
     return expected
+
+
+# -- per-pair reference metrics ------------------------------------------------
+
+def _ngram_counts(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu_reference(candidate, reference, max_n: int = 4, smooth: bool = False) -> BleuResult:
+    """Reference for ``metrics.bleu``: Counter-of-tuples n-gram clipping."""
+    cand = list(candidate)
+    ref = list(reference)
+    c, r = len(cand), len(ref)
+    if c == 0:
+        zeros = (0.0,) * max_n
+        return BleuResult(zeros, 0.0, zeros, 0, r, empty_candidate=True)
+
+    precisions = []
+    for n in range(1, max_n + 1):
+        total = max(0, c - n + 1)
+        if total == 0:
+            precisions.append(0.0)
+            continue
+        ref_counts = _ngram_counts(ref, n)
+        matches = sum(min(count, ref_counts[gram])
+                      for gram, count in _ngram_counts(cand, n).items())
+        if smooth and n >= 2:
+            precisions.append((matches + 1) / (total + 1))
+        else:
+            precisions.append(matches / total)
+
+    bp = 1.0 if c > r else math.exp(1.0 - r / c)
+    scores = []
+    for n in range(1, max_n + 1):
+        ps = precisions[:n]
+        if any(p == 0.0 for p in ps):
+            scores.append(0.0)
+        else:
+            scores.append(bp * math.exp(sum(math.log(p) for p in ps) / n))
+    return BleuResult(tuple(precisions), bp, tuple(scores), c, r)
+
+
+def lcs_reference(a, b) -> int:
+    """Reference for ``metrics.lcs_length``: dynamic programming."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def rouge_l_reference(candidate, reference, beta: float = 1.2) -> RougeLResult:
+    """Reference for ``metrics.rouge_l`` on ``lcs_reference``."""
+    cand = list(candidate)
+    ref = list(reference)
+    if not cand or not ref:
+        return RougeLResult(0, 0.0, 0.0, 0.0)
+    lcs = lcs_reference(cand, ref)
+    precision = lcs / len(cand)
+    recall = lcs / len(ref)
+    if precision + recall == 0.0:
+        return RougeLResult(lcs, precision, recall, 0.0)
+    b2 = beta * beta
+    f = (1 + b2) * precision * recall / (recall + b2 * precision)
+    return RougeLResult(lcs, precision, recall, f)
+
+
+def _token_matrix(tokens, provider) -> np.ndarray:
+    rows = []
+    for token in tokens:
+        try:
+            rows.append(np.asarray(provider.vector(token), dtype=np.float64))
+        except EvaluationError:
+            raise
+        except Exception as exc:
+            raise EvaluationError(f"embedding provider failed for token {token!r}: "
+                                  f"{exc}") from exc
+    return np.stack(rows)
+
+
+def embedding_f1_reference(candidate, reference, provider=None) -> float:
+    """Reference for ``metrics.embedding_f1``: one provider call per token
+    occurrence."""
+    cand = list(candidate)
+    ref = list(reference)
+    if not cand or not ref:
+        return 0.0
+    provider = provider or HashedEmbeddings()
+    sim = _token_matrix(cand, provider) @ _token_matrix(ref, provider).T
+    precision = float(sim.max(axis=1).mean())
+    recall = float(sim.max(axis=0).mean())
+    denom = precision + recall
+    if abs(denom) < 1e-12:
+        return 0.0
+    return 2.0 * precision * recall / denom
+
+
+def corpus_reference(pairs, provider=None, beta: float = 1.2,
+                     smooth: bool = False) -> EvalReport:
+    """Reference for ``metrics.corpus_evaluate``: the per-pair references,
+    one pair at a time."""
+    provider = provider or HashedEmbeddings()
+    samples = []
+    counts = {label: 0 for label in BLEU_BUCKET_LABELS}
+    for sample_id, cand, ref in pairs:
+        b = bleu_reference(cand, ref, max_n=4, smooth=smooth)
+        r = rouge_l_reference(cand, ref, beta=beta)
+        f1 = embedding_f1_reference(cand, ref, provider)
+        samples.append(SampleScores(str(sample_id), b.scores[0], b.scores[1],
+                                    b.scores[2], b.scores[3], r.f_score, f1,
+                                    b.empty_candidate))
+        counts[bleu1_bucket(b.scores[0])] += 1
+    n = len(samples)
+    corpus = {
+        "bleu_1": sum(s.bleu_1 for s in samples) / n,
+        "bleu_2": sum(s.bleu_2 for s in samples) / n,
+        "bleu_3": sum(s.bleu_3 for s in samples) / n,
+        "bleu_4": sum(s.bleu_4 for s in samples) / n,
+        "rouge_l": sum(s.rouge_l for s in samples) / n,
+        "embedding_f1": sum(s.embedding_f1 for s in samples) / n,
+        "empty_candidates": sum(1 for s in samples if s.empty_candidate),
+    }
+    histogram = {label: counts[label] / n for label in BLEU_BUCKET_LABELS}
+    return EvalReport(num_samples=n, corpus=corpus, bleu1_histogram=histogram,
+                      samples=samples)

@@ -1,15 +1,22 @@
 """Metrics vs independent oracles: naive BLEU, exhaustive LCS, hand values."""
 
 import itertools
+import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cxrgen.errors import ConfigurationError, EvaluationError
 from cxrgen.metrics import (BLEU_BUCKET_LABELS, FileEmbeddings, HashedEmbeddings,
                             bleu, bleu1_bucket, corpus_evaluate, embedding_f1,
                             lcs_length, rouge_l)
+from helpers import (bleu_reference, corpus_reference, embedding_f1_reference,
+                     lcs_reference, rouge_l_reference)
 
 
 # -- independent oracles (deliberately different implementations) -------------
@@ -262,3 +269,108 @@ class TestCorpusEvaluate:
         assert payload["num_samples"] == 3
         lines = (tmp_path / "per_sample.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 rows
+
+
+# -- corpus-at-once scoring vs the per-pair references -------------------------
+
+ALPHABET = "abcdef"
+# a few tokens, so n-grams repeat; long sides reach past one 64-bit word
+TOKEN_LISTS = st.one_of(st.lists(st.sampled_from(ALPHABET), max_size=8),
+                        st.lists(st.sampled_from(ALPHABET), min_size=60, max_size=100))
+FILE_PROVIDER = FileEmbeddings({t: np.random.default_rng(i).standard_normal(5)
+                                for i, t in enumerate(ALPHABET)})
+BETAS = st.sampled_from([0.5, 1.0, 1.2, 3.0])
+
+
+def providers(use_file: bool):
+    return FILE_PROVIDER if use_file else HashedEmbeddings(dim=8)
+
+
+class TestCorpusMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(TOKEN_LISTS, TOKEN_LISTS), min_size=1, max_size=6),
+           smooth=st.booleans(), beta=BETAS, use_file=st.booleans())
+    # bigrams "b c" across candidates 0|1 and "d x" across the last candidate
+    # and the first reference exist only if windows span pairs
+    @example(pairs=[(["a", "b"], ["x", "b", "c", "d", "x"]), (["c", "d"], ["d", "x"])],
+             smooth=False, beta=1.2, use_file=False)
+    @example(pairs=[([], ["a"] * 70), (["a"] * 70, []), ([], [])],
+             smooth=True, beta=1.2, use_file=True)
+    def test_every_field_equals_the_reference(self, pairs, smooth, beta, use_file):
+        triples = [(f"s{i}", cand, ref) for i, (cand, ref) in enumerate(pairs)]
+        ours = corpus_evaluate(triples, providers(use_file), beta=beta, smooth=smooth)
+        expected = corpus_reference(triples, providers(use_file), beta=beta, smooth=smooth)
+        assert ours.to_dict() == expected.to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cand=TOKEN_LISTS, ref=TOKEN_LISTS, max_n=st.integers(1, 4),
+           smooth=st.booleans(), beta=BETAS, use_file=st.booleans())
+    def test_per_pair_functions_equal_the_reference(self, cand, ref, max_n, smooth,
+                                                    beta, use_file):
+        assert bleu(cand, ref, max_n, smooth) == bleu_reference(cand, ref, max_n, smooth)
+        assert lcs_length(cand, ref) == lcs_reference(cand, ref)
+        assert rouge_l(cand, ref, beta) == rouge_l_reference(cand, ref, beta)
+        assert (embedding_f1(cand, ref, providers(use_file))
+                == embedding_f1_reference(cand, ref, providers(use_file)))
+
+
+class CountingProvider:
+    def __init__(self):
+        self.calls = Counter()
+        self.inner = HashedEmbeddings(dim=8)
+
+    def vector(self, token):
+        self.calls[token] += 1
+        return self.inner.vector(token)
+
+
+class TestCorpusEmbeddingLookups:
+    def test_one_vector_call_per_distinct_token(self):
+        pairs = [("s0", "a b a c".split(), "b b d".split()),
+                 ("s1", "a d".split(), "c a a".split()),
+                 ("s2", [], "e".split())]
+        provider = CountingProvider()
+        report = corpus_evaluate(pairs, provider)
+        # "e" sits only in a pair with an empty side, which scores 0 unasked
+        assert provider.calls == Counter("abcd")
+        assert report.to_dict() == corpus_reference(pairs, HashedEmbeddings(dim=8)).to_dict()
+
+    def test_provider_failure_names_the_token(self):
+        class Broken:
+            def vector(self, token):
+                raise RuntimeError("lookup service down")
+
+        with pytest.raises(EvaluationError, match="'lungs'.*lookup service down"):
+            corpus_evaluate([("s", ["lungs"], ["clear"])], Broken())
+
+    def test_vectors_of_two_widths_name_the_token(self):
+        class Ragged:
+            def vector(self, token):
+                return np.ones(3 if token == "clear" else 2)
+
+        with pytest.raises(EvaluationError, match="'clear'"):
+            corpus_evaluate([("s", ["lungs"], ["clear"])], Ragged())
+
+
+class TestFileEmbeddingsValidation:
+    @pytest.mark.parametrize("text,token", [
+        ('{"a": [1, 0], "b": [NaN, 1]}', "b"),
+        ('{"a": [1e400, 1]}', "a"),
+        ('{"a": [1, 0], "b": [1, 0, 0]}', "b"),
+        ('{"a": ["x", 1]}', "a"),
+        ('{"a": [null, 1]}', "a"),
+        ('{"a": [1, 0], "b": [true, 1]}', "b"),
+        ('{"a": [[1], [2, 3]]}', "a"),
+        ('{"a": [0, 0]}', "a"),
+    ], ids=["nan", "overflow", "widths", "string", "null", "boolean", "ragged", "zero"])
+    def test_bad_vector_names_file_and_token(self, tmp_path, text, token):
+        path = tmp_path / "emb.json"
+        path.write_text(text)
+        with pytest.raises(EvaluationError, match=f"{re.escape(str(path))}.*'{token}'"):
+            FileEmbeddings.load(path)
+
+    def test_payload_must_be_an_object(self, tmp_path):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps([[1.0, 0.0]]))
+        with pytest.raises(EvaluationError, match=re.escape(str(path))):
+            FileEmbeddings.load(path)

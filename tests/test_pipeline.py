@@ -228,6 +228,19 @@ class TestEvaluationStage:
         with pytest.raises(DataError):
             run_evaluation(bad)
 
+    @pytest.mark.parametrize("row,complaint", [
+        (["x", "a", "a"], "list, not a JSON object"),
+        ("x a a", "str, not a JSON object"),
+        ({"sample_id": "x", "generated": None, "reference": "a"}, "'generated' must be a string"),
+        ({"sample_id": "x", "generated": "a", "reference": 3}, "'reference' must be a string"),
+    ], ids=["list", "string", "null-generated", "number-reference"])
+    def test_malformed_row_names_file_and_row(self, tmp_path, row, complaint):
+        bad = tmp_path / "bad.jsonl"
+        good = {"sample_id": "ok", "generated": "a", "reference": "a"}
+        bad.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n")
+        with pytest.raises(DataError, match=f"bad.jsonl: generation row 2 .*{complaint}"):
+            run_evaluation(bad)
+
 
 def _report(tag):
     return corpus_evaluate([(tag, ["x", "y"], ["x", "y"]), ("b", ["z"], ["x", "y"])])
