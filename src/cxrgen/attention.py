@@ -59,7 +59,7 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
             raise ContractError("attention mask leaves a query row with no permitted keys")
         logits = add(logits, Tensor(np.broadcast_to(np.where(m, 0.0, MASKED_LOGIT),
                                                     logits.shape)))
-    weights = softmax(logits, axis=-1)
+    weights = softmax(logits)
     return AttentionResult(batched_matmul(weights, v), weights)
 
 

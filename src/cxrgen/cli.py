@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .errors import ConfigurationError, CxrgenError
@@ -28,10 +29,31 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-def _section(config: dict, name: str) -> dict:
+# the JSON values a config field of each type takes; true and false are no numbers
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+               type(None): ("null", (type(None),))}
+
+
+def _section(config: dict, path: str | None, name: str, cls) -> dict:
+    """Section ``name`` of the config file at ``path``, checked against the
+    fields of the dataclass ``cls``. A key that is no field, or a value of
+    another type than its field's, raises a ConfigurationError naming the
+    file, the section and the key."""
     section = config.get(name, {})
+    where = f"config file {path}, section {name!r}"
     if not isinstance(section, dict):
-        raise ConfigurationError(f"config section {name!r} must be a JSON object")
+        raise ConfigurationError(f"{where} must be a JSON object")
+    kinds = typing.get_type_hints(cls)
+    for key, value in section.items():
+        if key not in kinds:
+            raise ConfigurationError(f"{where}: unknown key {key!r}; known keys are "
+                                     f"{sorted(kinds)}")
+        options = typing.get_args(kinds[key]) or (kinds[key],)  # Optional[X]: X, None
+        if isinstance(value, bool) or \
+                not any(isinstance(value, _JSON_TYPES[kind][1]) for kind in options):
+            wanted = " or ".join(_JSON_TYPES[kind][0] for kind in options)
+            raise ConfigurationError(f"{where}: key {key!r} must be {wanted}, "
+                                     f"got {json.dumps(value)}")
     return dict(section)
 
 
@@ -90,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    overrides = _section(_load_config_file(args.config), "synth")
+    overrides = _section(_load_config_file(args.config), args.config, "synth",
+                         SyntheticConfig)
     overrides.update({"num_samples": args.n, "seed": args.seed})
     manifest = run_synth(args.out, SyntheticConfig(**overrides),
                          record_format=args.format)
@@ -100,8 +123,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     config = _load_config_file(args.config)
-    prep = PreprocessConfig(**_section(config, "preprocess"))
-    plan_kwargs = _section(config, "split")
+    prep = PreprocessConfig(**_section(config, args.config, "preprocess", PreprocessConfig))
+    plan_kwargs = _section(config, args.config, "split", SplitPlan)
     plan_kwargs.setdefault("seed", args.seed)
     summary = run_preprocess(args.data, args.out, prep, SplitPlan(**plan_kwargs))
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -110,8 +133,8 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config_file(args.config)
-    model_cfg = ModelConfig(**_section(config, "model"))
-    train_kwargs = _section(config, "train")
+    model_cfg = ModelConfig(**_section(config, args.config, "model", ModelConfig))
+    train_kwargs = _section(config, args.config, "train", TrainConfig)
     train_kwargs.setdefault("seed", args.seed)
     result = run_training(args.data, args.out, model_cfg, TrainConfig(**train_kwargs),
                           inputs=args.inputs)
@@ -140,9 +163,11 @@ def _cmd_ablate(args) -> int:
     config = _load_config_file(args.config)
     summary = run_ablation(
         args.out, seed=args.seed, configurations=args.configurations,
-        model_overrides=_section(config, "model"),
-        train_overrides={**_section(config, "train"), "max_epochs": args.epochs},
-        synth_overrides={**_section(config, "synth"), "num_samples": args.n},
+        model_overrides=_section(config, args.config, "model", ModelConfig),
+        train_overrides={**_section(config, args.config, "train", TrainConfig),
+                         "max_epochs": args.epochs},
+        synth_overrides={**_section(config, args.config, "synth", SyntheticConfig),
+                         "num_samples": args.n},
     )
     header = f"{'configuration':<16} {'BLEU-1':>8} {'ROUGE-L':>8} {'emb-F1':>8} {'planted':>8}"
     print(header)

@@ -12,7 +12,7 @@ per step, dropping each record from the batch once it emits END.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .attention import AttentionProjections, causal_mask, multi_head_attention
 from .errors import ConfigurationError, ContractError, DimensionError
 from .params import ParameterStore
 from .tensor import (Tensor, add, dense, embedding_lookup, layer_norm, log_softmax,
-                     matmul, mul, neg, reduce_sum, sqrt_scale, take_per_row)
+                     matmul, mul, neg, reduce_sum, relu, take_per_row)
 from .vocab import END_ID, START_ID
 
 if TYPE_CHECKING:
@@ -62,8 +62,7 @@ class _DecoderLayer:
         crossed = multi_head_attention(x, encoder_rows, encoder_rows, self.cross_attn,
                                        batch_size).output
         x = layer_norm(add(x, crossed), self.ln2_gamma, self.ln2_beta, self._eps)
-        ffn = dense(dense(x, self.ffn_w1, self.ffn_b1, activation="relu"),
-                    self.ffn_w2, self.ffn_b2)
+        ffn = dense(relu(dense(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
         return layer_norm(add(x, ffn), self.ln3_gamma, self.ln3_beta, self._eps)
 
 
@@ -102,25 +101,22 @@ class ReportDecoder:
         if encoder_rows.ndim != 2 or encoder_rows.shape[1] != d:
             raise DimensionError(f"encoder rows shape {encoder_rows.shape} does not match "
                                  f"model width {d}")
-        x = add(sqrt_scale(embedding_lookup(self.token_embedding, ids.reshape(-1)), d),
+        x = add(mul(embedding_lookup(self.token_embedding, ids.reshape(-1)), math.sqrt(d)),
                 Tensor(np.tile(self.positions[:length], (batch, 1))))
         mask = causal_mask(length)
         for layer in self.layers:
             x = layer.forward(x, encoder_rows, mask, batch)
         return add(matmul(x, self.output_w), self.output_b)
 
-    def generate_batch(self, encoder_rows: Tensor, batch_size: int,
-                       max_len: Optional[int] = None) -> list[list[int]]:
+    def generate_batch(self, encoder_rows: Tensor, batch_size: int) -> list[list[int]]:
         """Greedy ids for ``batch_size`` records whose ``encoder_rows`` lie one
-        after another: START first, then the argmax until END or the cap.
+        after another: START first, then the argmax until END or ``report_len``.
 
         Incremental decoding in plain numpy, so no tape records it: each step
         runs only the newest position of every unfinished record against the
         cached keys and values, and a record leaves the batch at its END.
         """
-        cap = self.config.report_len if max_len is None else max_len
-        if not 1 <= cap <= self.config.report_len:
-            raise ContractError(f"max_len must be in 1..{self.config.report_len}, got {cap}")
+        cap = self.config.report_len
         cache = _KVCache(self, encoder_rows, batch_size, cap)
         ids = [[START_ID] for _ in range(batch_size)]
         active = np.arange(batch_size)
@@ -226,7 +222,7 @@ def sparse_ce_loss(logits: Tensor, true_ids: Sequence[int], pad_mask) -> Tensor:
                              f"{ids.shape} / {mask.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise ContractError(f"label id out of range [0, {v})")
-    nll = neg(take_per_row(log_softmax(logits, axis=1), ids))
+    nll = neg(take_per_row(log_softmax(logits), ids))
     return mul(nll, Tensor(mask.astype(np.float64)))
 
 
@@ -234,13 +230,13 @@ def masked_mean(losses: Tensor, pad_mask) -> Tensor:
     """The training objective: the mean over records of each record's mean
     over its unmasked positions (not a mean pooled over all tokens).
 
-    ``pad_mask`` is [T] for one record or [B, T] for a batch whose
-    ``losses`` are flattened record after record.
+    ``pad_mask`` is [B, T]; ``losses`` are flattened record after record.
     """
-    mask = np.atleast_2d(np.asarray(pad_mask, dtype=bool))
+    mask = np.asarray(pad_mask, dtype=bool)
+    if mask.ndim != 2 or not mask.any(axis=1).all():
+        raise ContractError("masked_mean needs a [B, T] mask with at least one unmasked "
+                            "position per record")
     counts = mask.sum(axis=1)
-    if mask.ndim != 2 or (counts == 0).any():
-        raise ContractError("masked_mean needs at least one unmasked position per record")
     weights = mask / (counts[:, None] * mask.shape[0])
     return reduce_sum(mul(losses, Tensor(weights.reshape(-1))))
 

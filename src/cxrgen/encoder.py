@@ -26,13 +26,13 @@ if TYPE_CHECKING:
 NUM_ETHNICITY_GROUPS = 9
 
 
-def one_hot_ethnicity(group: int) -> Tensor:
-    """One-hot vector over the nine 1-indexed ethnicity groups."""
-    if not isinstance(group, (int, np.integer)) or not 1 <= int(group) <= NUM_ETHNICITY_GROUPS:
-        raise ContractError(f"ethnicity group must be an integer in 1..9, got {group!r}")
-    v = np.zeros(NUM_ETHNICITY_GROUPS)
-    v[int(group) - 1] = 1.0
-    return Tensor(v)
+def one_hot_ethnicity(groups: Sequence[int]) -> Tensor:
+    """One-hot rows [B, 9] over the nine 1-indexed ethnicity groups."""
+    for group in groups:
+        if not isinstance(group, (int, np.integer)) or \
+                not 1 <= int(group) <= NUM_ETHNICITY_GROUPS:
+            raise ContractError(f"ethnicity group must be an integer in 1..9, got {group!r}")
+    return Tensor(np.eye(NUM_ETHNICITY_GROUPS)[np.asarray(groups, dtype=np.int64) - 1])
 
 
 def encode_scalars(scalars: Sequence[ScalarFeatures], w: Tensor, b: Tensor) -> Tensor:
@@ -43,15 +43,6 @@ def encode_scalars(scalars: Sequence[ScalarFeatures], w: Tensor, b: Tensor) -> T
     if w.shape[0] != x.shape[1]:
         raise DimensionError(f"scalar projection expects width {x.shape[1]}, got {w.shape}")
     return dense(x, w, b)
-
-
-def embed_text(token_ids, table: Tensor) -> Tensor:
-    """Look up fixed-length id sequences ([L], or [B, L] for a batch) -> [B·L, E]."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim not in (1, 2) or ids.size < 1:
-        raise DimensionError(f"token ids must be a non-empty [L] or [B, L] array, "
-                             f"got shape {ids.shape}")
-    return embedding_lookup(table, ids.reshape(-1))
 
 
 class FusionResult(NamedTuple):
@@ -126,21 +117,21 @@ class FusionEncoder:
         icd = _id_grid(icd_ids, cfg.icd_len, "ICD")
         sources = {
             "scalars": encode_scalars(scalars, self.scalar_w, self.scalar_b),
-            "ethnicity": Tensor(np.stack([one_hot_ethnicity(g).data for g in ethnicity])),
-            "chief": reshape(embed_text(chief, self.chief_table),
+            "ethnicity": one_hot_ethnicity(ethnicity),
+            "chief": reshape(embedding_lookup(self.chief_table, chief.reshape(-1)),
                              (batch, cfg.chief_len * cfg.embed_dim)),
-            "icd": reshape(embed_text(icd, self.icd_table), (batch, cfg.icd_len * cfg.embed_dim)),
+            "icd": reshape(embedding_lookup(self.icd_table, icd.reshape(-1)),
+                           (batch, cfg.icd_len * cfg.embed_dim)),
         }
         rows = concat([dense(x, self.row_w[name], self.row_b[name])
-                       for name, x in sources.items()], axis=1)
+                       for name, x in sources.items()])
         return reshape(rows, (batch * len(sources), cfg.model_dim))
 
     # -- image pathway ---------------------------------------------------------
     def image_pathway(self, features) -> Tensor:
-        """Global image-feature vectors [B, F] (or one [F] vector) ->
-        [B·image_tokens, d_model] rows."""
+        """Global image-feature vectors [B, F] -> [B·image_tokens, d_model] rows."""
         cfg = self.config
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        feats = np.asarray(features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] != cfg.image_feature_dim:
             raise DimensionError(f"expected {cfg.image_feature_dim} image features per record, "
                                  f"got shape {feats.shape}")

@@ -40,26 +40,6 @@ class InputMask:
         if unknown:
             raise ConfigurationError(f"unknown scalar features in mask: {sorted(unknown)}")
 
-    @classmethod
-    def all_inputs(cls) -> "InputMask":
-        return cls()
-
-    @classmethod
-    def image_only(cls) -> "InputMask":
-        return cls(scalars=frozenset(), ethnicity=False, chief=False, icd=False)
-
-    @classmethod
-    def scalars_only(cls) -> "InputMask":
-        return cls(ethnicity=False, chief=False, icd=False)
-
-    @classmethod
-    def text_only(cls) -> "InputMask":
-        return cls(scalars=frozenset(), ethnicity=False)
-
-    @classmethod
-    def o2sat_only(cls) -> "InputMask":
-        return cls(scalars=frozenset(["o2sat"]), ethnicity=False, chief=False, icd=False)
-
     def apply(self, rec: PatientRecord) -> tuple[ScalarFeatures, int, list[int], list[int]]:
         """Masked view of one record's non-image inputs."""
         values = {name: (getattr(rec.scalars, name) if name in self.scalars else 0.0)
@@ -73,11 +53,11 @@ class InputMask:
 
 # Named ablation rows used by the CLI and the fusion experiment.
 INPUT_PRESETS: dict[str, InputMask] = {
-    "all": InputMask.all_inputs(),
-    "image_only": InputMask.image_only(),
-    "scalars": InputMask.scalars_only(),
-    "text": InputMask.text_only(),
-    "o2sat": InputMask.o2sat_only(),
+    "all": InputMask(),
+    "image_only": InputMask(scalars=frozenset(), ethnicity=False, chief=False, icd=False),
+    "scalars": InputMask(ethnicity=False, chief=False, icd=False),
+    "text": InputMask(scalars=frozenset(), ethnicity=False),
+    "o2sat": InputMask(scalars=frozenset(["o2sat"]), ethnicity=False, chief=False, icd=False),
 }
 
 
@@ -164,7 +144,7 @@ class ReportGenerator:
             raise ConfigurationError(f"chief and ICD vocabularies must be non-empty, got "
                                      f"{chief_vocab_size} and {icd_vocab_size}")
         self.config = config
-        self.input_mask = input_mask or InputMask.all_inputs()
+        self.input_mask = input_mask or InputMask()
         self.store = store
         self.encoder = FusionEncoder(store, config, chief_vocab_size, icd_vocab_size)
         self.decoder = ReportDecoder(store, config, vocab_size)
@@ -220,19 +200,18 @@ class ReportGenerator:
         """(scalar loss, correct tokens, counted tokens) for one sample."""
         return self.loss_for_batch([rec])
 
-    def generate_batch(self, records: Sequence[PatientRecord],
-                       max_len: Optional[int] = None) -> list[list[int]]:
+    def generate_batch(self, records: Sequence[PatientRecord]) -> list[list[int]]:
         """Greedy token ids per record, START included, END if reached. Records
         nothing on an active tape."""
         if not records:
             raise ContractError("generate_batch needs at least one record")
         with no_tape():
             rows = self.encode_batch(records).output
-        return self.decoder.generate_batch(rows, len(records), max_len)
+        return self.decoder.generate_batch(rows, len(records))
 
-    def generate(self, rec: PatientRecord, max_len: Optional[int] = None) -> list[int]:
+    def generate(self, rec: PatientRecord) -> list[int]:
         """Greedy token ids for one record, START included, END if reached."""
-        return self.generate_batch([rec], max_len)[0]
+        return self.generate_batch([rec])[0]
 
     # -- parameters / persistence ----------------------------------------------
     def parameters(self) -> dict[str, Tensor]:

@@ -101,9 +101,6 @@ class ParameterStore:
         except KeyError:
             raise ConfigurationError(f"unknown parameter path: {path!r}") from None
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
-
     def state_dict(self) -> dict[str, Array]:
         """Snapshot of every parameter value (copies, safe to stash)."""
         return {path: t.data.copy() for path, t in self._params.items()}

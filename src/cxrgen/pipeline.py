@@ -98,9 +98,8 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     curated_ids = {r.sample_id for r in curated}
     holdout = [r for r in cleaned if r.sample_id not in curated_ids]
 
-    train_raw, val_raw, _ = split_dataset(curated,
-                                          (plan.train_fraction, plan.val_fraction),
-                                          plan.seed)
+    train_raw, val_raw = split_dataset(curated, (plan.train_fraction, plan.val_fraction),
+                                       plan.seed)
     test_order = np.random.default_rng(plan.seed + 1).permutation(len(holdout))
     test_raw = [holdout[i] for i in test_order]
     if plan.test_size is not None:
@@ -295,10 +294,11 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
     compare them on the held-out test split.
 
     Returns one row per configuration with corpus BLEU/ROUGE-L/embedding-F1
-    and planted-phrase accuracy.
+    and planted-phrase accuracy. A ``seed`` in ``synth_overrides`` or
+    ``train_overrides`` replaces ``seed`` for that stage only.
     """
     work = Path(work_dir)
-    synth_cfg = SyntheticConfig(seed=seed, **{**ABLATION_SYNTH, **(synth_overrides or {})})
+    synth_cfg = SyntheticConfig(**{**ABLATION_SYNTH, "seed": seed, **(synth_overrides or {})})
     data_dir = work / "data"
     run_synth(data_dir, synth_cfg)
 
@@ -311,7 +311,7 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
 
     planted = load_planted_phrases(data_dir / "planted.jsonl")
     model_cfg = ModelConfig(**model_kwargs)
-    train_cfg = TrainConfig(seed=seed, **{**ABLATION_TRAIN, **(train_overrides or {})})
+    train_cfg = TrainConfig(**{**ABLATION_TRAIN, "seed": seed, **(train_overrides or {})})
 
     rows = {}
     for name in configurations:

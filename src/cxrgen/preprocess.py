@@ -46,42 +46,22 @@ def celsius_to_fahrenheit(t: float) -> float:
     return t * 9.0 / 5.0 + 32.0
 
 
-class AbbreviationMap:
-    """Ordered whole-word substitutions applied to lowercased text.
-
-    The rule set must be idempotent: no replacement may contain another
-    rule's pattern as a whole word.
-    """
-
-    def __init__(self, rules: Sequence[tuple[str, str]]):
-        self._rules = [(re.compile(rf"\b{re.escape(pat)}\b"), repl) for pat, repl in rules]
-        self.rules = tuple(rules)
-
-    def apply(self, text: str) -> str:
-        for pattern, repl in self._rules:
-            text = pattern.sub(repl, text)
-        return text
-
-
-# The normative clinical-shorthand rules exercised by the golden tests.
-CORE_ABBREVIATIONS = (
+# Clinical shorthand, expanded in this order as whole words of lowercased text.
+# The rules must stay idempotent: no replacement may contain another rule's
+# pattern as a whole word. The first four are pinned by the golden tests.
+ABBREVIATIONS = (
     ("shortness of breath", "dyspnea"),
     ("sob", "dyspnea"),
     ("cp", "chest pain"),
     ("fevers", "fever"),
-)
-
-# A small documented extension set in the same spirit; kept separate so the
-# core behaviour stays pinned.
-EXTRA_ABBREVIATIONS = (
     ("n/v", "nausea and vomiting"),
     ("abd", "abdominal"),
     ("uti", "urinary tract infection"),
     ("etoh", "alcohol"),
     ("hx", "history"),
 )
-
-DEFAULT_ABBREVIATIONS = AbbreviationMap(CORE_ABBREVIATIONS + EXTRA_ABBREVIATIONS)
+_ABBREVIATION_RULES = [(re.compile(rf"\b{re.escape(pat)}\b"), repl)
+                       for pat, repl in ABBREVIATIONS]
 
 _COMMA_JOIN = re.compile(r"(\w)\s*,\s*(?=\w)")
 _PERIOD_RUN = re.compile(r"\.{2,}")
@@ -89,7 +69,7 @@ _PUNCT = re.compile(r"[.,]")
 _WS = re.compile(r"\s+")
 
 
-def standardize_text(text: str, abbreviations: Optional[AbbreviationMap] = None) -> str:
+def standardize_text(text: str) -> str:
     """Lowercase, strip layout noise, join comma lists with 'and', expand
     clinical shorthand, and collapse whitespace. Idempotent."""
     if not text:
@@ -98,7 +78,8 @@ def standardize_text(text: str, abbreviations: Optional[AbbreviationMap] = None)
     t = _PERIOD_RUN.sub(" ", t)
     t = _COMMA_JOIN.sub(r"\1 and ", t)
     t = _PUNCT.sub(" ", t)
-    t = (abbreviations or DEFAULT_ABBREVIATIONS).apply(t)
+    for pattern, repl in _ABBREVIATION_RULES:
+        t = pattern.sub(repl, t)
     return _WS.sub(" ", t).strip()
 
 

@@ -80,7 +80,10 @@ class RawRecord:
         for name in _RAW_STR_FIELDS:
             if name not in row:
                 raise DataError(f"record {sample_id}: missing field {name!r}")
-            kwargs[name] = str(row[name])
+            if not isinstance(row[name], str):
+                raise DataError(f"record {sample_id}: field {name!r} must be text, got "
+                                f"{type(row[name]).__name__} {row[name]!r}")
+            kwargs[name] = row[name]
         for name in _RAW_FLOAT_FIELDS:
             if name not in row:
                 raise DataError(f"record {sample_id}: missing field {name!r}")

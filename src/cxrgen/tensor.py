@@ -1,10 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The op set is deliberately small. Position-wise ops work on 1-D/2-D rows;
-attention runs batched over leading axes through ``batched_matmul`` and
-``swap_axes``. Forward passes run as plain numpy; when a ``GradientTape`` is
-active and not paused by ``no_tape``, each op also appends a node holding a
-backward closure. Nodes are appended after their inputs, so a single reverse
+The op set is deliberately small: only what the model runs. Position-wise
+ops work on 2-D rows, and softmax and concat act on the last axis; attention
+runs batched over leading axes through ``batched_matmul`` and ``swap_axes``.
+Forward passes run as plain numpy; when a ``GradientTape`` is active and not
+paused by ``no_tape``, each op also appends a node holding a backward
+closure. Nodes are appended after their inputs, so a single reverse
 sweep over the tape is a valid topological order.
 
 Ops never write into a tensor's ``data``. The optimizer does: ``adam_step``
@@ -15,7 +16,6 @@ all run before the update, and the next step records a fresh tape.
 
 from __future__ import annotations
 
-import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -132,22 +132,16 @@ class GradientTape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def watch(self, tensor: Tensor) -> int:
-        """Ensure ``tensor`` has a leaf node on this tape and return its id."""
-        if tensor._tape is self and tensor.node_id is not None:
-            return tensor.node_id
-        node_id = len(self._nodes)
-        self._nodes.append(_Node("leaf", (), None))
-        tensor._tape = self
-        tensor.node_id = node_id
-        return node_id
-
     def _tracked_id(self, tensor: Tensor) -> Optional[int]:
+        """``tensor``'s node on this tape; a parameter this tape has not seen
+        yet becomes a new leaf, and an untracked constant gets None."""
         if tensor._tape is self and tensor.node_id is not None:
             return tensor.node_id
-        if tensor.requires_grad:
-            return self.watch(tensor)
-        return None
+        if not tensor.requires_grad:
+            return None
+        tensor._tape, tensor.node_id = self, len(self._nodes)
+        self._nodes.append(_Node("leaf", (), None))
+        return tensor.node_id
 
     def _record(self, op: str, input_ids: Sequence[Optional[int]],
                 backward: BackwardFn, out: Tensor) -> None:
@@ -253,31 +247,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         # row-broadcast bias add
         def backward(g: Array) -> tuple:
             return g, g.sum(axis=0)
-    elif bd.ndim == 0:
-        def backward(g: Array) -> tuple:
-            return g, np.asarray(g.sum())
-    elif ad.ndim == 0:
-        def backward(g: Array) -> tuple:
-            return np.asarray(g.sum()), g
     else:
         raise DimensionError(f"add: incompatible shapes {ad.shape} + {bd.shape}")
     return _emit("add", ad + bd, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def backward(g: Array) -> tuple:
-            return g, -g
-    elif bd.ndim == 0:
-        def backward(g: Array) -> tuple:
-            return g, np.asarray(-g.sum())
-    elif ad.ndim == 0:
-        def backward(g: Array) -> tuple:
-            return np.asarray(g.sum()), -g
-    else:
-        raise DimensionError(f"sub: incompatible shapes {ad.shape} - {bd.shape}")
-    return _emit("sub", ad - bd, (a, b), backward)
 
 
 def neg(x: Tensor) -> Tensor:
@@ -288,7 +260,7 @@ def neg(x: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; ``b`` may be a python scalar or a Tensor."""
+    """Elementwise product with a python scalar or a same-shape Tensor."""
     if not isinstance(b, Tensor):
         s = float(b)
 
@@ -298,17 +270,12 @@ def mul(a: Tensor, b) -> Tensor:
         return _emit("scale", a.data * s, (a,), backward_scalar)
 
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def backward(g: Array) -> tuple:
-            return g * bd, g * ad
-    elif bd.ndim == 0:
-        def backward(g: Array) -> tuple:
-            return g * bd, np.asarray((g * ad).sum())
-    elif ad.ndim == 0:
-        def backward(g: Array) -> tuple:
-            return np.asarray((g * bd).sum()), g * ad
-    else:
+    if ad.shape != bd.shape:
         raise DimensionError(f"mul: incompatible shapes {ad.shape} * {bd.shape}")
+
+    def backward(g: Array) -> tuple:
+        return g * bd, g * ad
+
     return _emit("mul", ad * bd, (a, b), backward)
 
 
@@ -321,39 +288,37 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", np.where(mask, x.data, 0.0), (x,), backward)
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-shifted)."""
-    axis = _normalize_axis(x.ndim, axis, "softmax")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis (max-shifted)."""
+    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: Array) -> tuple:
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
     return _emit("softmax", out, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int) -> Tensor:
-    axis = _normalize_axis(x.ndim, axis, "log_softmax")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Log of the softmax along the last axis."""
+    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     probs = np.exp(out)
 
     def backward(g: Array) -> tuple:
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
+        return (g - probs * g.sum(axis=-1, keepdims=True),)
 
     return _emit("log_softmax", out, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift.
-
-    Uses the biased variance; ``epsilon`` sits inside the square root.
+    """Normalize each row of a 2-d input to zero mean / unit variance, then
+    scale-shift. Uses the biased variance; ``epsilon`` sits inside the root.
     """
-    if x.ndim not in (1, 2):
-        raise DimensionError(f"layer_norm: expected 1-d or 2-d input, got shape {x.shape}")
+    if x.ndim != 2:
+        raise DimensionError(f"layer_norm: expected a 2-d input, got shape {x.shape}")
     width = x.shape[-1]
     if gamma.shape != (width,) or beta.shape != (width,):
         raise DimensionError(
@@ -369,45 +334,35 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-6) ->
         m1 = gy.mean(axis=-1, keepdims=True)
         m2 = (gy * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (gy - m1 - xhat * m2)
-        dgamma = (g * xhat).reshape(-1, width).sum(axis=0)
-        dbeta = g.reshape(-1, width).sum(axis=0)
+        dgamma = (g * xhat).sum(axis=0)
+        dbeta = g.sum(axis=0)
         return dx, dgamma, dbeta
 
     return _emit("layer_norm", out, (x, gamma, beta), backward)
 
 
-_DENSE_ACTIVATIONS = ("identity", "relu")
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
-    """Affine map ``x @ w + b`` with an optional relu."""
-    if activation not in _DENSE_ACTIVATIONS:
-        raise ContractError(f"dense: unknown activation {activation!r}")
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b``."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise DimensionError(f"dense: incompatible shapes {x.shape} x {w.shape}")
     if b.shape != (w.shape[1],):
         raise DimensionError(f"dense: bias shape {b.shape} does not match output width {w.shape[1]}")
-    out = add(matmul(x, w), b)
-    return relu(out) if activation == "relu" else out
+    return add(matmul(x, w), b)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along the last axis; every other axis must match."""
     if not tensors:
         raise ContractError("concat: need at least one tensor")
     first = tensors[0]
-    axis = _normalize_axis(first.ndim, axis, "concat")
     for t in tensors[1:]:
-        if t.ndim != first.ndim:
-            raise DimensionError(f"concat: rank mismatch {first.shape} vs {t.shape}")
-        for ax in range(first.ndim):
-            if ax != axis and t.shape[ax] != first.shape[ax]:
-                raise DimensionError(f"concat: shape mismatch {first.shape} vs {t.shape} on axis {ax}")
-    extents = [t.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    boundaries = np.cumsum(extents)[:-1]
+        if t.shape[:-1] != first.shape[:-1]:
+            raise DimensionError(f"concat: shape mismatch {first.shape} vs {t.shape}")
+    out = np.concatenate([t.data for t in tensors], axis=-1)
+    boundaries = np.cumsum([t.shape[-1] for t in tensors])[:-1]
 
     def backward(g: Array) -> tuple:
-        return tuple(np.split(g, boundaries, axis=axis))
+        return tuple(np.split(g, boundaries, axis=-1))
 
     return _emit("concat", out, tuple(tensors), backward)
 
@@ -436,27 +391,14 @@ def swap_axes(x: Tensor, axis1: int, axis2: int) -> Tensor:
                  backward)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"transpose: expected a 2-d tensor, got shape {x.shape}")
-    return swap_axes(x, 0, 1)
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum of every entry, as a 0-d tensor."""
+    shape = x.shape
 
+    def backward(g: Array) -> tuple:
+        return (np.full(shape, float(g)),)
 
-def reduce_sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    if axis is None:
-        shape = x.shape
-
-        def backward(g: Array) -> tuple:
-            return (np.full(shape, float(g)),)
-
-        return _emit("sum", np.asarray(x.data.sum()), (x,), backward)
-
-    axis = _normalize_axis(x.ndim, axis, "sum")
-
-    def backward_axis(g: Array) -> tuple:
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape),)
-
-    return _emit("sum", x.data.sum(axis=axis), (x,), backward_axis)
+    return _emit("sum", np.asarray(x.data.sum()), (x,), backward)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -498,8 +440,3 @@ def take_per_row(x: Tensor, cols) -> Tensor:
         return (grad,)
 
     return _emit("take_per_row", x.data[rows, idx].copy(), (x,), backward)
-
-
-def sqrt_scale(x: Tensor, dim: int) -> Tensor:
-    """Multiply by sqrt(dim); embedding scaling used by the decoder."""
-    return mul(x, math.sqrt(dim))

@@ -139,35 +139,26 @@ def clip_gradients(grads: Mapping[str, Array], max_norm: float) -> dict[str, Arr
 
 
 def split_dataset(records: Sequence, fractions: Sequence[float],
-                  seed: int) -> tuple[list, list, list]:
-    """Seeded shuffle then contiguous split; floors go to earlier splits.
-
-    ``fractions`` has two (train/val) or three (train/val/test) entries
-    summing to 1; with two entries the returned test list is empty.
+                  seed: int) -> tuple[list, list]:
+    """Seeded shuffle, then a contiguous train/val split by the two
+    ``fractions``, which sum to 1; a record left over by the floors goes to
+    train first, then val.
     """
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) not in (2, 3):
-        raise ConfigurationError(f"need 2 or 3 split fractions, got {len(fractions)}")
+    if len(fractions) != 2:
+        raise ConfigurationError(f"need 2 split fractions, got {len(fractions)}")
     if any(f <= 0 for f in fractions):
         raise ConfigurationError(f"split fractions must be positive: {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"split fractions must sum to 1, got {sum(fractions)}")
-    if len(records) < len(fractions):
-        raise ConfigurationError(f"cannot split {len(records)} records into "
-                                 f"{len(fractions)} non-empty parts")
+    if len(records) < 2:
+        raise ConfigurationError(f"cannot split {len(records)} records into 2 non-empty parts")
     order = np.random.default_rng(seed).permutation(len(records))
     counts = [int(math.floor(f * len(records))) for f in fractions]
-    remainder = len(records) - sum(counts)
-    for i in range(remainder):
-        counts[i % len(counts)] += 1
-    splits: list[list] = []
-    start = 0
-    for count in counts:
-        splits.append([records[i] for i in order[start:start + count]])
-        start += count
-    while len(splits) < 3:
-        splits.append([])
-    return splits[0], splits[1], splits[2]
+    for i in range(len(records) - sum(counts)):
+        counts[i % 2] += 1
+    return ([records[i] for i in order[:counts[0]]],
+            [records[i] for i in order[counts[0]:]])
 
 
 class EarlyStopper:

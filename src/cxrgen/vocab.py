@@ -73,11 +73,10 @@ class Vocabulary:
         tokens = tokenize(text) if isinstance(text, str) else list(text)
         return [self.id_of(t) for t in tokens]
 
-    def decode(self, ids: Iterable[int], skip_special: bool = True) -> list[str]:
+    def decode(self, ids: Iterable[int]) -> list[str]:
+        """Tokens for ``ids``, the reserved control tokens left out."""
         tokens = [self.token_of(int(i)) for i in ids]
-        if skip_special:
-            tokens = [t for t in tokens if t not in RESERVED_TOKENS]
-        return tokens
+        return [t for t in tokens if t not in RESERVED_TOKENS]
 
     def text(self, ids: Iterable[int]) -> str:
         return detokenize(self.decode(ids))

@@ -109,7 +109,7 @@ def per_sample_loss(model, records) -> Tensor:
         labels = ids[1:]
         pad_mask = labels != PAD_ID
         logits = model.decoder.teacher_forced_forward(model.encode_record(rec).output, ids[:-1])
-        loss = masked_mean(sparse_ce_loss(logits, labels, pad_mask), pad_mask)
+        loss = masked_mean(sparse_ce_loss(logits, labels, pad_mask), pad_mask[None])
         total = loss if total is None else add(total, loss)
     return mul(total, 1.0 / len(records))
 

@@ -146,10 +146,12 @@ class TestSparseCeLoss:
 
     def test_masked_mean(self):
         losses = Tensor(np.array([2.0, 4.0, 0.0, 0.0]))
-        mean = masked_mean(losses, [True, True, False, False])
+        mean = masked_mean(losses, [[True, True, False, False]])
         assert mean.item() == pytest.approx(3.0)
         with pytest.raises(ContractError):
-            masked_mean(losses, [False] * 4)
+            masked_mean(losses, [[False] * 4])
+        with pytest.raises(ContractError):  # one record's mask is [1, T], not [T]
+            masked_mean(losses, [True, True, False, False])
 
     def test_masked_mean_of_a_batch_is_the_mean_of_record_means(self):
         # record means 3.0 and 1.0: the objective is 2.0, not the pooled token mean 7/3
@@ -164,7 +166,7 @@ class TestSparseCeLoss:
         logits = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         labels = [1, 5, 0, 3]
         mask = [True, True, False, True]
-        check_gradients(lambda: masked_mean(sparse_ce_loss(logits, labels, mask), mask),
+        check_gradients(lambda: masked_mean(sparse_ce_loss(logits, labels, mask), [mask]),
                         [logits])
 
     def test_token_accuracy(self):
@@ -191,12 +193,6 @@ class TestGreedyGeneration:
         ids = dec.generate_batch(encoder_rows(), 1)[0]
         assert ids == [START_ID, END_ID]
 
-    def test_max_len_override_validated(self):
-        dec, _ = tiny_decoder(report_len=6)
-        with pytest.raises(ContractError):
-            dec.generate_batch(encoder_rows(), 1, max_len=7)
-        assert len(dec.generate_batch(encoder_rows(), 1, max_len=3)[0]) <= 3
-
     def test_matches_stepwise_argmax(self):
         dec, _ = tiny_decoder(seed=5)
         enc = encoder_rows(seed=6)
@@ -218,11 +214,9 @@ class TestGreedyGeneration:
                 assert ids[-1] == END_ID
 
     def test_max_len_one_is_start_only(self):
-        dec, _ = tiny_decoder()
-        assert dec.generate_batch(encoder_rows(n=9), 3, max_len=1) == [[START_ID]] * 3
-        for bad in (0, -1, dec.config.report_len + 1):
-            with pytest.raises(ContractError):
-                dec.generate_batch(encoder_rows(), 1, max_len=bad)
+        # the cap is report_len: at 1 only START fits
+        dec, _ = tiny_decoder(report_len=1)
+        assert dec.generate_batch(encoder_rows(n=9), 3) == [[START_ID]] * 3
 
     def test_rows_must_split_into_the_batch(self):
         dec, _ = tiny_decoder()
@@ -260,7 +254,7 @@ class TestDecoderGradients:
 
         def loss():
             logits = dec.teacher_forced_forward(enc, target)
-            return masked_mean(sparse_ce_loss(logits, labels, mask), mask)
+            return masked_mean(sparse_ce_loss(logits, labels, mask), [mask])
 
         params = list(store.parameters.values()) + [enc]
         worst = check_gradients(loss, params, max_entries=4)
@@ -276,7 +270,7 @@ class TestDecoderGradients:
         for labels in (labels_a, labels_b):
             with GradientTape() as tape:
                 loss = masked_mean(sparse_ce_loss(
-                    dec.teacher_forced_forward(enc, target), labels, mask), mask)
+                    dec.teacher_forced_forward(enc, target), labels, mask), [mask])
             tape.backward(loss)
             grads.append(tape.gradients(store.parameters))
         for path in grads[0]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cxrgen.encoder import FusionEncoder, embed_text, encode_scalars, one_hot_ethnicity
+from cxrgen.encoder import FusionEncoder, encode_scalars, one_hot_ethnicity
 from cxrgen.errors import ContractError, DataError, DimensionError
 from cxrgen.model import ModelConfig
 from cxrgen.params import ParameterStore
@@ -40,16 +40,14 @@ def patient_rows(enc, scalars=None, ethnicity=2, chief=(1, 2), icd=(0, 1, 2, 3, 
 
 class TestOneHotEthnicity:
     def test_valid_groups(self):
-        for g in range(1, 10):
-            v = one_hot_ethnicity(g)
-            assert v.shape == (9,)
-            assert v.data.sum() == 1.0
-            assert v.data[g - 1] == 1.0
+        np.testing.assert_array_equal(one_hot_ethnicity(list(range(1, 10))).data, np.eye(9))
+        np.testing.assert_array_equal(one_hot_ethnicity([4, 4, np.int64(9)]).data,
+                                      np.eye(9)[[3, 3, 8]])
 
     @pytest.mark.parametrize("bad", [0, 10, -1, 1.5, "White"])
     def test_invalid_rejected(self, bad):
-        with pytest.raises(ContractError):
-            one_hot_ethnicity(bad)
+        with pytest.raises(ContractError, match="1..9"):
+            one_hot_ethnicity([1, bad])
 
 
 class TestEncodeScalars:
@@ -72,20 +70,26 @@ class TestEncodeScalars:
 
 
 class TestEmbedText:
+    """The text sources of the patient rows: each record's ids gathered from
+    its table and laid out one token after another."""
+
     def test_gathers_rows(self):
-        store = ParameterStore(1)
-        table = store.embedding("t", (7, 4))
-        out = embed_text([0, 3, 3], table)
-        assert out.shape == (3, 4)
-        np.testing.assert_allclose(out.data, table.data[[0, 3, 3]])
-        batch = embed_text([[0, 3], [3, 6]], table)
-        np.testing.assert_allclose(batch.data, table.data[[0, 3, 3, 6]])
+        enc = tiny_encoder(1)
+        rows = enc.build_patient_representation([make_scalars()] * 2, [1, 2],
+                                                [[0, 3], [3, 6]],
+                                                [[0, 1, 2, 3, 4, 5], [8, 8, 0, 0, 0, 0]])
+        chief_w, chief_b = enc.row_w["chief"].data, enc.row_b["chief"].data
+        for b, ids in enumerate(([0, 3], [3, 6])):
+            np.testing.assert_allclose(rows.data[4 * b + 2],
+                                       enc.chief_table.data[ids].reshape(-1) @ chief_w +
+                                       chief_b, atol=1e-12)
 
     def test_out_of_range_token(self):
-        store = ParameterStore(1)
-        table = store.embedding("t", (7, 4))
+        enc = tiny_encoder(1)
         with pytest.raises(ContractError):
-            embed_text([7], table)
+            patient_rows(enc, chief=(1, 7))
+        with pytest.raises(ContractError):
+            patient_rows(enc, icd=(0, 1, 2, 3, 4, 9))
 
 
 class TestPreProjectionWidth:
@@ -112,7 +116,7 @@ class TestPreProjectionWidth:
         rows = patient_rows(enc, ethnicity=5).data
         expected = {
             "scalars": make_scalars().as_array() @ enc.scalar_w.data + enc.scalar_b.data,
-            "ethnicity": one_hot_ethnicity(5).data,
+            "ethnicity": one_hot_ethnicity([5]).data[0],
             "chief": enc.chief_table.data[[1, 2]].reshape(-1),
             "icd": enc.icd_table.data[[0, 1, 2, 3, 4, 5]].reshape(-1),
         }
@@ -152,23 +156,25 @@ class TestImagePathway:
     def test_output_shape(self):
         cfg = tiny_config()
         enc = tiny_encoder(7, cfg)
-        rows = enc.image_pathway(np.random.default_rng(0).standard_normal(10))
+        rows = enc.image_pathway(np.random.default_rng(0).standard_normal((1, 10)))
         assert rows.shape == (cfg.image_tokens, cfg.model_dim)
         feats = np.random.default_rng(1).standard_normal((3, 10))
         batch = enc.image_pathway(feats)
         assert batch.shape == (3 * cfg.image_tokens, cfg.model_dim)
         np.testing.assert_allclose(batch.data[cfg.image_tokens:2 * cfg.image_tokens],
-                                   enc.image_pathway(feats[1]).data, atol=1e-12)
+                                   enc.image_pathway(feats[1:2]).data, atol=1e-12)
 
     def test_wrong_width_rejected(self):
         enc = tiny_encoder(8)
         with pytest.raises(DimensionError):
-            enc.image_pathway(np.zeros(11))
+            enc.image_pathway(np.zeros((1, 11)))
+        with pytest.raises(DimensionError):  # one record's features are [1, F], not [F]
+            enc.image_pathway(np.zeros(10))
 
     def test_non_finite_rejected(self):
         enc = tiny_encoder(9)
-        feats = np.zeros(10)
-        feats[3] = np.nan
+        feats = np.zeros((1, 10))
+        feats[0, 3] = np.nan
         with pytest.raises(DataError):
             enc.image_pathway(feats)
 
@@ -178,9 +184,9 @@ class TestImagePathway:
         cfg = tiny_config()
         enc = tiny_encoder(10, cfg)
         enc.image_self_attn.w_o.data = np.zeros_like(enc.image_self_attn.w_o.data)
-        feats = np.random.default_rng(1).standard_normal(10)
+        feats = np.random.default_rng(1).standard_normal((1, 10))
         out = enc.image_pathway(feats)
-        normed = layer_norm(Tensor(feats.reshape(1, -1)), enc.image_ln1_gamma,
+        normed = layer_norm(Tensor(feats), enc.image_ln1_gamma,
                             enc.image_ln1_beta, cfg.layer_norm_eps)
         tokens = reshape(dense(normed, enc.image_w, enc.image_b),
                          (cfg.image_tokens, cfg.model_dim))
@@ -203,7 +209,7 @@ class TestCrossAttentionFusion:
         cfg = tiny_config()
         enc = tiny_encoder(12, cfg)
         rep = patient_rows(enc)
-        image_rows = enc.image_pathway(np.random.default_rng(3).standard_normal(10))
+        image_rows = enc.image_pathway(np.random.default_rng(3).standard_normal((1, 10)))
         result = enc.cross_attention_fusion(image_rows, rep)
         assert result.output.shape == (cfg.image_tokens, cfg.model_dim)
         weights = result.attention.weights.data
@@ -217,7 +223,7 @@ class TestCrossAttentionFusion:
         enc = tiny_encoder(13, cfg)
         enc.cross_attn.w_o.data = np.zeros_like(enc.cross_attn.w_o.data)
         rep = patient_rows(enc)
-        image_rows = enc.image_pathway(np.random.default_rng(4).standard_normal(10))
+        image_rows = enc.image_pathway(np.random.default_rng(4).standard_normal((1, 10)))
         result = enc.cross_attention_fusion(image_rows, rep)
         expected = layer_norm(image_rows, enc.fusion_ln_gamma, enc.fusion_ln_beta,
                               cfg.layer_norm_eps)
@@ -226,7 +232,7 @@ class TestCrossAttentionFusion:
     def test_patient_data_changes_fused_output(self):
         cfg = tiny_config()
         enc = tiny_encoder(14, cfg)
-        image_rows = enc.image_pathway(np.random.default_rng(5).standard_normal(10))
+        image_rows = enc.image_pathway(np.random.default_rng(5).standard_normal((1, 10)))
         rep_a = patient_rows(enc, make_scalars(o2sat=0.1))
         rep_b = patient_rows(enc, make_scalars(o2sat=0.9))
         out_a = enc.cross_attention_fusion(image_rows, rep_a).output
@@ -239,7 +245,7 @@ class TestEncoderGradients:
         cfg = tiny_config()
         store = ParameterStore(15)
         enc = FusionEncoder(store, cfg, chief_vocab_size=7, icd_vocab_size=9)
-        feats = np.random.default_rng(6).standard_normal(10)
+        feats = np.random.default_rng(6).standard_normal((1, 10))
         probe = Tensor(np.random.default_rng(7).standard_normal((cfg.image_tokens,
                                                                  cfg.model_dim)))
 

@@ -70,7 +70,7 @@ class TestInputMask:
 
     def test_all_inputs_passthrough(self):
         rec = _record()
-        scalars, eth, chief, icd = InputMask.all_inputs().apply(rec)
+        scalars, eth, chief, icd = INPUT_PRESETS["all"].apply(rec)
         assert scalars == rec.scalars
         assert eth == rec.ethnicity
         assert chief == rec.chief_ids
@@ -78,7 +78,7 @@ class TestInputMask:
 
     def test_image_only_blanks_everything(self):
         rec = _record()
-        scalars, eth, chief, icd = InputMask.image_only().apply(rec)
+        scalars, eth, chief, icd = INPUT_PRESETS["image_only"].apply(rec)
         assert scalars.as_array().tolist() == [0.0] * 8
         assert eth == ETHNICITY_UNKNOWN
         assert chief == [PAD_ID] * len(rec.chief_ids)
@@ -87,7 +87,7 @@ class TestInputMask:
     def test_scalars_only_keeps_vitals_blanks_rest(self):
         # scalar fusion = continuous features only; categorical/text are masked
         rec = _record()
-        scalars, eth, chief, icd = InputMask.scalars_only().apply(rec)
+        scalars, eth, chief, icd = INPUT_PRESETS["scalars"].apply(rec)
         assert scalars == rec.scalars
         assert eth == ETHNICITY_UNKNOWN
         assert chief == [PAD_ID] * len(rec.chief_ids)
@@ -95,7 +95,7 @@ class TestInputMask:
 
     def test_text_only_keeps_text_blanks_scalars(self):
         rec = _record()
-        scalars, eth, chief, icd = InputMask.text_only().apply(rec)
+        scalars, eth, chief, icd = INPUT_PRESETS["text"].apply(rec)
         assert scalars.as_array().tolist() == [0.0] * 8
         assert eth == ETHNICITY_UNKNOWN
         assert chief == rec.chief_ids
@@ -103,7 +103,7 @@ class TestInputMask:
 
     def test_o2sat_only_keeps_single_vital(self):
         rec = _record()
-        scalars, eth, chief, icd = InputMask.o2sat_only().apply(rec)
+        scalars, eth, chief, icd = INPUT_PRESETS["o2sat"].apply(rec)
         arr = scalars.as_array()
         order = ScalarFeatures.ORDER
         for i, name in enumerate(order):
@@ -203,7 +203,7 @@ class TestLossForRecord:
 
     def test_mask_changes_loss(self):
         full = _tiny_model(seed=0)
-        masked = _tiny_model(seed=0, input_mask=InputMask.image_only())
+        masked = _tiny_model(seed=0, input_mask=INPUT_PRESETS["image_only"])
         rec = _record()
         loss_a, _, _ = full.loss_for_record(rec)
         loss_b, _, _ = masked.loss_for_record(rec)
@@ -311,11 +311,6 @@ class TestGenerate:
         rec = _record(seed=5)
         assert model.generate(rec) == model.generate(rec)
 
-    def test_max_len_override(self):
-        model = _tiny_model()
-        ids = model.generate(_record(), max_len=3)
-        assert len(ids) <= 3
-
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), preset=st.sampled_from(sorted(INPUT_PRESETS)))
     def test_batch_matches_the_full_prefix_reference(self, data, preset):
@@ -337,12 +332,11 @@ class TestGenerate:
         assert [model.generate(rec) for rec in records] == ids
 
     def test_max_len_bounds(self):
-        model = _tiny_model()
+        # ids stop at report_len, so a model with report_len 1 emits only START
+        model = ReportGenerator(_tiny_config(report_len=1), vocab_size=30,
+                                chief_vocab_size=12, icd_vocab_size=12)
         records = [_record(seed=i) for i in range(3)]
-        assert model.generate_batch(records, max_len=1) == [[START_ID]] * 3
-        for bad in (0, model.config.report_len + 1):
-            with pytest.raises(ContractError):
-                model.generate_batch(records, max_len=bad)
+        assert model.generate_batch(records) == [[START_ID]] * 3
         with pytest.raises(ContractError):
             model.generate_batch([])
 
@@ -388,7 +382,7 @@ class TestCheckpointRoundTrip:
         model = _tiny_model(seed=1)
         path = tmp_path / "ckpt.npz"
         model.save(path)
-        masked = ReportGenerator.load(path, input_mask=InputMask.image_only())
+        masked = ReportGenerator.load(path, input_mask=INPUT_PRESETS["image_only"])
         rec = _record()
         # the mask must actually take effect on the loaded model
         loss_a, _, _ = model.loss_for_record(rec)
@@ -398,9 +392,9 @@ class TestCheckpointRoundTrip:
     def test_save_records_the_models_own_preset(self, tmp_path):
         from cxrgen.params import load_checkpoint
         path = tmp_path / "ckpt.npz"
-        _tiny_model(seed=1, input_mask=InputMask.image_only()).save(path)
+        _tiny_model(seed=1, input_mask=INPUT_PRESETS["image_only"]).save(path)
         assert load_checkpoint(path)[1]["inputs"] == "image_only"
-        assert ReportGenerator.load(path).input_mask == InputMask.image_only()
+        assert ReportGenerator.load(path).input_mask == INPUT_PRESETS["image_only"]
 
     def test_save_rejects_masks_no_checkpoint_can_name(self, tmp_path):
         custom = InputMask(scalars=frozenset(["o2sat", "sbp"]), ethnicity=False,
@@ -430,8 +424,8 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "ckpt.npz"
         _tiny_model(seed=1).save(path, extra_metadata={"inputs": "image_only"})
         assert ReportGenerator.load(path).input_mask == INPUT_PRESETS["image_only"]
-        override = ReportGenerator.load(path, input_mask=InputMask.all_inputs())
-        assert override.input_mask == InputMask.all_inputs()
+        override = ReportGenerator.load(path, input_mask=INPUT_PRESETS["all"])
+        assert override.input_mask == INPUT_PRESETS["all"]
 
 
 class TestParametersOwnTheirArrays:

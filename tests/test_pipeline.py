@@ -1,5 +1,6 @@
 """File-level pipeline stages and the CLI wiring, end to end at toy scale."""
 
+import csv
 import json
 import os
 import shutil
@@ -101,6 +102,31 @@ class TestPreprocessStage:
             run_preprocess(tmp_path / "d", tmp_path / "p",
                            PreprocessConfig(image_feature_dim=8), SplitPlan())
 
+    @pytest.mark.parametrize("field,value", [("report", None), ("icd_title", ["pneumonia"]),
+                                             ("chief_complaint", 3), ("sample_id", 17)])
+    def test_jsonl_text_field_that_is_no_string_rejected(self, workspace, tmp_path, field,
+                                                         value):
+        rows = read_jsonl(workspace["data"] / "records.jsonl")[:3]
+        rows[1][field] = value
+        write_jsonl(tmp_path / "records.jsonl", rows)
+        with pytest.raises(DataError) as caught:
+            read_raw_records(tmp_path / "records.jsonl")
+        message = str(caught.value)
+        assert f"record {rows[1]['sample_id']}:" in message and repr(field) in message
+
+    def test_csv_row_missing_its_last_column_rejected(self, workspace, tmp_path):
+        # csv.DictReader fills a missing column with None, which is no report text
+        records = read_raw_records(workspace["data"] / "records.jsonl")[:3]
+        path = tmp_path / "records.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(records[0].to_dict())  # the header
+            for i, rec in enumerate(records):
+                values = list(rec.to_dict().values())
+                writer.writerow(values[:-1] if i == 2 else values)
+        with pytest.raises(DataError, match=f"record {records[2].sample_id}: field 'report'"):
+            read_raw_records(path)
+
     def test_plan_validation(self):
         with pytest.raises(ConfigurationError):
             SplitPlan(subset_fraction=1.5)
@@ -178,9 +204,9 @@ class TestGenerationStage:
         sizes = []
         original = cxrgen.model.ReportGenerator.generate_batch
 
-        def counted(self, records, max_len=None):
+        def counted(self, records):
             sizes.append(len(records))
-            return original(self, records, max_len)
+            return original(self, records)
 
         monkeypatch.setattr(cxrgen.model.ReportGenerator, "generate_batch", counted)
         monkeypatch.setattr(cxrgen.pipeline, "EVAL_CHUNK", 3)
@@ -395,6 +421,60 @@ class TestCli:
                        "--out", str(tmp_path / "r.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,body,key", [
+        ("synth", {"synth": {"num_sample": 10}}, "num_sample"),
+        ("synth", {"synth": {"image_noise": "0.1"}}, "image_noise"),
+        ("preprocess", {"preprocess": {"report_length": 9}}, "report_length"),
+        ("preprocess", {"preprocess": {"report_len": 9.0}}, "report_len"),
+        ("preprocess", {"split": {"test_sizes": 5}}, "test_sizes"),
+        ("preprocess", {"split": {"test_size": True}}, "test_size"),
+        ("train", {"model": {"model_dimm": 64}}, "model_dimm"),
+        ("train", {"model": {"layer_norm_eps": None}}, "layer_norm_eps"),
+        ("train", {"train": {"batch_size": "32"}}, "batch_size"),
+        ("train", {"train": {"grad_clip": 1.0}}, "grad_clip"),
+        ("ablate", {"model": {"model_dimm": 64}}, "model_dimm"),
+        ("ablate", {"train": {"base_lr": [0.1]}}, "base_lr"),
+        ("ablate", {"synth": {"seed": 1.5}}, "seed"),
+    ])
+    def test_bad_config_key_or_type_names_file_section_and_key(self, tmp_path, capsys,
+                                                              command, body, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        data, out = str(tmp_path / "data"), str(tmp_path / "out")
+        args = {"synth": ["--out", out], "preprocess": ["--data", data, "--out", out],
+                "train": ["--data", data, "--out", out], "ablate": ["--out", out]}[command]
+        assert cli_main([command, *args, "--config", str(cfg)]) == 1
+        (section,) = body
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}, section {section!r}: ")
+        assert repr(key) in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_takes_an_integer_for_a_number_and_null_where_optional(self, tmp_path,
+                                                                         capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"feature_dim": 8, "image_noise": 0},
+                                   "preprocess": {"image_feature_dim": 8},
+                                   "split": {"test_size": None}}))
+        data = tmp_path / "data"
+        assert cli_main(["synth", "--out", str(data), "--n", "20", "--config", str(cfg)]) == 0
+        assert cli_main(["preprocess", "--data", str(data), "--out", str(tmp_path / "prep"),
+                         "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["splits"]["test"] == 6
+
+    def test_ablate_takes_a_seed_from_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"model_dim": 8, "num_heads": 2, "ffn_dim": 8, "embed_dim": 8,
+                      "image_feature_dim": 8},
+            "train": {"seed": 3}, "synth": {"seed": 4, "feature_dim": 8}}))
+        assert cli_main(["ablate", "--out", str(tmp_path / "abl"), "--seed", "1", "--n", "30",
+                         "--epochs", "1", "--configurations", "all",
+                         "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "abl" / "ablation_report.json").read_text())
+        assert (report["seed"], report["train_config"]["seed"]) == (1, 3)
+        assert "AllDataFusion" in capsys.readouterr().out
 
     def test_unknown_preset_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

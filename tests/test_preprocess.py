@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrgen.errors import ConfigurationError, ContractError, DataError
-from cxrgen.preprocess import (CORE_ABBREVIATIONS, DEFAULT_ABBREVIATIONS,
-                               ETHNICITY_GROUPS, FeatureStats, NormalizationStats,
-                               PLAUSIBLE_RANGES, PreprocessConfig, AbbreviationMap,
+from cxrgen.preprocess import (ABBREVIATIONS, ETHNICITY_GROUPS, FeatureStats,
+                               NormalizationStats, PLAUSIBLE_RANGES, PreprocessConfig,
                                build_patient_record, celsius_to_fahrenheit,
                                encode_acuity, encode_gender, encode_report,
                                map_ethnicity, minmax_normalize, pad_truncate,
@@ -70,15 +69,11 @@ class TestStandardizeText:
         once = standardize_text(raw)
         assert standardize_text(once) == once
 
-    def test_custom_abbreviation_map(self):
-        custom = AbbreviationMap((("xyz", "expanded"),))
-        assert standardize_text("XYZ here", custom) == "expanded here"
-        # core rules are not applied when a custom map is supplied
-        assert standardize_text("cp", custom) == "cp"
-
     def test_core_rules_present_in_default(self):
-        for pat, repl in CORE_ABBREVIATIONS:
-            assert (pat, repl) in DEFAULT_ABBREVIATIONS.rules
+        assert ABBREVIATIONS[:4] == (("shortness of breath", "dyspnea"), ("sob", "dyspnea"),
+                                     ("cp", "chest pain"), ("fevers", "fever"))
+        for pat, repl in ABBREVIATIONS:
+            assert standardize_text(f"x {pat.upper()} y") == f"x {repl} y"
 
 
 class TestScalarEncodings:

@@ -11,7 +11,7 @@ from cxrgen.errors import (ConfigurationError, ContractError, NonFiniteGradientE
                            TrainingError)
 from cxrgen.model import ModelConfig, ReportGenerator
 from cxrgen.params import ParameterStore
-from cxrgen.tensor import GradientTape, Tensor, add, mul, reduce_sum, sub
+from cxrgen.tensor import GradientTape, Tensor, add, mul, reduce_sum
 from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS,
                              EarlyStopper, OptimizerState, TrainConfig, adam_step,
                              clip_gradients, evaluate_split, fit, lr_at_step,
@@ -116,7 +116,7 @@ class TestAdam:
         state = OptimizerState.for_parameters(params)
         for _ in range(400):
             with GradientTape() as tape:
-                diff = sub(x, Tensor(np.array([3.0])))
+                diff = add(x, Tensor(np.array([-3.0])))
                 loss = reduce_sum(mul(diff, diff))
             tape.backward(loss)
             adam_step(params, tape.gradients(params), state, lr=0.05)
@@ -257,17 +257,15 @@ class TestEarlyStopper:
 class TestSplitDataset:
     def test_sizes_at_corpus_scale(self):
         records = list(range(3000))
-        train, val, test = split_dataset(records, (0.7, 0.3), seed=0)
-        assert (len(train), len(val), len(test)) == (2100, 900, 0)
-
-    def test_three_way(self):
-        train, val, test = split_dataset(list(range(100)), (0.6, 0.2, 0.2), seed=1)
-        assert (len(train), len(val), len(test)) == (60, 20, 20)
+        train, val = split_dataset(records, (0.7, 0.3), seed=0)
+        assert (len(train), len(val)) == (2100, 900)
+        train, val = split_dataset(list(range(11)), (0.5, 0.5), seed=0)
+        assert (len(train), len(val)) == (6, 5)  # the leftover record goes to train
 
     def test_disjoint_and_exhaustive(self):
         records = list(range(250))
-        train, val, test = split_dataset(records, (0.7, 0.3), seed=2)
-        assert sorted(train + val + test) == records
+        train, val = split_dataset(records, (0.7, 0.3), seed=2)
+        assert sorted(train + val) == records
 
     def test_deterministic_per_seed(self):
         records = list(range(50))
@@ -282,6 +280,8 @@ class TestSplitDataset:
             split_dataset(list(range(10)), (0.7, 0.2), seed=0)
         with pytest.raises(ConfigurationError):
             split_dataset(list(range(10)), (0.7,), seed=0)
+        with pytest.raises(ConfigurationError):  # no third, test fraction
+            split_dataset(list(range(10)), (0.6, 0.2, 0.2), seed=0)
         with pytest.raises(ConfigurationError):
             split_dataset([1], (0.5, 0.5), seed=0)
 
@@ -322,7 +322,7 @@ class _ToyModel:
         self.store.load_state_dict(state)
 
     def loss_for_record(self, target):
-        diff = sub(self.x, Tensor(np.array([float(target)])))
+        diff = add(self.x, Tensor(np.array([-float(target)])))
         return reduce_sum(mul(diff, diff)), int(abs(self.x.data[0] - target) < 0.5), 1
 
     def loss_for_batch(self, targets):
@@ -346,7 +346,7 @@ class _VectorModel(_ToyModel):
     def loss_for_record(self, target):
         total = None
         for x in self.xs:
-            diff = sub(x, Tensor(np.full(2, float(target))))
+            diff = add(x, Tensor(np.full(2, -float(target))))
             term = reduce_sum(mul(diff, diff))
             total = term if total is None else add(total, term)
         return total, 0, 1
