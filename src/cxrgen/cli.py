@@ -57,6 +57,12 @@ def _section(config: dict, path: str | None, name: str, cls) -> dict:
     return dict(section)
 
 
+def _given(**flags) -> dict:
+    """The flags the user gave. They override the config file; a flag left
+    out (None) lets the config value, then the stage's default, apply."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cxrgen",
@@ -65,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted signal")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=2000, help="number of samples")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--n", type=int, help="number of samples (default: config, then 2000)")
+    p.add_argument("--seed", type=int, help="default: config, then 7")
     p.add_argument("--format", default="jsonl", choices=("jsonl", "csv"),
                    help="raw-record file format (features stay JSONL)")
     p.add_argument("--config", help="JSON config file (section: synth)")
@@ -103,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run the baseline-vs-fusion experiment")
     p.add_argument("--out", required=True, help="working directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=2000, help="synthetic samples")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--n", type=int, help="synthetic samples (default: config, then 2000)")
+    p.add_argument("--epochs", type=int, help="default: config, then 10")
     p.add_argument("--configurations", nargs="+", default=["image_only", "all"],
                    choices=sorted(INPUT_PRESETS))
     p.add_argument("--config", help="JSON config file (sections: model, train, synth)")
@@ -114,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     overrides = _section(_load_config_file(args.config), args.config, "synth",
                          SyntheticConfig)
-    overrides.update({"num_samples": args.n, "seed": args.seed})
+    overrides.update(_given(num_samples=args.n, seed=args.seed))
     manifest = run_synth(args.out, SyntheticConfig(**overrides),
                          record_format=args.format)
     print(f"wrote {manifest.meta['num_samples']} samples to {args.out}")
@@ -165,9 +171,9 @@ def _cmd_ablate(args) -> int:
         args.out, seed=args.seed, configurations=args.configurations,
         model_overrides=_section(config, args.config, "model", ModelConfig),
         train_overrides={**_section(config, args.config, "train", TrainConfig),
-                         "max_epochs": args.epochs},
+                         **_given(max_epochs=args.epochs)},
         synth_overrides={**_section(config, args.config, "synth", SyntheticConfig),
-                         "num_samples": args.n},
+                         **_given(num_samples=args.n)},
     )
     header = f"{'configuration':<16} {'BLEU-1':>8} {'ROUGE-L':>8} {'emb-F1':>8} {'planted':>8}"
     print(header)

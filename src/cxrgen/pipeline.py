@@ -68,6 +68,8 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     ``data_dir``. Vocabularies are fitted on every cleaned record; the
     balanced subset feeds the train/val split and the remainder is held out
     as the test set. Normalization stats come from the training split only.
+    Each distinct report, chief complaint and ICD title is standardized once
+    per call; the vocabulary fits and every split's records reuse the result.
     """
     cfg = preprocess_config or PreprocessConfig()
     plan = plan or SplitPlan()
@@ -87,11 +89,19 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     if len(cleaned) < 10:
         raise DataError(f"only {len(cleaned)} records survive outlier removal")
 
+    # one standardization per distinct text, kept for this call only
+    standardized: dict[str, str] = {}
+
+    def standardize(text: str) -> str:
+        clean = standardized.get(text)
+        if clean is None:
+            clean = standardized[text] = standardize_text(text)
+        return clean
+
     # vocabularies come from the complete cleaned corpus, not the subset
-    report_vocab = tokenize_and_fit_vocab(standardize_text(r.report) for r in cleaned)
-    chief_vocab = tokenize_and_fit_vocab(standardize_text(r.chief_complaint)
-                                         for r in cleaned)
-    icd_vocab = tokenize_and_fit_vocab(standardize_text(r.icd_title) for r in cleaned)
+    report_vocab = tokenize_and_fit_vocab(standardize(r.report) for r in cleaned)
+    chief_vocab = tokenize_and_fit_vocab(standardize(r.chief_complaint) for r in cleaned)
+    icd_vocab = tokenize_and_fit_vocab(standardize(r.icd_title) for r in cleaned)
 
     subset_size = max(2, int(round(plan.subset_fraction * len(cleaned))))
     curated = balance_by_unique_reports(cleaned, subset_size)
@@ -113,8 +123,8 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
             feats = features.get(rec.sample_id)
             if feats is None:
                 raise DataError(f"no image features for record {rec.sample_id}")
-            out_records.append(build_patient_record(rec, stats, report_vocab,
-                                                    chief_vocab, icd_vocab, feats, cfg))
+            out_records.append(build_patient_record(rec, stats, report_vocab, chief_vocab,
+                                                    icd_vocab, feats, cfg, standardize))
         return out_records
 
     splits = {"train": build_split(train_raw), "val": build_split(val_raw),

@@ -8,11 +8,10 @@ unchanged.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError, ContractError, DataError
 from .records import PatientRecord, RawRecord, ScalarFeatures
@@ -167,13 +166,13 @@ def minmax_normalize(value: float, stats: FeatureStats) -> float:
     span = stats.maximum - stats.minimum
     if span <= 0:
         raise ConfigurationError(f"degenerate normalization stats: min == max == {stats.minimum}")
-    return float(np.clip((value - stats.minimum) / span, 0.0, 1.0))
+    return min(max((value - stats.minimum) / span, 0.0), 1.0)
 
 
 def within_plausible_ranges(rec: RawRecord) -> bool:
     for name, (lo, hi) in PLAUSIBLE_RANGES.items():
         v = getattr(rec, name)
-        if not (np.isfinite(v) and lo <= v <= hi):
+        if not (math.isfinite(v) and lo <= v <= hi):
             return False
     return True
 
@@ -227,8 +226,15 @@ class PreprocessConfig:
 def build_patient_record(rec: RawRecord, stats: NormalizationStats,
                          report_vocab: Vocabulary, chief_vocab: Vocabulary,
                          icd_vocab: Vocabulary, image_features: Sequence[float],
-                         cfg: PreprocessConfig) -> PatientRecord:
-    """Assemble one model-ready record from a cleaned raw record."""
+                         cfg: PreprocessConfig,
+                         standardize: Optional[Callable[[str], str]] = None
+                         ) -> PatientRecord:
+    """Assemble one model-ready record from a cleaned raw record.
+
+    ``standardize`` (default ``standardize_text``) cleans the three texts;
+    ``run_preprocess`` passes one that looks up each distinct text's
+    ``standardize_text`` result in a table it keeps for the call."""
+    standardize = standardize or standardize_text
     feats = [float(x) for x in image_features]
     if len(feats) != cfg.image_feature_dim:
         raise DataError(f"record {rec.sample_id}: expected {cfg.image_feature_dim} "
@@ -245,14 +251,14 @@ def build_patient_record(rec: RawRecord, stats: NormalizationStats,
         gender=encode_gender(rec.gender, rec.sample_id),
     )
     scalars.validate()
-    report_text = standardize_text(rec.report)
+    report_text = standardize(rec.report)
     return PatientRecord(
         sample_id=rec.sample_id,
         scalars=scalars,
         ethnicity=map_ethnicity(rec.ethnicity),
-        chief_ids=pad_truncate(chief_vocab.encode(standardize_text(rec.chief_complaint)),
+        chief_ids=pad_truncate(chief_vocab.encode(standardize(rec.chief_complaint)),
                                cfg.chief_len),
-        icd_ids=pad_truncate(icd_vocab.encode(standardize_text(rec.icd_title)), cfg.icd_len),
+        icd_ids=pad_truncate(icd_vocab.encode(standardize(rec.icd_title)), cfg.icd_len),
         image_features=feats,
         report_ids=encode_report(report_text, report_vocab, cfg.report_len),
         report_text=report_text,

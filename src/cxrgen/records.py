@@ -5,9 +5,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import secrets
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -37,7 +38,7 @@ class ScalarFeatures:
     def validate(self) -> None:
         for name in self.ORDER:
             v = getattr(self, name)
-            if not (np.isfinite(v) and 0.0 <= v <= 1.0):
+            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ContractError(f"scalar feature {name!r} out of [0, 1]: {v}")
         if self.gender not in (0.0, 1.0):
             raise ContractError(f"gender must be 0.0 or 1.0, got {self.gender}")
@@ -71,7 +72,12 @@ class RawRecord:
     report: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"sample_id": self.sample_id, "acuity": self.acuity, "o2sat": self.o2sat,
+                "heart_rate": self.heart_rate, "resp_rate": self.resp_rate,
+                "sbp": self.sbp, "dbp": self.dbp,
+                "temperature_celsius": self.temperature_celsius, "gender": self.gender,
+                "ethnicity": self.ethnicity, "chief_complaint": self.chief_complaint,
+                "icd_title": self.icd_title, "report": self.report}
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "RawRecord":
@@ -87,6 +93,9 @@ class RawRecord:
         for name in _RAW_FLOAT_FIELDS:
             if name not in row:
                 raise DataError(f"record {sample_id}: missing field {name!r}")
+            if isinstance(row[name], bool):  # float(True) would pass as 1.0
+                raise DataError(f"record {sample_id}: field {name!r} must be a number, "
+                                f"got bool {row[name]!r}")
             try:
                 kwargs[name] = float(row[name])
             except (TypeError, ValueError) as exc:
@@ -109,9 +118,15 @@ class PatientRecord:
     report_text: str
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["scalars"] = asdict(self.scalars)
-        return d
+        s = self.scalars
+        return {"sample_id": self.sample_id,
+                "scalars": {"heart_rate": s.heart_rate, "o2sat": s.o2sat,
+                            "resp_rate": s.resp_rate, "sbp": s.sbp, "dbp": s.dbp,
+                            "temperature": s.temperature, "acuity": s.acuity,
+                            "gender": s.gender},
+                "ethnicity": self.ethnicity, "chief_ids": list(self.chief_ids),
+                "icd_ids": list(self.icd_ids), "image_features": list(self.image_features),
+                "report_ids": list(self.report_ids), "report_text": self.report_text}
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "PatientRecord":
@@ -127,7 +142,9 @@ class PatientRecord:
                 report_ids=[int(i) for i in row["report_ids"]],
                 report_text=str(row["report_text"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise DataError(f"malformed patient record: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
             raise DataError(f"malformed patient record: {exc}") from exc
 
 
@@ -203,7 +220,19 @@ def write_raw_records_csv(path: PathLike, records: Sequence[RawRecord]) -> None:
 
 
 def read_patient_records(path: PathLike) -> list[PatientRecord]:
-    return [PatientRecord.from_dict(row) for row in read_jsonl(path)]
+    """Load a preprocessed split; a malformed row raises a DataError naming
+    the file, the row number and the row's sample id."""
+    records = []
+    for number, row in enumerate(read_jsonl(path), start=1):
+        if not isinstance(row, dict):
+            raise DataError(f"{path}: row {number} is a {type(row).__name__}, "
+                            f"not a JSON object")
+        try:
+            records.append(PatientRecord.from_dict(row))
+        except DataError as exc:
+            raise DataError(f"{path}: row {number} (sample {row.get('sample_id')!r}): "
+                            f"{exc}") from exc
+    return records
 
 
 def write_patient_records(path: PathLike, records: Sequence[PatientRecord]) -> None:

@@ -1,14 +1,17 @@
 """Shared test utilities: finite-difference gradient checking, the
 per-sample reference loss, the full-prefix greedy decoder that cached
 decoding is checked against, the out-of-place Adam update that the
-in-place one is checked against, and the per-pair metrics (Counter
+in-place one is checked against, the per-pair metrics (Counter
 n-grams, dynamic-programming LCS, one provider call per token) that
-corpus-at-once scoring is checked against."""
+corpus-at-once scoring is checked against, and the ``dataclasses.asdict``
+record serializers that the direct ``to_dict`` methods are checked
+against."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import asdict
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,6 +20,7 @@ from cxrgen.decoder import _KVCache, masked_mean, sparse_ce_loss
 from cxrgen.errors import EvaluationError
 from cxrgen.metrics import (BLEU_BUCKET_LABELS, BleuResult, EvalReport, HashedEmbeddings,
                             RougeLResult, SampleScores, bleu1_bucket)
+from cxrgen.records import PatientRecord, RawRecord
 from cxrgen.tensor import GradientTape, Tensor, add, mul
 from cxrgen.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
@@ -292,3 +296,15 @@ def corpus_reference(pairs, provider=None, beta: float = 1.2,
     histogram = {label: counts[label] / n for label in BLEU_BUCKET_LABELS}
     return EvalReport(num_samples=n, corpus=corpus, bleu1_histogram=histogram,
                       samples=samples)
+
+
+def raw_record_dict_reference(rec: RawRecord) -> dict:
+    """``RawRecord.to_dict`` through ``dataclasses.asdict``."""
+    return asdict(rec)
+
+
+def patient_record_dict_reference(rec: PatientRecord) -> dict:
+    """``PatientRecord.to_dict`` through ``dataclasses.asdict``."""
+    d = asdict(rec)
+    d["scalars"] = asdict(rec.scalars)
+    return d

@@ -4,10 +4,12 @@ import csv
 import json
 import os
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cxrgen import cli, pipeline, preprocess
 from cxrgen.cli import main as cli_main
 from cxrgen.errors import ConfigurationError, DataError
 from cxrgen.metrics import corpus_evaluate
@@ -16,11 +18,15 @@ from cxrgen.pipeline import (SplitPlan, load_preprocessed,
                              planted_phrase_accuracy, run_evaluation,
                              run_generation, run_preprocess, run_synth,
                              run_training)
-from cxrgen.preprocess import NormalizationStats, PreprocessConfig, standardize_text
-from cxrgen.records import read_jsonl, read_raw_records, write_jsonl
+from cxrgen.preprocess import (NormalizationStats, PreprocessConfig, build_patient_record,
+                               remove_outliers, standardize_text)
+from cxrgen.records import (load_image_features, read_jsonl, read_raw_records,
+                            write_jsonl)
 from cxrgen.synth import DatasetManifest, SyntheticConfig
 from cxrgen.training import TrainConfig
 from cxrgen.vocab import UNK_ID, Vocabulary
+
+from helpers import patient_record_dict_reference
 
 TOY_SYNTH = SyntheticConfig(num_samples=80, seed=7, feature_dim=16)
 TOY_PREP = PreprocessConfig(report_len=43, image_feature_dim=16)
@@ -113,6 +119,57 @@ class TestPreprocessStage:
             read_raw_records(tmp_path / "records.jsonl")
         message = str(caught.value)
         assert f"record {rows[1]['sample_id']}:" in message and repr(field) in message
+
+    @pytest.mark.parametrize("field,value", [("acuity", True), ("o2sat", False),
+                                             ("temperature_celsius", True)])
+    def test_jsonl_boolean_in_a_numeric_field_rejected(self, workspace, tmp_path, field,
+                                                       value):
+        # JSON true would pass as 1.0: acuity 1 is in range and would be trained on
+        rows = read_jsonl(workspace["data"] / "records.jsonl")[:3]
+        rows[1][field] = value
+        write_jsonl(tmp_path / "records.jsonl", rows)
+        with pytest.raises(DataError, match=f"record {rows[1]['sample_id']}: field "
+                                            f"{field!r} must be a number, got bool"):
+            read_raw_records(tmp_path / "records.jsonl")
+
+    def test_standardizes_each_distinct_text_once_per_call(self, workspace, tmp_path,
+                                                           monkeypatch):
+        calls = Counter()
+
+        def counted(text):
+            calls[text] += 1
+            return standardize_text(text)
+
+        monkeypatch.setattr(pipeline, "standardize_text", counted)
+        monkeypatch.setattr(preprocess, "standardize_text", counted)
+        cleaned = remove_outliers(read_raw_records(workspace["data"] / "records.jsonl"))
+        distinct = {text for r in cleaned for text in (r.report, r.chief_complaint,
+                                                       r.icd_title)}
+        assert len(distinct) < 3 * len(cleaned)  # the toy corpus repeats texts
+        run_preprocess(workspace["data"], tmp_path / "p1", TOY_PREP, TOY_PLAN)
+        assert calls == Counter(distinct)
+        # a second call over the same files standardizes everything again
+        run_preprocess(workspace["data"], tmp_path / "p2", TOY_PREP, TOY_PLAN)
+        assert calls == Counter({text: 2 for text in distinct})
+
+    def test_splits_equal_the_per_record_path(self, workspace):
+        # every split row, rebuilt from its raw record by build_patient_record with
+        # its own standardization and serialized by dataclasses.asdict
+        prep = workspace["prep"]
+        raw = {r.sample_id: r for r in read_raw_records(workspace["data"] / "records.jsonl")}
+        features = load_image_features(workspace["data"] / "features.jsonl")
+        stats = NormalizationStats.from_dict(json.loads((prep / "norm_stats.json").read_text()))
+        vocabs = [Vocabulary.load(prep / f"{name}_vocab.json")
+                  for name in ("report", "chief", "icd")]
+        for name in ("train", "val", "test"):
+            written = (prep / f"{name}.jsonl").read_text(encoding="utf-8")
+            ids = [json.loads(line)["sample_id"] for line in written.splitlines()]
+            assert ids
+            rebuilt = "".join(
+                json.dumps(patient_record_dict_reference(build_patient_record(
+                    raw[sid], stats, *vocabs, features[sid], TOY_PREP)), sort_keys=True) + "\n"
+                for sid in ids)
+            assert written == rebuilt
 
     def test_csv_row_missing_its_last_column_rejected(self, workspace, tmp_path):
         # csv.DictReader fills a missing column with None, which is no report text
@@ -475,6 +532,60 @@ class TestCli:
         report = json.loads((tmp_path / "abl" / "ablation_report.json").read_text())
         assert (report["seed"], report["train_config"]["seed"]) == (1, 3)
         assert "AllDataFusion" in capsys.readouterr().out
+
+    def test_synth_takes_count_and_seed_from_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"num_samples": 30, "seed": 5,
+                                             "feature_dim": 8}}))
+        assert cli_main(["synth", "--out", str(tmp_path / "a"), "--config", str(cfg)]) == 0
+        assert "wrote 30 samples" in capsys.readouterr().out
+        meta = DatasetManifest.load(tmp_path / "a").meta
+        assert (meta["num_samples"], meta["seed"]) == (30, 5)
+        assert len(read_jsonl(tmp_path / "a" / "records.jsonl")) == 30
+        # a flag the user gives wins over the config file
+        assert cli_main(["synth", "--out", str(tmp_path / "b"), "--n", "12", "--seed", "6",
+                         "--config", str(cfg)]) == 0
+        meta = DatasetManifest.load(tmp_path / "b").meta
+        assert (meta["num_samples"], meta["seed"], meta["feature_dim"]) == (12, 6, 8)
+        assert "wrote 12 samples" in capsys.readouterr().out
+
+    def test_synth_flags_left_out_fall_back_to_the_defaults(self, tmp_path, monkeypatch,
+                                                           capsys):
+        seen = []
+
+        def capture(out_dir, config, record_format):
+            seen.append(config)
+            return DatasetManifest(files={}, sha256={}, meta={"num_samples": 0})
+
+        monkeypatch.setattr(cli, "run_synth", capture)
+        assert cli_main(["synth", "--out", str(tmp_path)]) == 0
+        assert seen == [SyntheticConfig()]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags,config,epochs,samples", [
+        ([], {}, None, None),
+        ([], {"train": {"max_epochs": 3}, "synth": {"num_samples": 50}}, 3, 50),
+        (["--epochs", "2", "--n", "40"],
+         {"train": {"max_epochs": 3}, "synth": {"num_samples": 50}}, 2, 40),
+        (["--epochs", "4"], {"synth": {"num_samples": 50}}, 4, 50),
+    ])
+    def test_ablate_flags_override_the_config_file_only_when_given(
+            self, tmp_path, monkeypatch, flags, config, epochs, samples):
+        seen = {}
+
+        def capture(work_dir, **kwargs):
+            seen.update(kwargs)
+            return {"rows": {}}
+
+        monkeypatch.setattr(cli, "run_ablation", capture)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli_main(["ablate", "--out", str(tmp_path / "abl"), *flags,
+                         "--config", str(cfg)]) == 0
+        # a key left out lets run_ablation's ABLATION_TRAIN/ABLATION_SYNTH value apply
+        assert seen["train_overrides"].get("max_epochs") == epochs
+        assert seen["synth_overrides"].get("num_samples") == samples
+        assert seen["seed"] == 0
 
     def test_unknown_preset_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
