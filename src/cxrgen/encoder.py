@@ -9,40 +9,29 @@ can weight the sources separately.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .attention import AttentionProjections, AttentionResult, multi_head_attention
-from .errors import ContractError, DataError, DimensionError
+from .errors import ContractError, DimensionError
 from .params import ParameterStore
 from .records import ScalarFeatures
 from .tensor import (Tensor, add, concat, dense, embedding_lookup, layer_norm,
                      reshape)
 
 if TYPE_CHECKING:
-    from .model import ModelConfig
+    from .model import ModelConfig, PackedRecords
 
 NUM_ETHNICITY_GROUPS = 9
 
 
-def one_hot_ethnicity(groups: Sequence[int]) -> Tensor:
+def one_hot_ethnicity(groups) -> Tensor:
     """One-hot rows [B, 9] over the nine 1-indexed ethnicity groups."""
-    for group in groups:
-        if not isinstance(group, (int, np.integer)) or \
-                not 1 <= int(group) <= NUM_ETHNICITY_GROUPS:
-            raise ContractError(f"ethnicity group must be an integer in 1..9, got {group!r}")
-    return Tensor(np.eye(NUM_ETHNICITY_GROUPS)[np.asarray(groups, dtype=np.int64) - 1])
-
-
-def encode_scalars(scalars: Sequence[ScalarFeatures], w: Tensor, b: Tensor) -> Tensor:
-    """Dense projection of each record's eight normalized scalars -> [B, M]."""
-    for record_scalars in scalars:
-        record_scalars.validate()
-    x = Tensor(np.stack([record_scalars.as_array() for record_scalars in scalars]))
-    if w.shape[0] != x.shape[1]:
-        raise DimensionError(f"scalar projection expects width {x.shape[1]}, got {w.shape}")
-    return dense(x, w, b)
+    groups = np.asarray(groups)
+    if groups.dtype.kind not in "iu" or ((groups < 1) | (groups > NUM_ETHNICITY_GROUPS)).any():
+        raise ContractError(f"ethnicity group must be an integer in 1..9, got {groups}")
+    return Tensor(np.eye(NUM_ETHNICITY_GROUPS)[groups - 1])
 
 
 class FusionResult(NamedTuple):
@@ -51,14 +40,6 @@ class FusionResult(NamedTuple):
 
     output: Tensor
     attention: AttentionResult
-
-
-def _id_grid(ids: Sequence[Sequence[int]], length: int, what: str) -> np.ndarray:
-    """Stack per-record id lists into [B, length], rejecting any other length."""
-    for row in ids:
-        if len(row) != length:
-            raise DimensionError(f"expected {length} {what} ids, got {len(row)}")
-    return np.asarray(ids, dtype=np.int64).reshape(len(ids), length)
 
 
 class FusionEncoder:
@@ -105,18 +86,15 @@ class FusionEncoder:
         self.fusion_ln_beta = store.zeros("encoder.fusion.ln.beta", (d,))
 
     # -- patient pathway -----------------------------------------------------
-    def build_patient_representation(self, scalars: Sequence[ScalarFeatures],
-                                     ethnicity: Sequence[int],
-                                     chief_ids: Sequence[Sequence[int]],
-                                     icd_ids: Sequence[Sequence[int]]) -> Tensor:
+    def build_patient_representation(self, scalars: np.ndarray, ethnicity: np.ndarray,
+                                     chief: np.ndarray, icd: np.ndarray) -> Tensor:
         """Patient key/value rows [B·4, d_model] for B records: per record
-        the scalars, ethnicity, chief-complaint and ICD rows, in that order."""
+        the scalars, ethnicity, chief-complaint and ICD rows, in that order.
+        Takes packed arrays: scalars [B, 8], ethnicity [B], id grids [B, len]."""
         cfg = self.config
         batch = len(scalars)
-        chief = _id_grid(chief_ids, cfg.chief_len, "chief-complaint")
-        icd = _id_grid(icd_ids, cfg.icd_len, "ICD")
         sources = {
-            "scalars": encode_scalars(scalars, self.scalar_w, self.scalar_b),
+            "scalars": dense(Tensor(scalars), self.scalar_w, self.scalar_b),
             "ethnicity": one_hot_ethnicity(ethnicity),
             "chief": reshape(embedding_lookup(self.chief_table, chief.reshape(-1)),
                              (batch, cfg.chief_len * cfg.embed_dim)),
@@ -128,17 +106,11 @@ class FusionEncoder:
         return reshape(rows, (batch * len(sources), cfg.model_dim))
 
     # -- image pathway ---------------------------------------------------------
-    def image_pathway(self, features) -> Tensor:
+    def image_pathway(self, features: np.ndarray) -> Tensor:
         """Global image-feature vectors [B, F] -> [B·image_tokens, d_model] rows."""
         cfg = self.config
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != cfg.image_feature_dim:
-            raise DimensionError(f"expected {cfg.image_feature_dim} image features per record, "
-                                 f"got shape {feats.shape}")
-        if not np.isfinite(feats).all():
-            raise DataError("image features must be finite")
-        batch = feats.shape[0]
-        normed = layer_norm(Tensor(feats), self.image_ln1_gamma, self.image_ln1_beta,
+        batch = len(features)
+        normed = layer_norm(Tensor(features), self.image_ln1_gamma, self.image_ln1_beta,
                             cfg.layer_norm_eps)
         tokens = reshape(dense(normed, self.image_w, self.image_b),
                          (batch * cfg.image_tokens, cfg.model_dim))
@@ -162,10 +134,8 @@ class FusionEncoder:
                            self.fusion_ln_beta, cfg.layer_norm_eps)
         return FusionResult(output=fused, attention=attn)
 
-    def encode(self, scalars: Sequence[ScalarFeatures], ethnicity: Sequence[int],
-               chief_ids: Sequence[Sequence[int]], icd_ids: Sequence[Sequence[int]],
-               image_features) -> FusionResult:
-        """Fuse a batch: per-record patient sources and [B, F] image features."""
-        patient_rows = self.build_patient_representation(scalars, ethnicity, chief_ids, icd_ids)
-        image_rows = self.image_pathway(image_features)
-        return self.cross_attention_fusion(image_rows, patient_rows)
+    def encode(self, batch: "PackedRecords") -> FusionResult:
+        """Fused rows of packed records, used as ``ReportGenerator.pack`` checked them."""
+        patient_rows = self.build_patient_representation(batch.scalars, batch.ethnicity,
+                                                         batch.chief, batch.icd)
+        return self.cross_attention_fusion(self.image_pathway(batch.image), patient_rows)

@@ -14,12 +14,12 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .decoder import ReportDecoder, masked_mean, sparse_ce_loss, token_accuracy
-from .encoder import FusionEncoder, FusionResult
+from .encoder import NUM_ETHNICITY_GROUPS, FusionEncoder, FusionResult
 from .errors import ConfigurationError, ContractError, DataError, DimensionError
 from .params import ParameterStore, load_checkpoint, save_checkpoint
 from .records import PatientRecord, ScalarFeatures
 from .tensor import Tensor, no_tape
-from .vocab import END_ID, PAD_ID
+from .vocab import END_ID, PAD_ID, START_ID
 
 from .preprocess import ETHNICITY_UNKNOWN
 
@@ -39,16 +39,6 @@ class InputMask:
         unknown = set(self.scalars) - set(SCALAR_NAMES)
         if unknown:
             raise ConfigurationError(f"unknown scalar features in mask: {sorted(unknown)}")
-
-    def apply(self, rec: PatientRecord) -> tuple[ScalarFeatures, int, list[int], list[int]]:
-        """Masked view of one record's non-image inputs."""
-        values = {name: (getattr(rec.scalars, name) if name in self.scalars else 0.0)
-                  for name in SCALAR_NAMES}
-        scalars = ScalarFeatures(**values)
-        ethnicity = rec.ethnicity if self.ethnicity else ETHNICITY_UNKNOWN
-        chief = list(rec.chief_ids) if self.chief else [PAD_ID] * len(rec.chief_ids)
-        icd = list(rec.icd_ids) if self.icd else [PAD_ID] * len(rec.icd_ids)
-        return scalars, ethnicity, chief, icd
 
 
 # Named ablation rows used by the CLI and the fusion experiment.
@@ -76,6 +66,29 @@ ABLATION_LABELS = {
     "scalars": "ScalarFusion",
     "all": "AllDataFusion",
 }
+
+
+@dataclass(frozen=True)
+class PackedRecords:
+    """Masked, checked arrays of N records, made by ``ReportGenerator.pack``:
+    ``image`` [N, F], ``scalars`` [N, 8], ``ethnicity`` [N], ``chief``, ``icd`` and
+    PAD-filled ``report`` ids [N, length], ``sample_ids``. Index with a slice or array."""
+
+    image: np.ndarray
+    scalars: np.ndarray
+    ethnicity: np.ndarray
+    chief: np.ndarray
+    icd: np.ndarray
+    report: np.ndarray
+    sample_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def __getitem__(self, index) -> "PackedRecords":
+        if not isinstance(index, slice) and np.ndim(index) != 1:
+            raise TypeError(f"select records with a slice or an index array, not {index!r}")
+        return PackedRecords(*(getattr(self, f.name)[index] for f in dataclasses.fields(self)))
 
 
 @dataclass(frozen=True)
@@ -150,46 +163,67 @@ class ReportGenerator:
         self.decoder = ReportDecoder(store, config, vocab_size)
         self._vocab_sizes = (vocab_size, chief_vocab_size, icd_vocab_size)
 
+    # -- inputs -----------------------------------------------------------------
+    def pack(self, records: Sequence[PatientRecord]) -> PackedRecords:
+        """The masked model inputs of ``records`` as arrays, one row per record.
+        The one place inputs are checked, in array form; an error names the
+        first faulty record. Masked values are replaced before the checks."""
+        cfg, mask, n = self.config, self.input_mask, len(records)
+        ids = np.array([rec.sample_id for rec in records], dtype=str)
+        image = _rows(ids, [rec.image_features for rec in records], cfg.image_feature_dim,
+                      np.float64, DataError, "image features")
+        scalars = _rows(ids, [rec.scalars.as_array() for rec in records], len(SCALAR_NAMES),
+                        np.float64, ContractError, "scalar features")
+        scalars = np.where(np.isin(SCALAR_NAMES, list(mask.scalars)), scalars, 0.0)
+        ethnicity = np.array([rec.ethnicity if mask.ethnicity else ETHNICITY_UNKNOWN
+                              for rec in records], dtype=np.float64)
+        chief, icd = (_rows(ids, [getattr(rec, f"{name}_ids") for rec in records], length,
+                            np.int64, DimensionError, f"{name} ids")
+                      if seen else np.full((n, length), PAD_ID, dtype=np.int64)
+                      for name, length, seen in (("chief", cfg.chief_len, mask.chief),
+                                                 ("icd", cfg.icd_len, mask.icd)))
+        padded = [list(rec.report_ids) + [PAD_ID] * (cfg.report_len - len(rec.report_ids))
+                  for rec in records]
+        report = _rows(ids, padded, cfg.report_len, np.int64, ContractError,
+                       "report ids or fewer")
+
+        bad = ~((scalars >= 0.0) & (scalars <= 1.0))
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise ContractError(f"record {ids[row]}: scalar feature {SCALAR_NAMES[col]!r} "
+                                f"out of [0, 1]: {scalars[row, col]}")
+        for bad, error, message in (
+                (~np.isfinite(image).all(axis=1), DataError, "image features must be finite"),
+                (~np.isin(scalars[:, SCALAR_NAMES.index("gender")], (0.0, 1.0)), ContractError,
+                 "gender must be 0.0 or 1.0"),
+                (~np.isin(ethnicity, np.arange(1, NUM_ETHNICITY_GROUPS + 1)), ContractError,
+                 f"ethnicity group must be an integer in 1..{NUM_ETHNICITY_GROUPS}"),
+                *((((grid < 0) | (grid >= size)).any(axis=1), ContractError,
+                   f"{name} id outside the vocabulary of {size}") for name, grid, size in
+                  zip(("report", "chief", "icd"), (report, chief, icd), self._vocab_sizes)),
+                (report[:, 0] != START_ID, ContractError, "report must begin with the START id"),
+                (~(report[:, 1:] != PAD_ID).any(axis=1), ContractError,
+                 "report has no unpadded label to teacher-force")):
+            _reject(ids, bad, error, message)
+        return PackedRecords(image, scalars, ethnicity.astype(np.int64), chief, icd, report, ids)
+
     # -- forward --------------------------------------------------------------
-    def encode_batch(self, records: Sequence[PatientRecord]) -> FusionResult:
-        """Fused encoder rows [B·image_tokens, d] for the masked records.
-
-        An input error names the record that caused it: when a batch fails,
-        its records are encoded one at a time until the faulty one raises.
-        """
-        dim = self.config.image_feature_dim
-        features = []
-        for rec in records:
-            feats = np.asarray(rec.image_features, dtype=np.float64)
-            if feats.shape != (dim,):
-                raise DataError(f"record {rec.sample_id}: expected {dim} image features, "
-                                f"got shape {feats.shape}")
-            features.append(feats)
-        scalars, ethnicity, chief_ids, icd_ids = zip(*(self.input_mask.apply(rec)
-                                                       for rec in records))
-        try:
-            return self.encoder.encode(scalars, ethnicity, chief_ids, icd_ids,
-                                       np.stack(features))
-        except (ContractError, DataError, DimensionError) as exc:
-            if len(records) == 1:
-                raise type(exc)(f"record {records[0].sample_id}: {exc}") from exc
-            for rec in records:
-                self.encode_batch([rec])
-            raise
-
     def encode_record(self, rec: PatientRecord) -> FusionResult:
-        return self.encode_batch([rec])
+        return self.encoder.encode(self.pack([rec]))
 
-    def loss_for_batch(self, records: Sequence[PatientRecord]) -> tuple[Tensor, int, int]:
-        """(loss, correct tokens, counted tokens) from one batched forward.
+    def loss_for_batch(self, batch: PackedRecords) -> tuple[Tensor, int, int]:
+        """(loss, correct tokens, counted tokens) from one forward over packed records.
 
         The loss is the mean over records of each record's masked token
         mean, the same objective as averaging ``loss_for_record``.
         """
-        if not records:
+        if not len(batch):
             raise ContractError("loss_for_batch needs at least one record")
-        decoder_in, labels = _teacher_forcing(records)
-        logits = self.decoder.teacher_forced_forward(self.encode_batch(records).output,
+        # cut after the batch's last real label: PAD only trails a report and the
+        # decoder is causal, so the cut changes no logit at a counted position
+        length = int(np.flatnonzero((batch.report[:, 1:] != PAD_ID).any(axis=0))[-1]) + 1
+        decoder_in, labels = batch.report[:, :length], batch.report[:, 1:length + 1]
+        logits = self.decoder.teacher_forced_forward(self.encoder.encode(batch).output,
                                                      decoder_in)
         pad_mask = labels != PAD_ID
         flat = (labels.reshape(-1), pad_mask.reshape(-1))
@@ -198,20 +232,20 @@ class ReportGenerator:
 
     def loss_for_record(self, rec: PatientRecord) -> tuple[Tensor, int, int]:
         """(scalar loss, correct tokens, counted tokens) for one sample."""
-        return self.loss_for_batch([rec])
+        return self.loss_for_batch(self.pack([rec]))
 
-    def generate_batch(self, records: Sequence[PatientRecord]) -> list[list[int]]:
-        """Greedy token ids per record, START included, END if reached. Records
-        nothing on an active tape."""
-        if not records:
+    def generate_batch(self, batch: PackedRecords) -> list[list[int]]:
+        """Greedy token ids per packed record, START included, END if reached.
+        Records nothing on an active tape."""
+        if not len(batch):
             raise ContractError("generate_batch needs at least one record")
         with no_tape():
-            rows = self.encode_batch(records).output
-        return self.decoder.generate_batch(rows, len(records))
+            rows = self.encoder.encode(batch).output
+        return self.decoder.generate_batch(rows, len(batch))
 
     def generate(self, rec: PatientRecord) -> list[int]:
         """Greedy token ids for one record, START included, END if reached."""
-        return self.generate_batch([rec])[0]
+        return self.generate_batch(self.pack([rec]))[0]
 
     # -- parameters / persistence ----------------------------------------------
     def parameters(self) -> dict[str, Tensor]:
@@ -268,16 +302,15 @@ class ReportGenerator:
         return model
 
 
-def _teacher_forcing(records: Sequence[PatientRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Decoder inputs and labels [B, T], PAD-filled and cut after the batch's
-    last real label. PAD only trails a report and the decoder is causal, so
-    the cut changes no logit at a counted position."""
-    grid = np.full((len(records), max(len(rec.report_ids) for rec in records)), PAD_ID,
-                   dtype=np.int64)
-    for row, rec in zip(grid, records):
-        row[:len(rec.report_ids)] = rec.report_ids
-        if not (row[1:] != PAD_ID).any():
-            raise ContractError(f"record {rec.sample_id}: report has no unpadded label "
-                                f"to teacher-force")
-    length = int(np.flatnonzero((grid[:, 1:] != PAD_ID).any(axis=0))[-1]) + 1
-    return grid[:, :length], grid[:, 1:length + 1]
+def _rows(sample_ids: np.ndarray, rows: Sequence, width: int, dtype, error: type,
+          what: str) -> np.ndarray:
+    """``rows`` as one [N, width] array; a row of another length raises ``error``."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    _reject(sample_ids, lengths != width, error, f"expected {width} {what}")
+    return np.array(rows, dtype=dtype).reshape(len(rows), width)
+
+
+def _reject(sample_ids: np.ndarray, bad: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error`` naming the first record ``bad`` marks."""
+    if bad.any():
+        raise error(f"record {sample_ids[np.flatnonzero(bad)[0]]}: {message}")

@@ -200,8 +200,8 @@ def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfi
 
 def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
                    split: str = "test", inputs: Optional[str] = None) -> int:
-    """Greedy-decode one split in batches of ``EVAL_CHUNK`` records; write
-    {sample_id, generated, reference} JSONL.
+    """Greedy-decode one split, packed once, in batches of ``EVAL_CHUNK``
+    records; write {sample_id, generated, reference} JSONL.
 
     ``inputs`` overrides the input preset the checkpoint records. Only the
     decoded split and the report vocabulary are read from ``data_dir``.
@@ -213,13 +213,12 @@ def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
     vocab = Vocabulary.load(data_dir / "report_vocab.json")
     mask = resolve_input_mask(inputs) if inputs is not None else None
     model = ReportGenerator.load(checkpoint, input_mask=mask)
-    rows = []
-    for start in range(0, len(records), EVAL_CHUNK):
-        chunk = records[start:start + EVAL_CHUNK]
-        for rec, ids in zip(chunk, model.generate_batch(chunk)):
-            rows.append({"sample_id": rec.sample_id,
-                         "generated": vocab.text(ids),
-                         "reference": rec.report_text})
+    packed = model.pack(records)
+    generated = []
+    for start in range(0, len(packed), EVAL_CHUNK):
+        generated += model.generate_batch(packed[start:start + EVAL_CHUNK])
+    rows = [{"sample_id": rec.sample_id, "generated": vocab.text(ids),
+             "reference": rec.report_text} for rec, ids in zip(records, generated)]
     write_jsonl(out_path, rows)
     return len(rows)
 

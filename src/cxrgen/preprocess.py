@@ -250,7 +250,6 @@ def build_patient_record(rec: RawRecord, stats: NormalizationStats,
         acuity=encode_acuity(rec.acuity),
         gender=encode_gender(rec.gender, rec.sample_id),
     )
-    scalars.validate()
     report_text = standardize(rec.report)
     return PatientRecord(
         sample_id=rec.sample_id,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
 import secrets
 from dataclasses import dataclass, fields
@@ -14,7 +13,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .errors import DataError
 
 PathLike = Union[str, Path]
 
@@ -34,14 +33,6 @@ class ScalarFeatures:
 
     ORDER = ("heart_rate", "o2sat", "resp_rate", "sbp", "dbp",
              "temperature", "acuity", "gender")
-
-    def validate(self) -> None:
-        for name in self.ORDER:
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ContractError(f"scalar feature {name!r} out of [0, 1]: {v}")
-        if self.gender not in (0.0, 1.0):
-            raise ContractError(f"gender must be 0.0 or 1.0, got {self.gender}")
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in self.ORDER], dtype=np.float64)
@@ -131,10 +122,15 @@ class PatientRecord:
     @classmethod
     def from_dict(cls, row: Mapping) -> "PatientRecord":
         try:
-            scalars = ScalarFeatures(**{k: float(v) for k, v in row["scalars"].items()})
+            numeric = {"scalars": row["scalars"].values(), "ethnicity": [row["ethnicity"]],
+                       **{name: row[name] for name in ("chief_ids", "icd_ids",
+                                                       "image_features", "report_ids")}}
+            for name, values in numeric.items():
+                if bool in map(type, values):  # int(True) and float(True) would pass as 1
+                    raise DataError(f"field {name!r} must hold numbers, got a bool")
             return cls(
                 sample_id=str(row["sample_id"]),
-                scalars=scalars,
+                scalars=ScalarFeatures(**{k: float(v) for k, v in row["scalars"].items()}),
                 ethnicity=int(row["ethnicity"]),
                 chief_ids=[int(i) for i in row["chief_ids"]],
                 icd_ids=[int(i) for i in row["icd_ids"]],

@@ -193,33 +193,35 @@ class FitResult:
 
 
 def evaluate_split(model, records: Sequence) -> tuple[float, float]:
-    """(mean per-sample loss, pooled token accuracy) without recording,
-    scored in batches of ``EVAL_CHUNK`` records."""
+    """(mean per-sample loss, pooled token accuracy) without recording. The
+    records are packed once, then scored in batches of ``EVAL_CHUNK``."""
     if not records:
         raise ConfigurationError("cannot evaluate an empty split")
+    packed = model.pack(records)
     loss_sum = 0.0
     correct = 0
     total = 0
-    for start in range(0, len(records), EVAL_CHUNK):
-        chunk = records[start:start + EVAL_CHUNK]
+    for start in range(0, len(packed), EVAL_CHUNK):
+        chunk = packed[start:start + EVAL_CHUNK]
         loss, c, t = model.loss_for_batch(chunk)
         loss_sum += loss.item() * len(chunk)
         correct += c
         total += t
-    return loss_sum / len(records), correct / max(1, total)
+    return loss_sum / len(packed), correct / max(1, total)
 
 
 def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> FitResult:
     """Mini-batch Adam training with warmup and early stopping.
 
-    Each mini-batch is one ``model.loss_for_batch`` forward and backward. A
-    non-finite batch loss, gradient or validation loss aborts the run
-    (``diverged=True``) and restores the best checkpoint seen so far; the
-    model is always left holding the best-validation parameters when fit
-    returns.
+    Each mini-batch is an index array into the training split, packed once,
+    and one ``model.loss_for_batch`` forward and backward. A non-finite batch
+    loss, gradient or validation loss aborts the run (``diverged=True``) and
+    restores the best checkpoint seen so far; the model is always left holding
+    the best-validation parameters when fit returns.
     """
     if not train_set or not val_set:
         raise ConfigurationError("fit needs non-empty train and validation sets")
+    train = model.pack(train_set)
     parameters = model.parameters()
     state = OptimizerState.for_parameters(parameters)
     stopper = EarlyStopper(config.early_stop_patience)
@@ -234,14 +236,14 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
 
     for epoch in range(1, config.max_epochs + 1):
         epochs_run = epoch
-        order = rng.permutation(len(train_set))
+        order = rng.permutation(len(train))
         loss_weighted = 0.0
         correct = 0
         total = 0
         last_lr = lr_at_step(max(1, step), config) if step else 0.0
         diverged = False
         for start in range(0, len(order), config.batch_size):
-            batch = [train_set[i] for i in order[start:start + config.batch_size]]
+            batch = train[order[start:start + config.batch_size]]
             with GradientTape() as tape:
                 batch_loss, c, t = model.loss_for_batch(batch)
             correct += c
@@ -266,7 +268,7 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             val_loss, val_acc = evaluate_split(model, val_set)
             history.append({
                 "epoch": epoch,
-                "train_loss": loss_weighted / len(train_set),
+                "train_loss": loss_weighted / len(train),
                 "train_acc": correct / max(1, total),
                 "val_loss": val_loss,
                 "val_acc": val_acc,

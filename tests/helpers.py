@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, the
-per-sample reference loss, the full-prefix greedy decoder that cached
+per-sample reference loss, the per-record input masking that packing is
+checked against, the full-prefix greedy decoder that cached
 decoding is checked against, the out-of-place Adam update that the
 in-place one is checked against, the per-pair metrics (Counter
 n-grams, dynamic-programming LCS, one provider call per token) that
@@ -20,7 +21,8 @@ from cxrgen.decoder import _KVCache, masked_mean, sparse_ce_loss
 from cxrgen.errors import EvaluationError
 from cxrgen.metrics import (BLEU_BUCKET_LABELS, BleuResult, EvalReport, HashedEmbeddings,
                             RougeLResult, SampleScores, bleu1_bucket)
-from cxrgen.records import PatientRecord, RawRecord
+from cxrgen.preprocess import ETHNICITY_UNKNOWN
+from cxrgen.records import PatientRecord, RawRecord, ScalarFeatures
 from cxrgen.tensor import GradientTape, Tensor, add, mul
 from cxrgen.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
@@ -116,6 +118,17 @@ def per_sample_loss(model, records) -> Tensor:
         loss = masked_mean(sparse_ce_loss(logits, labels, pad_mask), pad_mask[None])
         total = loss if total is None else add(total, loss)
     return mul(total, 1.0 / len(records))
+
+
+def input_mask_apply(mask, rec: PatientRecord) -> tuple[ScalarFeatures, int, list[int], list[int]]:
+    """Reference for the masking in ``ReportGenerator.pack``: one record's
+    masked scalars, ethnicity, chief-complaint ids and ICD ids."""
+    values = {name: (getattr(rec.scalars, name) if name in mask.scalars else 0.0)
+              for name in ScalarFeatures.ORDER}
+    ethnicity = rec.ethnicity if mask.ethnicity else ETHNICITY_UNKNOWN
+    chief = list(rec.chief_ids) if mask.chief else [PAD_ID] * len(rec.chief_ids)
+    icd = list(rec.icd_ids) if mask.icd else [PAD_ID] * len(rec.icd_ids)
+    return ScalarFeatures(**values), ethnicity, chief, icd
 
 
 def adam_reference(theta: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray,

@@ -194,10 +194,11 @@ def test_criterion_1_gradient_correctness():
         lambda: model.loss_for_record(rec)[0], list(model.parameters().values()),
         FD_STEP, GRAD_RTOL))
     # the batched objective on three reports of different lengths
-    batch = [_tiny_record(np.random.default_rng(seed), report=report) for seed, report in (
-        (2, (START_ID, 5, END_ID) + (PAD_ID,) * 7),
-        (3, (START_ID, 9, 13, 7, 4, 11, 6, 8, END_ID, PAD_ID)),
-        (4, (START_ID, 4, 4, 12, END_ID, PAD_ID, PAD_ID)))]
+    batch = model.pack([_tiny_record(np.random.default_rng(seed), report=report)
+                        for seed, report in (
+                            (2, (START_ID, 5, END_ID) + (PAD_ID,) * 7),
+                            (3, (START_ID, 9, 13, 7, 4, 11, 6, 8, END_ID, PAD_ID)),
+                            (4, (START_ID, 4, 4, 12, END_ID, PAD_ID, PAD_ID)))])
     worst = max(worst, check_gradients(
         lambda: model.loss_for_batch(batch)[0], list(model.parameters().values()),
         FD_STEP, GRAD_RTOL))

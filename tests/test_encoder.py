@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cxrgen.encoder import FusionEncoder, encode_scalars, one_hot_ethnicity
-from cxrgen.errors import ContractError, DataError, DimensionError
-from cxrgen.model import ModelConfig
+from cxrgen.encoder import FusionEncoder, one_hot_ethnicity
+from cxrgen.errors import ContractError, DimensionError
+from cxrgen.model import ModelConfig, PackedRecords
 from cxrgen.params import ParameterStore
 from cxrgen.records import ScalarFeatures
 from cxrgen.tensor import Tensor, reduce_sum, mul
@@ -34,8 +34,9 @@ def tiny_encoder(seed, cfg=None) -> FusionEncoder:
 
 def patient_rows(enc, scalars=None, ethnicity=2, chief=(1, 2), icd=(0, 1, 2, 3, 4, 5)):
     """Patient rows for a batch of one record."""
-    return enc.build_patient_representation([scalars or make_scalars()], [ethnicity],
-                                            [list(chief)], [list(icd)])
+    return enc.build_patient_representation((scalars or make_scalars()).as_array()[None],
+                                            np.array([ethnicity]), np.array([chief]),
+                                            np.array([icd]))
 
 
 class TestOneHotEthnicity:
@@ -50,34 +51,16 @@ class TestOneHotEthnicity:
             one_hot_ethnicity([1, bad])
 
 
-class TestEncodeScalars:
-    def test_shape_and_linearity(self):
-        store = ParameterStore(0)
-        w = store.dense("w", (8, 8))
-        b = store.zeros("b", (8,))
-        out = encode_scalars([make_scalars()], w, b)
-        assert out.shape == (1, 8)
-        np.testing.assert_allclose(out.data,
-                                   make_scalars().as_array().reshape(1, 8) @ w.data)
-
-    def test_out_of_range_scalars_rejected(self):
-        store = ParameterStore(0)
-        w, b = store.dense("w", (8, 8)), store.zeros("b", (8,))
-        with pytest.raises(ContractError):
-            encode_scalars([make_scalars(), make_scalars(o2sat=1.2)], w, b)
-        with pytest.raises(ContractError):
-            encode_scalars([make_scalars(gender=0.5)], w, b)
-
-
 class TestEmbedText:
     """The text sources of the patient rows: each record's ids gathered from
     its table and laid out one token after another."""
 
     def test_gathers_rows(self):
         enc = tiny_encoder(1)
-        rows = enc.build_patient_representation([make_scalars()] * 2, [1, 2],
-                                                [[0, 3], [3, 6]],
-                                                [[0, 1, 2, 3, 4, 5], [8, 8, 0, 0, 0, 0]])
+        rows = enc.build_patient_representation(np.stack([make_scalars().as_array()] * 2),
+                                                np.array([1, 2]), np.array([[0, 3], [3, 6]]),
+                                                np.array([[0, 1, 2, 3, 4, 5],
+                                                          [8, 8, 0, 0, 0, 0]]))
         chief_w, chief_b = enc.row_w["chief"].data, enc.row_b["chief"].data
         for b, ids in enumerate(([0, 3], [3, 6])):
             np.testing.assert_allclose(rows.data[4 * b + 2],
@@ -136,7 +119,9 @@ class TestPatientRows:
         enc = tiny_encoder(5, cfg)
         a = (make_scalars(o2sat=0.2), 1, [1, 2], [0, 1, 2, 3, 4, 5])
         b = (make_scalars(), 7, [3, 4], [6, 5, 4, 3, 2, 1])
-        batch = enc.build_patient_representation(*zip(a, b))
+        batch = enc.build_patient_representation(
+            np.stack([a[0].as_array(), b[0].as_array()]), np.array([a[1], b[1]]),
+            np.array([a[2], b[2]]), np.array([a[3], b[3]]))
         assert batch.shape == (2 * 4, cfg.model_dim)
         np.testing.assert_allclose(batch.data[:4], patient_rows(enc, *a).data, atol=1e-12)
         np.testing.assert_allclose(batch.data[4:], patient_rows(enc, *b).data, atol=1e-12)
@@ -148,8 +133,9 @@ class TestPatientRows:
         with pytest.raises(DimensionError):
             patient_rows(enc, ethnicity=1, icd=[0, 1])
         with pytest.raises(DimensionError):
-            enc.build_patient_representation([make_scalars()] * 2, [1], [[1, 2]] * 2,
-                                             [[0, 1, 2, 3, 4, 5]] * 2)
+            enc.build_patient_representation(np.stack([make_scalars().as_array()] * 2),
+                                             np.array([1]), np.array([[1, 2]] * 2),
+                                             np.array([[0, 1, 2, 3, 4, 5]] * 2))
 
 
 class TestImagePathway:
@@ -170,13 +156,6 @@ class TestImagePathway:
             enc.image_pathway(np.zeros((1, 11)))
         with pytest.raises(DimensionError):  # one record's features are [1, F], not [F]
             enc.image_pathway(np.zeros(10))
-
-    def test_non_finite_rejected(self):
-        enc = tiny_encoder(9)
-        feats = np.zeros((1, 10))
-        feats[0, 3] = np.nan
-        with pytest.raises(DataError):
-            enc.image_pathway(feats)
 
     def test_zeroed_self_attention_reduces_to_layernormed_tokens(self):
         # with W_o = 0 the residual branch vanishes: output = LN(tokens)
@@ -248,9 +227,13 @@ class TestEncoderGradients:
         feats = np.random.default_rng(6).standard_normal((1, 10))
         probe = Tensor(np.random.default_rng(7).standard_normal((cfg.image_tokens,
                                                                  cfg.model_dim)))
+        batch = PackedRecords(image=feats, scalars=make_scalars().as_array()[None],
+                              ethnicity=np.array([3]), chief=np.array([[1, 2]]),
+                              icd=np.array([[0, 1, 2, 3, 4, 5]]),
+                              report=np.array([[1, 4, 2]]), sample_ids=np.array(["r"]))
 
         def loss():
-            fused = enc.encode([make_scalars()], [3], [[1, 2]], [[0, 1, 2, 3, 4, 5]], feats)
+            fused = enc.encode(batch)
             return reduce_sum(mul(fused.output, probe))
 
         worst = check_gradients(loss, list(store.parameters.values()), max_entries=4)

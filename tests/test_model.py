@@ -17,9 +17,10 @@ from cxrgen.params import ParameterStore
 from cxrgen.preprocess import ETHNICITY_UNKNOWN
 from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.tensor import GradientTape
+from cxrgen.training import TrainConfig, evaluate_split, fit
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
-from helpers import check_cached_decoding, per_sample_loss
+from helpers import check_cached_decoding, input_mask_apply, per_sample_loss
 
 
 def _scalars(**overrides):
@@ -57,6 +58,13 @@ def _tiny_model(seed=0, input_mask=None):
                            icd_vocab_size=12, seed=seed, input_mask=input_mask)
 
 
+def _masked(preset, rec):
+    """One record's packed scalars, ethnicity, chief and ICD ids under ``preset``."""
+    packed = _tiny_model(input_mask=INPUT_PRESETS[preset]).pack([rec])
+    return (packed.scalars[0], packed.ethnicity[0], packed.chief[0].tolist(),
+            packed.icd[0].tolist())
+
+
 class TestInputMask:
     def test_preset_names(self):
         assert set(INPUT_PRESETS) == {"all", "image_only", "scalars", "text", "o2sat"}
@@ -70,16 +78,16 @@ class TestInputMask:
 
     def test_all_inputs_passthrough(self):
         rec = _record()
-        scalars, eth, chief, icd = INPUT_PRESETS["all"].apply(rec)
-        assert scalars == rec.scalars
+        scalars, eth, chief, icd = _masked("all", rec)
+        assert scalars.tolist() == rec.scalars.as_array().tolist()
         assert eth == rec.ethnicity
         assert chief == rec.chief_ids
         assert icd == rec.icd_ids
 
     def test_image_only_blanks_everything(self):
         rec = _record()
-        scalars, eth, chief, icd = INPUT_PRESETS["image_only"].apply(rec)
-        assert scalars.as_array().tolist() == [0.0] * 8
+        scalars, eth, chief, icd = _masked("image_only", rec)
+        assert scalars.tolist() == [0.0] * 8
         assert eth == ETHNICITY_UNKNOWN
         assert chief == [PAD_ID] * len(rec.chief_ids)
         assert icd == [PAD_ID] * len(rec.icd_ids)
@@ -87,31 +95,51 @@ class TestInputMask:
     def test_scalars_only_keeps_vitals_blanks_rest(self):
         # scalar fusion = continuous features only; categorical/text are masked
         rec = _record()
-        scalars, eth, chief, icd = INPUT_PRESETS["scalars"].apply(rec)
-        assert scalars == rec.scalars
+        scalars, eth, chief, icd = _masked("scalars", rec)
+        assert scalars.tolist() == rec.scalars.as_array().tolist()
         assert eth == ETHNICITY_UNKNOWN
         assert chief == [PAD_ID] * len(rec.chief_ids)
         assert icd == [PAD_ID] * len(rec.icd_ids)
 
     def test_text_only_keeps_text_blanks_scalars(self):
         rec = _record()
-        scalars, eth, chief, icd = INPUT_PRESETS["text"].apply(rec)
-        assert scalars.as_array().tolist() == [0.0] * 8
+        scalars, eth, chief, icd = _masked("text", rec)
+        assert scalars.tolist() == [0.0] * 8
         assert eth == ETHNICITY_UNKNOWN
         assert chief == rec.chief_ids
         assert icd == rec.icd_ids
 
     def test_o2sat_only_keeps_single_vital(self):
         rec = _record()
-        scalars, eth, chief, icd = INPUT_PRESETS["o2sat"].apply(rec)
-        arr = scalars.as_array()
-        order = ScalarFeatures.ORDER
-        for i, name in enumerate(order):
+        scalars, eth, chief, icd = _masked("o2sat", rec)
+        for i, name in enumerate(ScalarFeatures.ORDER):
             expected = rec.scalars.o2sat if name == "o2sat" else 0.0
-            assert arr[i] == expected
+            assert scalars[i] == expected
         assert eth == ETHNICITY_UNKNOWN
         assert chief == [PAD_ID] * len(rec.chief_ids)
         assert icd == [PAD_ID] * len(rec.icd_ids)
+
+    @pytest.mark.parametrize("preset", sorted(INPUT_PRESETS))
+    def test_pack_equals_the_per_record_oracle(self, preset):
+        """Packed, masked arrays hold exactly what masking each record on its
+        own gives; the unmasked image and report rows are the records' own."""
+        mask = INPUT_PRESETS[preset]
+        records = [PatientRecord(
+            sample_id=f"r{i}", scalars=_scalars(o2sat=i / 7, heart_rate=1.0 - i / 9,
+                                                gender=float(i % 2)),
+            ethnicity=1 + (2 * i) % 9, chief_ids=[i % 12, (5 * i) % 12],
+            icd_ids=[(i + k) % 12 for k in range(6)], image_features=_record(seed=i).image_features,
+            report_ids=_report(i % 5, 8 - i % 2), report_text="t") for i in range(7)]
+        packed = _tiny_model(input_mask=mask).pack(records)
+        oracle = [input_mask_apply(mask, rec) for rec in records]
+        assert packed.scalars.tobytes() == np.stack([o[0].as_array() for o in oracle]).tobytes()
+        assert packed.ethnicity.tolist() == [o[1] for o in oracle]
+        assert packed.chief.tolist() == [o[2] for o in oracle]
+        assert packed.icd.tolist() == [o[3] for o in oracle]
+        assert packed.image.tobytes() == np.array([r.image_features for r in records]).tobytes()
+        assert packed.report.tolist() == [r.report_ids + [PAD_ID] * (8 - len(r.report_ids))
+                                          for r in records]
+        assert packed.sample_ids.tolist() == [r.sample_id for r in records]
 
     def test_preset_lookup_rejects_unknown(self):
         from cxrgen.pipeline import resolve_input_mask
@@ -209,16 +237,6 @@ class TestLossForRecord:
         loss_b, _, _ = masked.loss_for_record(rec)
         assert loss_a.data != pytest.approx(float(loss_b.data), abs=1e-12)
 
-    def test_wrong_image_width_rejected(self):
-        model = _tiny_model()
-        rec = _record()
-        bad = PatientRecord(sample_id=rec.sample_id, scalars=rec.scalars,
-                            ethnicity=rec.ethnicity, chief_ids=rec.chief_ids,
-                            icd_ids=rec.icd_ids, image_features=[0.0] * 7,
-                            report_ids=rec.report_ids, report_text=rec.report_text)
-        with pytest.raises(DataError, match=rec.sample_id):
-            model.loss_for_record(bad)
-
 
 def _report(n_real, width):
     """START, ``n_real`` tokens, END, then PAD up to ``width`` ids."""
@@ -245,7 +263,7 @@ class TestLossForBatch:
                 report_text="t"))
         params = model.parameters()
         with GradientTape() as tape:
-            batched, correct, total = model.loss_for_batch(records)
+            batched, correct, total = model.loss_for_batch(model.pack(records))
         tape.backward(batched)
         got = tape.gradients(params)
         with GradientTape() as tape:
@@ -271,7 +289,7 @@ class TestLossForBatch:
         monkeypatch.setattr(model.decoder, "teacher_forced_forward", spy)
         # [START, w, END, PAD x 5]: labels w and END need inputs START and w only
         short = dataclasses.replace(_record(), report_ids=_report(1, 8))
-        model.loss_for_batch([short, short])
+        model.loss_for_batch(model.pack([short, short]))
         assert seen == [(2, 2)]
 
     def test_bad_records_are_named(self):
@@ -279,9 +297,9 @@ class TestLossForBatch:
         padded = dataclasses.replace(_record(), sample_id="all-pad",
                                      report_ids=[START_ID] + [PAD_ID] * 7)
         with pytest.raises(ContractError, match="all-pad"):
-            model.loss_for_batch([_record(), padded])
+            model.pack([_record(), padded])
         with pytest.raises(ContractError):
-            model.loss_for_batch([])
+            model.loss_for_batch(model.pack([]))
 
     @pytest.mark.parametrize("error, fault", [
         (DataError, {"image_features": [0.0] * 5 + [np.nan] + [0.0] * 18}),
@@ -291,10 +309,82 @@ class TestLossForBatch:
     ], ids=["non_finite_image", "scalar_out_of_range", "ethnicity_out_of_range",
             "icd_wrong_length"])
     def test_input_errors_name_the_record(self, error, fault):
+        """fit and evaluate_split stop at a faulty record, naming it, before
+        any parameter moves."""
         records = [_record(seed=i) for i in range(3)]
         records[1] = dataclasses.replace(records[1], **fault)
+        model = _tiny_model()
+        before = model.state_dict()
         with pytest.raises(error, match="rec-1"):
-            _tiny_model().loss_for_batch(records)
+            fit(model, records, [_record()], TrainConfig(max_epochs=1))
+        with pytest.raises(error, match="rec-1"):
+            evaluate_split(model, records)
+        for name, param in model.parameters().items():
+            np.testing.assert_array_equal(param.data, before[name])
+
+
+class TestPack:
+    @pytest.mark.parametrize("error, fault", [
+        (DataError, {"image_features": [0.0] * 7}),
+        (DataError, {"image_features": [0.0] * 5 + [np.inf] + [0.0] * 18}),
+        (ContractError, {"scalars": _scalars(o2sat=1.5)}),
+        (ContractError, {"scalars": _scalars(heart_rate=np.nan)}),
+        (ContractError, {"scalars": _scalars(gender=0.5)}),
+        (ContractError, {"ethnicity": 0}),
+        (ContractError, {"ethnicity": 10}),
+        (ContractError, {"ethnicity": 1.5}),
+        (DimensionError, {"chief_ids": [5]}),
+        (DimensionError, {"icd_ids": [7, 8, 9, PAD_ID, PAD_ID, PAD_ID, PAD_ID]}),
+        (ContractError, {"chief_ids": [5, 12]}),
+        (ContractError, {"icd_ids": [7, 8, 9, PAD_ID, PAD_ID, -1]}),
+        (ContractError, {"report_ids": [START_ID, 30, END_ID]}),
+        (ContractError, {"report_ids": [START_ID] + [5] * 7 + [END_ID]}),
+        (ContractError, {"report_ids": [5, 6, END_ID]}),
+        (ContractError, {"report_ids": []}),
+        (ContractError, {"report_ids": [START_ID] + [PAD_ID] * 7}),
+    ], ids=["image_width", "image_non_finite", "scalar_out_of_range",
+            "scalar_non_finite", "gender_not_binary", "ethnicity_zero", "ethnicity_ten",
+            "ethnicity_not_integer", "chief_wrong_length", "icd_wrong_length",
+            "chief_outside_vocabulary", "icd_outside_vocabulary", "report_outside_vocabulary",
+            "report_longer_than_report_len", "report_not_start_led", "report_empty",
+            "report_without_label"])
+    def test_invalid_input_is_rejected_naming_the_record(self, error, fault):
+        records = [_record(seed=i) for i in range(3)]
+        records[1] = dataclasses.replace(records[1], **fault)
+        with pytest.raises(error, match="^record rec-1: "):
+            _tiny_model().pack(records)
+
+    def test_masked_values_are_not_checked(self):
+        # the encoder never sees a masked source, so its values may be anything
+        rec = dataclasses.replace(_record(), scalars=_scalars(o2sat=1.5, gender=0.5),
+                                  ethnicity=0, chief_ids=[99, 99], icd_ids=[-1] * 6)
+        packed = _tiny_model(input_mask=INPUT_PRESETS["image_only"]).pack([rec])
+        assert packed.scalars.tolist() == [[0.0] * 8]
+        with pytest.raises(ContractError, match="rec-0"):
+            _tiny_model().pack([rec])
+
+    def test_indexing_selects_records(self):
+        model = _tiny_model()
+        records = [_record(seed=i) for i in range(4)]
+        packed = model.pack(records)
+        for index, picked in ((slice(1, 3), [1, 2]), (np.array([3, 0]), [3, 0])):
+            part, want = packed[index], model.pack([records[i] for i in picked])
+            assert len(part) == len(picked)
+            for field in dataclasses.fields(part):
+                np.testing.assert_array_equal(getattr(part, field.name),
+                                              getattr(want, field.name))
+        with pytest.raises(TypeError):
+            packed[1]
+
+    def test_empty_split_packs_to_empty_arrays(self):
+        packed = _tiny_model().pack([])
+        cfg = _tiny_config()
+        assert len(packed) == 0
+        assert packed.image.shape == (0, cfg.image_feature_dim)
+        assert packed.scalars.shape == (0, 8)
+        assert packed.chief.shape == (0, cfg.chief_len)
+        assert packed.icd.shape == (0, cfg.icd_len)
+        assert packed.report.shape == (0, cfg.report_len)
 
 
 class TestGenerate:
@@ -326,26 +416,31 @@ class TestGenerate:
                                        sample_id=f"r{i}", ethnicity=1 + i % 9,
                                        chief_ids=[5 + i % 3, 6])
                    for i in range(data.draw(st.integers(1, 6), label="batch size"))]
-        ids = check_cached_decoding(model.decoder, model.encode_batch(records).output,
+        packed = model.pack(records)
+        ids = check_cached_decoding(model.decoder, model.encoder.encode(packed).output,
                                     len(records))
-        assert model.generate_batch(records) == ids
+        assert model.generate_batch(packed) == ids
         assert [model.generate(rec) for rec in records] == ids
 
     def test_max_len_bounds(self):
-        # ids stop at report_len, so a model with report_len 1 emits only START
-        model = ReportGenerator(_tiny_config(report_len=1), vocab_size=30,
+        # ids stop at report_len, so a model with report_len 2 emits START and
+        # one more id, whether or not that id is END
+        model = ReportGenerator(_tiny_config(report_len=2), vocab_size=30,
                                 chief_vocab_size=12, icd_vocab_size=12)
-        records = [_record(seed=i) for i in range(3)]
-        assert model.generate_batch(records) == [[START_ID]] * 3
+        records = [dataclasses.replace(_record(seed=i), report_ids=[START_ID, END_ID])
+                   for i in range(3)]
+        ids = model.generate_batch(model.pack(records))
+        assert [len(row) for row in ids] == [2] * 3
+        assert all(row[0] == START_ID and 0 <= row[1] < 30 for row in ids)
         with pytest.raises(ContractError):
-            model.generate_batch([])
+            model.generate_batch(model.pack([]))
 
     def test_records_nothing_on_an_active_tape(self):
         model = _tiny_model()
         with GradientTape() as tape:
-            model.loss_for_batch([_record()])
+            model.loss_for_batch(model.pack([_record()]))
             before = len(tape)
-            model.generate_batch([_record(seed=1), _record(seed=2)])
+            model.generate_batch(model.pack([_record(seed=1), _record(seed=2)]))
             model.generate(_record(seed=3))
             assert len(tape) == before > 0
 
@@ -498,14 +593,14 @@ class TestParametersOwnTheirArrays:
         state = OptimizerState.for_parameters(params)
         for _ in range(2):
             with GradientTape() as tape:
-                loss, _, _ = model.loss_for_batch(records)
+                loss, _, _ = model.loss_for_batch(model.pack(records))
             tape.backward(loss)
             adam_step(params, tape.gradients(params), state, 1e-2)
         model.save(tmp_path / "ckpt.npz")
         results = []
         for m in (model, ReportGenerator.load(tmp_path / "ckpt.npz")):
             with GradientTape() as tape:
-                loss, _, _ = m.loss_for_batch(records)
+                loss, _, _ = m.loss_for_batch(m.pack(records))
             tape.backward(loss)
             results.append((loss.item(), tape.gradients(m.parameters())))
         assert results[0][0] == results[1][0]
@@ -520,7 +615,7 @@ class TestParametersOwnTheirArrays:
         params = model.parameters()
         before = model.state_dict()
         with GradientTape() as tape:
-            loss, _, _ = model.loss_for_batch([_record(seed=1), _record(seed=2)])
+            loss, _, _ = model.loss_for_batch(model.pack([_record(seed=1), _record(seed=2)]))
         tape.backward(loss)
         adam_step(params, tape.gradients(params), OptimizerState.for_parameters(params), 0.1)
         moved = [k for k, p in params.items() if not np.array_equal(p.data, before[k])]

@@ -274,12 +274,12 @@ class TestGenerationStage:
         assert out.read_bytes() == workspace["generated"].read_bytes()
 
     def test_empty_split_writes_an_empty_file(self, workspace, tmp_path, monkeypatch):
-        import cxrgen.model
+        import cxrgen.encoder
 
-        def refuse(self, records):
-            raise AssertionError(f"encode_batch called with {len(records)} records")
+        def refuse(self, batch):
+            raise AssertionError(f"FusionEncoder.encode called with {len(batch)} records")
 
-        monkeypatch.setattr(cxrgen.model.ReportGenerator, "encode_batch", refuse)
+        monkeypatch.setattr(cxrgen.encoder.FusionEncoder, "encode", refuse)
         (tmp_path / "test.jsonl").write_text("")
         shutil.copy(workspace["prep"] / "report_vocab.json", tmp_path / "report_vocab.json")
         out = tmp_path / "generated.jsonl"

@@ -121,6 +121,24 @@ class TestReadPatientRecords:
         with pytest.raises(DataError, match=f"^{where}"):
             read_patient_records(path)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("scalars", lambda row: row["scalars"].update(heart_rate=True)),
+        ("ethnicity", lambda row: row.update(ethnicity=True)),
+        ("chief_ids", lambda row: row["chief_ids"].__setitem__(0, True)),
+        ("icd_ids", lambda row: row["icd_ids"].__setitem__(0, False)),
+        ("report_ids", lambda row: row["report_ids"].__setitem__(1, True)),
+        ("image_features", lambda row: row["image_features"].__setitem__(1, False)),
+    ], ids=["scalars", "ethnicity", "chief_ids", "icd_ids", "report_ids", "image_features"])
+    def test_boolean_in_a_numeric_field_rejected(self, tmp_path, field, edit):
+        # int(True) and float(True) are 1: a JSON true would be read as an id or value
+        rows = self._rows(tmp_path)
+        edit(rows[1])
+        path = self._split(tmp_path, rows)
+        where = re.escape(f"{path}: row 2 (sample 'p1'): field {field!r} must hold numbers, "
+                          f"got a bool")
+        with pytest.raises(DataError, match=f"^{where}$"):
+            read_patient_records(path)
+
     def test_row_that_is_no_object_named(self, tmp_path):
         rows = self._rows(tmp_path)
         path = self._split(tmp_path, [rows[0], [1, 2]])

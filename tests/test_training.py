@@ -321,6 +321,11 @@ class _ToyModel:
     def load_state_dict(self, state):
         self.store.load_state_dict(state)
 
+    def pack(self, targets):
+        """The packing fit and evaluate_split run once per split: the targets
+        as an array, so a batch is an index array or a slice of it."""
+        return np.array(targets, dtype=object)
+
     def loss_for_record(self, target):
         diff = add(self.x, Tensor(np.array([-float(target)])))
         return reduce_sum(mul(diff, diff)), int(abs(self.x.data[0] - target) < 0.5), 1
@@ -518,6 +523,27 @@ class TestFit:
         np.testing.assert_array_equal(results[0].best_state["x"],
                                       results[1].best_state["x"])
 
+
+    def test_packs_train_once_and_draws_batches_from_it(self):
+        packed, batches = [], []
+
+        class Counting(_ToyModel):
+            def pack(self, targets):
+                packed.append(list(targets))
+                return super().pack(targets)
+
+            def loss_for_batch(self, targets):
+                batches.append(targets)
+                return super().loss_for_batch(targets)
+
+        train, val = [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 3.0]
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=3,
+                          early_stop_patience=5, seed=0)
+        result = fit(Counting(), train, val, cfg)
+        # the train split once per fit, the validation split once per evaluate_split
+        assert packed == [train] + [val] * result.epochs_run
+        assert all(isinstance(batch, np.ndarray) for batch in batches)
+        assert sorted(float(t) for batch in batches[:3] for t in batch) == train
 
 class TestEvaluateSplit:
     def test_mean_loss_and_accuracy(self):
