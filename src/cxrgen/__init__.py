@@ -8,7 +8,7 @@ embedding metrics for evaluating generated reports.
 
 from .attention import (AttentionProjections, causal_mask, multi_head_attention,
                         scaled_dot_product_attention)
-from .decoder import ReportDecoder, sparse_ce_loss
+from .decoder import ReportDecoder, report_loss
 from .encoder import FusionEncoder, one_hot_ethnicity
 from .errors import (ConfigurationError, ContractError, CxrgenError, DataError,
                      DimensionError, EvaluationError, TrainingError)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttentionProjections", "causal_mask", "multi_head_attention",
     "scaled_dot_product_attention",
-    "ReportDecoder", "sparse_ce_loss",
+    "ReportDecoder", "report_loss",
     "FusionEncoder", "one_hot_ethnicity",
     "ConfigurationError", "ContractError", "CxrgenError", "DataError",
     "DimensionError", "EvaluationError", "TrainingError",

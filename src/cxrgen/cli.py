@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -36,9 +37,9 @@ _JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
 
 def _section(config: dict, path: str | None, name: str, cls) -> dict:
     """Section ``name`` of the config file at ``path``, checked against the
-    fields of the dataclass ``cls``. A key that is no field, or a value of
-    another type than its field's, raises a ConfigurationError naming the
-    file, the section and the key."""
+    fields of the dataclass ``cls``. A key that is no field, a value of
+    another type than its field's, or a NaN or Infinity literal, raises a
+    ConfigurationError naming the file, the section and the key."""
     section = config.get(name, {})
     where = f"config file {path}, section {name!r}"
     if not isinstance(section, dict):
@@ -53,6 +54,9 @@ def _section(config: dict, path: str | None, name: str, cls) -> dict:
                 not any(isinstance(value, _JSON_TYPES[kind][1]) for kind in options):
             wanted = " or ".join(_JSON_TYPES[kind][0] for kind in options)
             raise ConfigurationError(f"{where}: key {key!r} must be {wanted}, "
+                                     f"got {json.dumps(value)}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{where}: key {key!r} must be a finite number, "
                                      f"got {json.dumps(value)}")
     return dict(section)
 

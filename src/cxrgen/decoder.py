@@ -19,8 +19,8 @@ import numpy as np
 from .attention import AttentionProjections, causal_mask, multi_head_attention
 from .errors import ConfigurationError, ContractError, DimensionError
 from .params import ParameterStore
-from .tensor import (Tensor, add, dense, embedding_lookup, layer_norm, log_softmax,
-                     matmul, mul, neg, reduce_sum, relu, take_per_row)
+from .tensor import (Tensor, _layer_norm, _softmax, add, cross_entropy, dense,
+                     embedding_lookup, layer_norm, matmul, mul, reduce_sum, relu)
 from .vocab import END_ID, START_ID
 
 if TYPE_CHECKING:
@@ -139,10 +139,9 @@ class _KVCache:
 
     Each layer's cross-attention K/V are projected once from the encoder
     rows; its self-attention K/V [B, h, length, d // h] fill one position per
-    step. ``step`` repeats the tensor ops' formulas in their order (fused
-    projections, max-shifted softmax, biased-variance layer norm with eps
-    inside the root) on numpy arrays. No mask is needed: the cache holds only
-    positions <= t.
+    step. ``step`` runs the layer's fused projections in the taped ops' order
+    on numpy arrays and calls the ops' own softmax and layer-norm kernels.
+    No mask is needed: the cache holds only positions <= t.
     """
 
     def __init__(self, decoder: ReportDecoder, encoder_rows: Tensor, batch_size: int,
@@ -171,15 +170,8 @@ class _KVCache:
                 projections) -> np.ndarray:
         q = self._split(x @ projections.w_q.data, x.shape[0])
         logits = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-        e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-        out = (e / e.sum(axis=-1, keepdims=True)) @ values
+        out = _softmax(logits) @ values
         return np.swapaxes(out, 1, 2).reshape(x.shape[0], -1) @ projections.w_o.data
-
-    @staticmethod
-    def _norm(x: np.ndarray, gamma: Tensor, beta: Tensor, eps: float) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-        return gamma.data * ((x - mean) * inv) + beta.data
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the batch rows selected by the boolean ``rows``."""
@@ -197,48 +189,39 @@ class _KVCache:
             keys[:, :, t] = self._split(x @ attn.w_k.data, x.shape[0])[:, :, 0]
             values[:, :, t] = self._split(x @ attn.w_v.data, x.shape[0])[:, :, 0]
             attended = self._attend(x, keys[:, :, :t + 1], values[:, :, :t + 1], attn)
-            x = self._norm(x + attended, layer.ln1_gamma, layer.ln1_beta, layer._eps)
+            x = _layer_norm(x + attended, layer.ln1_gamma.data, layer.ln1_beta.data,
+                            layer._eps)[0]
             crossed = self._attend(x, cross_k, cross_v, layer.cross_attn)
-            x = self._norm(x + crossed, layer.ln2_gamma, layer.ln2_beta, layer._eps)
+            x = _layer_norm(x + crossed, layer.ln2_gamma.data, layer.ln2_beta.data,
+                            layer._eps)[0]
             hidden = x @ layer.ffn_w1.data + layer.ffn_b1.data
             ffn = np.where(hidden > 0, hidden, 0.0) @ layer.ffn_w2.data + layer.ffn_b2.data
-            x = self._norm(x + ffn, layer.ln3_gamma, layer.ln3_beta, layer._eps)
+            x = _layer_norm(x + ffn, layer.ln3_gamma.data, layer.ln3_beta.data,
+                            layer._eps)[0]
         self.t += 1
         return x @ dec.output_w.data + dec.output_b.data
 
 
-def sparse_ce_loss(logits: Tensor, true_ids: Sequence[int], pad_mask) -> Tensor:
-    """Unreduced per-position cross-entropy; PAD positions contribute 0.
-
-    ``pad_mask`` is boolean with True marking real (counted) positions.
-    """
-    if logits.ndim != 2:
-        raise DimensionError(f"logits must be [T, V], got shape {logits.shape}")
-    ids = np.asarray(true_ids, dtype=np.int64)
-    mask = np.asarray(pad_mask, dtype=bool)
-    n, v = logits.shape
-    if ids.shape != (n,) or mask.shape != (n,):
-        raise DimensionError(f"expected {n} labels and mask entries, got "
-                             f"{ids.shape} / {mask.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
-        raise ContractError(f"label id out of range [0, {v})")
-    nll = neg(take_per_row(log_softmax(logits), ids))
-    return mul(nll, Tensor(mask.astype(np.float64)))
-
-
-def masked_mean(losses: Tensor, pad_mask) -> Tensor:
+def report_loss(logits: Tensor, labels, pad_mask) -> Tensor:
     """The training objective: the mean over records of each record's mean
-    over its unmasked positions (not a mean pooled over all tokens).
+    token cross-entropy over its unmasked positions (not a mean pooled over
+    all tokens).
 
-    ``pad_mask`` is [B, T]; ``losses`` are flattened record after record.
+    ``labels`` and ``pad_mask`` are [B, T], True marking a counted position;
+    ``logits`` are [B·T, V], record after record. The 0/1 mask is folded into
+    the per-position weights, so a PAD position adds exactly 0 and passes no
+    gradient.
     """
+    ids = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(pad_mask, dtype=bool)
-    if mask.ndim != 2 or not mask.any(axis=1).all():
-        raise ContractError("masked_mean needs a [B, T] mask with at least one unmasked "
-                            "position per record")
-    counts = mask.sum(axis=1)
-    weights = mask / (counts[:, None] * mask.shape[0])
-    return reduce_sum(mul(losses, Tensor(weights.reshape(-1))))
+    if mask.ndim != 2 or ids.shape != mask.shape:
+        raise DimensionError(f"report_loss needs [B, T] labels and mask, got "
+                             f"{ids.shape} / {mask.shape}")
+    if not mask.any(axis=1).all():
+        raise ContractError("report_loss needs at least one unmasked position per record")
+    weights = mask / (mask.sum(axis=1)[:, None] * mask.shape[0])
+    return reduce_sum(mul(cross_entropy(logits, ids.reshape(-1)),
+                          Tensor(weights.reshape(-1))))
 
 
 def token_accuracy(logits: Tensor, true_ids: Sequence[int], pad_mask) -> tuple[int, int]:

@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .decoder import ReportDecoder, masked_mean, sparse_ce_loss, token_accuracy
+from .decoder import ReportDecoder, report_loss, token_accuracy
 from .encoder import NUM_ETHNICITY_GROUPS, FusionEncoder, FusionResult
 from .errors import ConfigurationError, ContractError, DataError, DimensionError
 from .params import ParameterStore, load_checkpoint, save_checkpoint
@@ -125,6 +125,9 @@ class ModelConfig:
         if self.num_heads > self.model_dim:
             raise ConfigurationError(f"model_dim {self.model_dim} is too narrow for "
                                      f"{self.num_heads} heads")
+        if not 0 < self.layer_norm_eps < np.inf:  # nan fails every comparison
+            raise ConfigurationError(f"layer_norm_eps must be positive and finite, got "
+                                     f"{self.layer_norm_eps}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -226,9 +229,8 @@ class ReportGenerator:
         logits = self.decoder.teacher_forced_forward(self.encoder.encode(batch).output,
                                                      decoder_in)
         pad_mask = labels != PAD_ID
-        flat = (labels.reshape(-1), pad_mask.reshape(-1))
-        correct, total = token_accuracy(logits, *flat)
-        return masked_mean(sparse_ce_loss(logits, *flat), pad_mask), correct, total
+        correct, total = token_accuracy(logits, labels.reshape(-1), pad_mask.reshape(-1))
+        return report_loss(logits, labels, pad_mask), correct, total
 
     def loss_for_record(self, rec: PatientRecord) -> tuple[Tensor, int, int]:
         """(scalar loss, correct tokens, counted tokens) for one sample."""

@@ -53,8 +53,9 @@ class SplitPlan:
     def __post_init__(self):
         if not 0.0 < self.subset_fraction < 1.0:
             raise ConfigurationError("subset_fraction must be in (0, 1)")
-        if abs(self.train_fraction + self.val_fraction - 1.0) > 1e-9:
-            raise ConfigurationError("train_fraction + val_fraction must equal 1")
+        if not abs(self.train_fraction + self.val_fraction - 1.0) <= 1e-9:  # nan, inf fail
+            raise ConfigurationError(f"train_fraction + val_fraction must equal 1, got "
+                                     f"{self.train_fraction} + {self.val_fraction}")
         if self.test_size is not None and self.test_size < 1:
             raise ConfigurationError("test_size must be positive when set")
 

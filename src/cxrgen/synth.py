@@ -71,8 +71,9 @@ class SyntheticConfig:
             raise ConfigurationError(f"num_samples must be positive, got {self.num_samples}")
         if self.feature_dim < 1:
             raise ConfigurationError(f"feature_dim must be positive, got {self.feature_dim}")
-        if self.image_noise < 0:
-            raise ConfigurationError(f"image_noise must be >= 0, got {self.image_noise}")
+        if not 0 <= self.image_noise < np.inf:  # nan fails every comparison
+            raise ConfigurationError(f"image_noise must be >= 0 and finite, got "
+                                     f"{self.image_noise}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ConfigurationError("outlier_fraction must be in [0, 1)")
 

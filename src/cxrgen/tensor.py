@@ -1,12 +1,20 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
-The op set is deliberately small: only what the model runs. Position-wise
-ops work on 2-D rows, and softmax and concat act on the last axis; attention
-runs batched over leading axes through ``batched_matmul`` and ``swap_axes``.
+The op set is deliberately small: only what the model runs. Products:
+``matmul``, ``batched_matmul``, ``dense``. Elementwise: ``add``, ``mul``,
+``relu``. Rows: ``softmax``, ``layer_norm``, ``cross_entropy`` (the token
+loss). Shapes: ``concat``, ``reshape``, ``swap_axes``. Gather and reduce:
+``embedding_lookup``, ``reduce_sum``. Position-wise ops work on 2-D rows,
+and softmax and concat act on the last axis; attention runs batched over
+leading axes through ``batched_matmul`` and ``swap_axes``.
+
 Forward passes run as plain numpy; when a ``GradientTape`` is active and not
 paused by ``no_tape``, each op also appends a node holding a backward
 closure. Nodes are appended after their inputs, so a single reverse
-sweep over the tape is a valid topological order.
+sweep over the tape is a valid topological order. The softmax and
+layer-norm formulas live once, in the numpy kernels ``_softmax`` and
+``_layer_norm``: the taped ops and the decoder's key/value cache both call
+them, and no other module calls ``np.exp``, ``np.log`` or ``.var``.
 
 Ops never write into a tensor's ``data``. The optimizer does: ``adam_step``
 updates each parameter's array in place between steps. That is safe because a
@@ -252,13 +260,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit("add", ad + bd, (a, b), backward)
 
 
-def neg(x: Tensor) -> Tensor:
-    def backward(g: Array) -> tuple:
-        return (-g,)
-
-    return _emit("neg", -x.data, (x,), backward)
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product with a python scalar or a same-shape Tensor."""
     if not isinstance(b, Tensor):
@@ -288,11 +289,15 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", np.where(mask, x.data, 0.0), (x,), backward)
 
 
+def _softmax(x: Array) -> Array:
+    """Softmax of a numpy array along its last axis, max-shifted."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis (max-shifted)."""
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(x.data)
 
     def backward(g: Array) -> tuple:
         return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
@@ -300,34 +305,50 @@ def softmax(x: Tensor) -> Tensor:
     return _emit("softmax", out, (x,), backward)
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Log of the softmax along the last axis."""
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    probs = np.exp(out)
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Per-row token loss ``-log softmax(logits)[i, labels[i]]`` of logits
+    [N, V] and integer labels [N]; returns [N]."""
+    if logits.ndim != 2:
+        raise DimensionError(f"cross_entropy: expected 2-d logits, got shape {logits.shape}")
+    idx = np.asarray(labels, dtype=np.int64)
+    n, v = logits.shape
+    if idx.shape != (n,):
+        raise DimensionError(f"cross_entropy: need {n} labels, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= v):
+        raise ContractError(f"cross_entropy: label out of range [0, {v})")
+    shifted = logits.data - np.max(logits.data, axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(n)
 
     def backward(g: Array) -> tuple:
-        return (g - probs * g.sum(axis=-1, keepdims=True),)
+        picked = np.zeros((n, v))
+        picked[rows, idx] = -g
+        return (picked - np.exp(logp) * picked.sum(axis=-1, keepdims=True),)
 
-    return _emit("log_softmax", out, (x,), backward)
+    return _emit("cross_entropy", -logp[rows, idx], (logits,), backward)
+
+
+def _layer_norm(x: Array, gamma: Array, beta: Array,
+                epsilon: float) -> tuple[Array, Array, Array]:
+    """Layer norm of the rows of a numpy array: (out, xhat, inv), where
+    ``xhat`` is the standardized input and ``inv`` the reciprocal standard
+    deviation. Uses the biased variance; ``epsilon`` sits inside the root."""
+    mean = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + epsilon)
+    xhat = (x - mean) * inv
+    return gamma * xhat + beta, xhat, inv
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-6) -> Tensor:
     """Normalize each row of a 2-d input to zero mean / unit variance, then
-    scale-shift. Uses the biased variance; ``epsilon`` sits inside the root.
-    """
+    scale-shift (``_layer_norm``)."""
     if x.ndim != 2:
         raise DimensionError(f"layer_norm: expected a 2-d input, got shape {x.shape}")
     width = x.shape[-1]
     if gamma.shape != (width,) or beta.shape != (width,):
         raise DimensionError(
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match width {width}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.data - mean) * inv
-    out = gamma.data * xhat + beta.data
+    out, xhat, inv = _layer_norm(x.data, gamma.data, beta.data, epsilon)
 
     def backward(g: Array) -> tuple:
         gy = g * gamma.data
@@ -380,7 +401,8 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def swap_axes(x: Tensor, axis1: int, axis2: int) -> Tensor:
-    """Exchange two axes (a contiguous copy, like ``np.swapaxes``)."""
+    """Exchange two axes. Unlike ``np.swapaxes``, which returns a view, the
+    result is a contiguous copy."""
     a1 = _normalize_axis(x.ndim, axis1, "swap_axes")
     a2 = _normalize_axis(x.ndim, axis2, "swap_axes")
 
@@ -419,24 +441,3 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         return (grad,)
 
     return _emit("embedding_lookup", table.data[idx].copy(), (table,), backward)
-
-
-def take_per_row(x: Tensor, cols) -> Tensor:
-    """Pick one column per row: ``out[i] = x[i, cols[i]]``."""
-    if x.ndim != 2:
-        raise DimensionError(f"take_per_row: expected a 2-d tensor, got shape {x.shape}")
-    idx = np.asarray(cols, dtype=np.int64)
-    n, m = x.shape
-    if idx.shape != (n,):
-        raise DimensionError(f"take_per_row: need {n} column indices, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m):
-        raise ContractError(f"take_per_row: column index out of range [0, {m})")
-    rows = np.arange(n)
-    shape = x.shape
-
-    def backward(g: Array) -> tuple:
-        grad = np.zeros(shape)
-        grad[rows, idx] = g
-        return (grad,)
-
-    return _emit("take_per_row", x.data[rows, idx].copy(), (x,), backward)

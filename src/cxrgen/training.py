@@ -33,13 +33,14 @@ class TrainConfig:
     grad_clip_norm: Optional[float] = None
 
     def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ConfigurationError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:  # nan fails every comparison
+            raise ConfigurationError(f"base_lr must be positive and finite, got {self.base_lr}")
         for name in ("warmup_steps", "batch_size", "max_epochs", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ConfigurationError("grad_clip_norm must be positive when set")
+        if self.grad_clip_norm is not None and not 0 < self.grad_clip_norm < math.inf:
+            raise ConfigurationError(f"grad_clip_norm must be positive and finite when set, "
+                                     f"got {self.grad_clip_norm}")
 
 
 def lr_at_step(step: int, config: TrainConfig) -> float:
@@ -147,8 +148,8 @@ def split_dataset(records: Sequence, fractions: Sequence[float],
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 2:
         raise ConfigurationError(f"need 2 split fractions, got {len(fractions)}")
-    if any(f <= 0 for f in fractions):
-        raise ConfigurationError(f"split fractions must be positive: {fractions}")
+    if not all(0 < f < math.inf for f in fractions):
+        raise ConfigurationError(f"split fractions must be positive and finite: {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"split fractions must sum to 1, got {sum(fractions)}")
     if len(records) < 2:

@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, the
-per-sample reference loss, the per-record input masking that packing is
+plain-numpy token cross-entropy that ``cross_entropy`` is checked against,
+the per-sample reference loss, the per-record input masking that packing is
 checked against, the full-prefix greedy decoder that cached
 decoding is checked against, the out-of-place Adam update that the
 in-place one is checked against, the per-pair metrics (Counter
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from cxrgen.decoder import _KVCache, masked_mean, sparse_ce_loss
+from cxrgen.decoder import _KVCache, report_loss
 from cxrgen.errors import EvaluationError
 from cxrgen.metrics import (BLEU_BUCKET_LABELS, BleuResult, EvalReport, HashedEmbeddings,
                             RougeLResult, SampleScores, bleu1_bucket)
@@ -102,6 +103,20 @@ def check_gradients(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
     return worst
 
 
+def cross_entropy_reference(logits: np.ndarray, labels: np.ndarray,
+                            g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``tensor.cross_entropy``: the per-row loss as
+    log-sum-exp minus the label's logit, and the gradient of ``sum(g * loss)``
+    w.r.t. the logits as ``g * (softmax - one_hot)``."""
+    rows = np.arange(len(labels))
+    top = logits.max(axis=1)
+    lse = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    one_hot = np.zeros_like(logits)
+    one_hot[rows, labels] = 1.0
+    grad = g[:, None] * (np.exp(logits - lse[:, None]) - one_hot)
+    return lse - logits[rows, labels], grad
+
+
 def per_sample_loss(model, records) -> Tensor:
     """Reference objective for ``ReportGenerator.loss_for_batch``.
 
@@ -115,7 +130,7 @@ def per_sample_loss(model, records) -> Tensor:
         labels = ids[1:]
         pad_mask = labels != PAD_ID
         logits = model.decoder.teacher_forced_forward(model.encode_record(rec).output, ids[:-1])
-        loss = masked_mean(sparse_ce_loss(logits, labels, pad_mask), pad_mask[None])
+        loss = report_loss(logits, labels[None], pad_mask[None])
         total = loss if total is None else add(total, loss)
     return mul(total, 1.0 / len(records))
 

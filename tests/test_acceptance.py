@@ -28,10 +28,9 @@ from cxrgen.preprocess import (FeatureStats, NormalizationStats,
                                tokenize_and_fit_vocab)
 from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.synth import SyntheticConfig, generate_synthetic
-from cxrgen.tensor import (Tensor, add, batched_matmul, concat, dense,
-                           embedding_lookup, layer_norm, log_softmax, matmul,
-                           mul, neg, reduce_sum, relu, reshape, softmax,
-                           swap_axes, take_per_row)
+from cxrgen.tensor import (Tensor, add, batched_matmul, concat, cross_entropy,
+                           dense, embedding_lookup, layer_norm, matmul, mul,
+                           reduce_sum, relu, reshape, softmax, swap_axes)
 from cxrgen.training import TrainConfig, fit
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
@@ -98,10 +97,6 @@ def test_criterion_1_gradient_correctness():
         a, b = _rand(s, "a", (3, 4), rng), _rand(s, "b", (4,), rng)
         return lambda: weighted(add(a, b), w1t)
 
-    def op_neg(s):
-        a = _rand(s, "a", (3, 4), rng)
-        return lambda: weighted(neg(a), w1t)
-
     def op_mul_elem(s):
         a, b = _rand(s, "a", (3, 4), rng), _rand(s, "b", (3, 4), rng)
         return lambda: weighted(mul(a, b), w1t)
@@ -117,10 +112,6 @@ def test_criterion_1_gradient_correctness():
     def op_softmax(s):
         a = _rand(s, "a", (3, 4), rng)
         return lambda: weighted(softmax(a), w1t)
-
-    def op_log_softmax(s):
-        a = _rand(s, "a", (3, 4), rng)
-        return lambda: weighted(log_softmax(a), w1t)
 
     def op_layer_norm(s):
         x = _rand(s, "x", (3, 4), rng)
@@ -162,11 +153,10 @@ def test_criterion_1_gradient_correctness():
         we = rng.standard_normal((4, 4))
         return lambda: weighted(embedding_lookup(table, ids), we)
 
-    def op_take_per_row(s):
+    def op_cross_entropy(s):
         a = _rand(s, "a", (4, 5), rng)
-        cols = np.array([1, 0, 4, 2])
-        return lambda: weighted(take_per_row(log_softmax(a), cols),
-                                np.arange(1.0, 5.0))
+        labels = np.array([1, 0, 4, 2])
+        return lambda: weighted(cross_entropy(a, labels), np.arange(1.0, 5.0))
 
     def op_multi_head_attention(s):
         proj = AttentionProjections.create(s, "mha", 6, 2)
@@ -177,10 +167,10 @@ def test_criterion_1_gradient_correctness():
         return lambda: weighted(multi_head_attention(q, kv, kv, proj, 2, mask).output, wm)
 
     for make in (op_matmul, op_batched_matmul, op_add_same, op_add_bias_row,
-                 op_neg, op_mul_elem, op_mul_scalar, op_relu,
-                 op_softmax, op_log_softmax, op_layer_norm, op_dense, op_concat,
+                 op_mul_elem, op_mul_scalar, op_relu,
+                 op_softmax, op_layer_norm, op_dense, op_concat,
                  op_reshape, op_swap_axes, op_reduce_sum,
-                 op_embedding_lookup, op_take_per_row, op_multi_head_attention):
+                 op_embedding_lookup, op_cross_entropy, op_multi_head_attention):
         scenario(make)
 
     config = ModelConfig(model_dim=8, num_heads=2, ffn_dim=8, embed_dim=8,

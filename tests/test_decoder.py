@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrgen.decoder import (ReportDecoder, masked_mean,
-                            sinusoidal_positions, sparse_ce_loss, token_accuracy)
+from cxrgen.decoder import ReportDecoder, report_loss, sinusoidal_positions, token_accuracy
 from cxrgen.errors import ContractError, DimensionError
 from cxrgen.model import ModelConfig
 from cxrgen.params import ParameterStore
-from cxrgen.tensor import GradientTape, Tensor
+from cxrgen.tensor import GradientTape, Tensor, cross_entropy
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
 from helpers import check_cached_decoding, check_gradients, greedy_full_prefix
@@ -118,56 +117,72 @@ class TestTeacherForcedForward:
 
 
 class TestSparseCeLoss:
+    """The token loss: ``cross_entropy`` per position, ``report_loss`` over a batch."""
+
     def test_perfect_prediction_near_zero_loss(self):
         logits = Tensor(np.full((2, 5), -30.0) + np.eye(5)[[2, 3]] * 60.0)
-        losses = sparse_ce_loss(logits, [2, 3], [True, True])
-        np.testing.assert_allclose(losses.data, [0.0, 0.0], atol=1e-10)
+        np.testing.assert_allclose(cross_entropy(logits, [2, 3]).data, [0.0, 0.0], atol=1e-10)
+        assert report_loss(logits, [[2, 3]], [[True, True]]).item() == pytest.approx(0.0, abs=1e-10)
 
     def test_uniform_logits_give_log_vocab(self):
         logits = Tensor(np.zeros((3, 8)))
-        losses = sparse_ce_loss(logits, [0, 1, 2], [True, True, True])
-        np.testing.assert_allclose(losses.data, np.full(3, np.log(8.0)), atol=1e-12)
+        np.testing.assert_allclose(cross_entropy(logits, [0, 1, 2]).data,
+                                   np.full(3, np.log(8.0)), atol=1e-12)
+        assert report_loss(logits, [[0, 1, 2]], [[True] * 3]).item() == pytest.approx(np.log(8.0))
 
     def test_pad_positions_are_exactly_zero(self):
-        rng = np.random.default_rng(0)
-        logits = Tensor(rng.standard_normal((4, 6)))
-        losses = sparse_ce_loss(logits, [1, 2, PAD_ID, PAD_ID],
-                                [True, True, False, False])
-        assert losses.data[2] == 0.0 and losses.data[3] == 0.0
-        assert (losses.data[:2] > 0).all()
+        # labels that differ only at PAD positions give the same loss bits, and
+        # the logits of a PAD position get exactly zero gradient
+        logits = Tensor(np.random.default_rng(0).standard_normal((4, 6)), requires_grad=True)
+        mask = [[True, True, False, False]]
+        losses, grads = [], []
+        for labels in ([[1, 2, PAD_ID, PAD_ID]], [[1, 2, 5, 3]]):
+            with GradientTape() as tape:
+                losses.append(report_loss(logits, labels, mask))
+            tape.backward(losses[-1])
+            grads.append(tape.grad(logits))
+        assert losses[0].item() == losses[1].item() > 0
+        assert not grads[0][2:].any() and not grads[1][2:].any()
+        assert grads[0][:2].any()
 
     def test_unreduced_shape(self):
-        logits = Tensor(np.zeros((5, 4)))
-        assert sparse_ce_loss(logits, [0] * 5, [True] * 5).shape == (5,)
+        assert cross_entropy(Tensor(np.zeros((5, 4))), [0] * 5).shape == (5,)
 
     def test_label_out_of_range(self):
         with pytest.raises(ContractError):
-            sparse_ce_loss(Tensor(np.zeros((2, 4))), [0, 4], [True, True])
+            cross_entropy(Tensor(np.zeros((2, 4))), [0, 4])
+        with pytest.raises(ContractError):
+            report_loss(Tensor(np.zeros((2, 4))), [[0, -1]], [[True, False]])
 
     def test_masked_mean(self):
-        losses = Tensor(np.array([2.0, 4.0, 0.0, 0.0]))
-        mean = masked_mean(losses, [[True, True, False, False]])
-        assert mean.item() == pytest.approx(3.0)
-        with pytest.raises(ContractError):
-            masked_mean(losses, [[False] * 4])
-        with pytest.raises(ContractError):  # one record's mask is [1, T], not [T]
-            masked_mean(losses, [True, True, False, False])
+        logits = Tensor(np.random.default_rng(2).standard_normal((4, 5)))
+        labels = [[1, 2, 0, 0]]
+        ce = cross_entropy(logits, labels[0]).data
+        loss = report_loss(logits, labels, [[True, True, False, False]])
+        assert loss.item() == pytest.approx(ce[:2].mean())
+        with pytest.raises(ContractError):  # an all-PAD record
+            report_loss(logits, labels, [[False] * 4])
+        with pytest.raises(DimensionError):  # one record's mask is [1, T], not [T]
+            report_loss(logits, labels[0], [True, True, False, False])
 
     def test_masked_mean_of_a_batch_is_the_mean_of_record_means(self):
-        # record means 3.0 and 1.0: the objective is 2.0, not the pooled token mean 7/3
-        losses = Tensor(np.array([2.0, 4.0, 0.0, 1.0, 0.0, 0.0]))
-        mask = [[True, True, False], [True, False, False]]
-        assert masked_mean(losses, mask).item() == pytest.approx(2.0)
+        logits = Tensor(np.random.default_rng(3).standard_normal((6, 5)))
+        labels = [[1, 4, 0], [3, 0, 0]]
+        mask = np.array([[True, True, False], [True, False, False]])
+        ce = cross_entropy(logits, np.ravel(labels)).data.reshape(2, 3)
+        record_means = [ce[0, :2].mean(), ce[1, 0]]
+        loss = report_loss(logits, labels, mask).item()
+        assert loss == pytest.approx(np.mean(record_means))
+        assert loss != pytest.approx(ce[mask].mean())  # not the pooled token mean
         with pytest.raises(ContractError):
-            masked_mean(losses, [[True, True, False], [False, False, False]])
+            report_loss(logits, labels, [[True, True, False], [False, False, False]])
 
     def test_loss_gradients(self):
         rng = np.random.default_rng(1)
         logits = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         labels = [1, 5, 0, 3]
         mask = [True, True, False, True]
-        check_gradients(lambda: masked_mean(sparse_ce_loss(logits, labels, mask), [mask]),
-                        [logits])
+        check_gradients(lambda: report_loss(logits, [labels], [mask]), [logits])
 
     def test_token_accuracy(self):
         logits = Tensor(np.eye(4)[[1, 2, 0, 3]] * 10.0)
@@ -254,7 +269,7 @@ class TestDecoderGradients:
 
         def loss():
             logits = dec.teacher_forced_forward(enc, target)
-            return masked_mean(sparse_ce_loss(logits, labels, mask), [mask])
+            return report_loss(logits, [labels], [mask])
 
         params = list(store.parameters.values()) + [enc]
         worst = check_gradients(loss, params, max_entries=4)
@@ -269,8 +284,8 @@ class TestDecoderGradients:
         grads = []
         for labels in (labels_a, labels_b):
             with GradientTape() as tape:
-                loss = masked_mean(sparse_ce_loss(
-                    dec.teacher_forced_forward(enc, target), labels, mask), [mask])
+                loss = report_loss(dec.teacher_forced_forward(enc, target), [labels],
+                                   [mask])
             tape.backward(loss)
             grads.append(tape.gradients(store.parameters))
         for path in grads[0]:

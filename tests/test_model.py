@@ -186,6 +186,11 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig.from_dict({"patient_kv_mode": "single_row"})
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_layer_norm_eps_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ConfigurationError, match="layer_norm_eps"):
+            ModelConfig(layer_norm_eps=eps)
+
     def test_defaults_with_non_divisible_heads(self):
         cfg = ModelConfig()
         proj = AttentionProjections.create(ParameterStore(0), "attn", cfg.model_dim,

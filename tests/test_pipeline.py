@@ -192,6 +192,12 @@ class TestPreprocessStage:
         with pytest.raises(ConfigurationError):
             SplitPlan(test_size=0)
 
+    @pytest.mark.parametrize("train,val", [(float("nan"), 0.3), (float("inf"), 0.3),
+                                           (float("inf"), float("-inf"))])
+    def test_plan_rejects_non_finite_fractions(self, train, val):
+        with pytest.raises(ConfigurationError, match="train_fraction"):
+            SplitPlan(train_fraction=train, val_fraction=val)
+
 
 class TestTrainingStage:
     def test_writes_checkpoint_and_history(self, workspace):
@@ -493,6 +499,13 @@ class TestCli:
         ("ablate", {"model": {"model_dimm": 64}}, "model_dimm"),
         ("ablate", {"train": {"base_lr": [0.1]}}, "base_lr"),
         ("ablate", {"synth": {"seed": 1.5}}, "seed"),
+        # json.loads lets NaN and Infinity literals through as floats
+        ("synth", {"synth": {"image_noise": float("nan")}}, "image_noise"),
+        ("preprocess", {"split": {"train_fraction": float("nan"), "val_fraction": 0.3}},
+         "train_fraction"),
+        ("train", {"model": {"layer_norm_eps": float("inf")}}, "layer_norm_eps"),
+        ("train", {"train": {"base_lr": float("nan")}}, "base_lr"),
+        ("ablate", {"train": {"grad_clip_norm": float("-inf")}}, "grad_clip_norm"),
     ])
     def test_bad_config_key_or_type_names_file_section_and_key(self, tmp_path, capsys,
                                                               command, body, key):

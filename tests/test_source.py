@@ -1,5 +1,6 @@
-"""Source hygiene: every name a cxrgen module imports is used in it, and every
-tensor op has a finite-difference case in acceptance criterion 1."""
+"""Source hygiene: every name a cxrgen module imports is used in it, every
+tensor op has a finite-difference case in acceptance criterion 1, and only
+cxrgen.tensor writes the exp, log and variance formulas."""
 
 import ast
 import inspect
@@ -97,3 +98,30 @@ def test_an_uncovered_op_is_caught():
     assert uncovered_ops({"add", "sub"}, cases) == ["sub"]
     # a case must both carry the op's name and call it
     assert uncovered_ops({"add"}, {"op_add_same": {"mul"}, "op_mul": {"add"}}) == ["add"]
+
+
+def restated_formulas(tree: ast.AST) -> list[int]:
+    """Lines that call ``np.exp``, ``np.log`` or a ``.var(`` method: the
+    softmax, log-softmax and layer-norm formulas that belong to the kernels
+    of cxrgen.tensor."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and (node.func.attr == "var" or node.func.attr in ("exp", "log")
+                       and isinstance(node.func.value, ast.Name)
+                       and node.func.value.id == "np"))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor.py"],
+                         ids=lambda p: p.name)
+def test_only_tensor_writes_the_kernel_formulas(path):
+    lines = restated_formulas(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, (f"{path.name} restates a tensor kernel's formula at lines {lines}; "
+                       f"call the kernel in cxrgen.tensor instead")
+
+
+def test_a_restated_formula_is_caught():
+    tree = ast.parse("e = np.exp(x - x.max())\n"
+                     "s = math.exp(1.0) + np.sqrt(x.var(axis=-1))\n"
+                     "y = np.log(e).sum()\n")
+    assert restated_formulas(tree) == [1, 2, 3]
+    assert restated_formulas(ast.parse("math.log(2.0) + np.expm1(x)")) == []

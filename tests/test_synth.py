@@ -96,6 +96,13 @@ class TestPlantedSignals:
             assert any(rec.report.startswith(s) for s in IMAGE_FINDINGS)
 
 
+class TestSyntheticConfig:
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_image_noise_must_be_non_negative_and_finite(self, noise):
+        with pytest.raises(ConfigurationError, match="image_noise"):
+            SyntheticConfig(image_noise=noise)
+
+
 class TestDistributions:
     def test_marginals_roughly_uniform(self):
         ds = _dataset(2000, seed=11)

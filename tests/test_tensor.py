@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cxrgen.errors import ContractError, DimensionError
-from cxrgen.tensor import (GradientTape, Tensor, add, batched_matmul, concat, dense,
-                           embedding_lookup, layer_norm, log_softmax, matmul, mul,
-                           neg, reduce_sum, relu, reshape, softmax, swap_axes,
-                           take_per_row)
+from cxrgen.tensor import (GradientTape, Tensor, add, batched_matmul, concat,
+                           cross_entropy, dense, embedding_lookup, layer_norm, matmul,
+                           mul, reduce_sum, relu, reshape, softmax, swap_axes)
 
-from helpers import check_gradients, numeric_grad, rel_err
+from helpers import check_gradients, cross_entropy_reference, numeric_grad, rel_err
 
 
 def t(data, grad=True):
@@ -45,9 +47,37 @@ class TestForwardSemantics:
         s = softmax(x).data
         np.testing.assert_allclose(s.sum(axis=1), np.ones(5), atol=1e-12)
 
-    def test_log_softmax_matches_log_of_softmax(self):
+    def test_cross_entropy_matches_log_of_softmax(self):
         x = t(np.random.default_rng(1).standard_normal((3, 4)))
-        np.testing.assert_allclose(log_softmax(x).data, np.log(softmax(x).data), atol=1e-12)
+        labels = [2, 0, 3]
+        np.testing.assert_allclose(cross_entropy(x, labels).data,
+                                   -np.log(softmax(x).data[[0, 1, 2], labels]), atol=1e-12)
+
+    def test_cross_entropy_shape_checks(self):
+        with pytest.raises(DimensionError):
+            cross_entropy(t(np.zeros((2, 3, 4))), [0, 1])
+        with pytest.raises(DimensionError):
+            cross_entropy(t(np.zeros((2, 4))), [0, 1, 2])
+        with pytest.raises(ContractError):
+            cross_entropy(t(np.zeros((2, 4))), [0, -1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), logits=arrays(np.float64, st.tuples(st.integers(1, 5),
+                                                               st.integers(2, 7)),
+                                         elements=st.floats(-1e3, 1e3)))
+    def test_cross_entropy_matches_the_reference(self, data, logits):
+        n, v = logits.shape
+        labels = np.array(data.draw(st.lists(st.integers(0, v - 1), min_size=n, max_size=n)))
+        g = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+        x = t(logits)
+        with GradientTape() as tape:
+            loss = cross_entropy(x, labels)
+            root = reduce_sum(mul(loss, Tensor(g)))
+        tape.backward(root)
+        ref_loss, ref_grad = cross_entropy_reference(logits, labels, g)
+        assert np.isfinite(loss.data).all() and np.isfinite(tape.grad(x)).all()
+        np.testing.assert_allclose(loss.data, ref_loss, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(tape.grad(x), ref_grad, rtol=1e-9, atol=1e-9)
 
     def test_layer_norm_known_values(self):
         # [1, 3] with unit gamma, zero beta -> [-1, 1] (up to epsilon)
@@ -126,7 +156,7 @@ class TestForwardSemantics:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(4)
         x = t(rng.standard_normal((3, 5)) * 50)
-        for out in (softmax(x), log_softmax(x), relu(x),
+        for out in (softmax(x), cross_entropy(x, [0, 4, 2]), relu(x),
                     layer_norm(x, t(np.ones(5)), t(np.zeros(5)))):
             assert np.isfinite(out.data).all()
 
@@ -214,11 +244,6 @@ class TestGradientsAgainstFiniteDifferences:
         b = t(self.rng.standard_normal(4))
         check_gradients(lambda: reduce_sum(mul(add(x, b), add(x, b))), [x, b])
 
-    def test_neg(self):
-        a = t(self.rng.standard_normal(5))
-        b = t(self.rng.standard_normal(5))
-        check_gradients(lambda: reduce_sum(mul(neg(a), b)), [a, b])
-
     def test_mul_elementwise_and_scalar(self):
         a = t(self.rng.standard_normal((2, 3)))
         b = t(self.rng.standard_normal((2, 3)))
@@ -234,10 +259,11 @@ class TestGradientsAgainstFiniteDifferences:
         w = Tensor(self.rng.standard_normal((3, 5)))
         check_gradients(lambda: reduce_sum(mul(softmax(x), w)), [x])
 
-    def test_log_softmax(self):
-        x = t(self.rng.standard_normal((3, 5)))
-        w = Tensor(self.rng.standard_normal((3, 5)))
-        check_gradients(lambda: reduce_sum(mul(log_softmax(x), w)), [x])
+    def test_cross_entropy(self):
+        x = t(self.rng.standard_normal((4, 5)))
+        labels = [0, 3, 3, 1]  # a repeated label, each row's own pick
+        w = Tensor(self.rng.standard_normal(4))
+        check_gradients(lambda: reduce_sum(mul(cross_entropy(x, labels), w)), [x])
 
     def test_layer_norm(self):
         x = t(self.rng.standard_normal((4, 6)))
@@ -289,12 +315,6 @@ class TestGradientsAgainstFiniteDifferences:
         ids = [0, 2, 2, 5]  # repeated id must accumulate
         w = Tensor(self.rng.standard_normal((4, 3)))
         check_gradients(lambda: reduce_sum(mul(embedding_lookup(table, ids), w)), [table])
-
-    def test_take_per_row(self):
-        x = t(self.rng.standard_normal((4, 5)))
-        cols = [0, 3, 3, 1]
-        check_gradients(lambda: reduce_sum(mul(take_per_row(x, cols),
-                                               take_per_row(x, cols))), [x])
 
     def test_numeric_grad_helper_self_check(self):
         # d/dx sum(x*x) at [1,2,3] is [2,4,6]

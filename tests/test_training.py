@@ -285,6 +285,11 @@ class TestSplitDataset:
         with pytest.raises(ConfigurationError):
             split_dataset([1], (0.5, 0.5), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.3), (0.7, math.inf)])
+    def test_non_finite_fractions_rejected(self, fractions):
+        with pytest.raises(ConfigurationError, match="finite"):
+            split_dataset(list(range(10)), fractions, seed=0)
+
 
 class TestTrainConfig:
     def test_defaults(self):
@@ -302,6 +307,16 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(grad_clip_norm=-1.0)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_base_lr_must_be_finite(self, lr):
+        with pytest.raises(ConfigurationError, match="base_lr"):
+            TrainConfig(base_lr=lr)
+
+    @pytest.mark.parametrize("norm", [math.nan, math.inf])
+    def test_grad_clip_norm_must_be_finite(self, norm):
+        with pytest.raises(ConfigurationError, match="grad_clip_norm"):
+            TrainConfig(grad_clip_norm=norm)
 
 
 class _ToyModel:
