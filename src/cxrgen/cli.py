@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-import typing
 from pathlib import Path
 
-from .errors import ConfigurationError, CxrgenError
+from .errors import ConfigurationError, CxrgenError, check_fields
 from .model import INPUT_PRESETS, ModelConfig
 from .pipeline import (SplitPlan, run_ablation, run_evaluation, run_generation,
                        run_preprocess, run_synth, run_training)
@@ -30,34 +28,15 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-# the JSON values a config field of each type takes; true and false are no numbers
-_JSON_TYPES = {int: ("an integer", (int,)), float: ("a number", (int, float)),
-               type(None): ("null", (type(None),))}
-
-
 def _section(config: dict, path: str | None, name: str, cls) -> dict:
-    """Section ``name`` of the config file at ``path``, checked against the
-    fields of the dataclass ``cls``. A key that is no field, a value of
-    another type than its field's, or a NaN or Infinity literal, raises a
-    ConfigurationError naming the file, the section and the key."""
+    """Section ``name`` of the config file at ``path``, its keys checked by
+    ``check_fields`` against the dataclass ``cls``; an error names the file
+    and the section."""
     section = config.get(name, {})
-    where = f"config file {path}, section {name!r}"
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    kinds = typing.get_type_hints(cls)
-    for key, value in section.items():
-        if key not in kinds:
-            raise ConfigurationError(f"{where}: unknown key {key!r}; known keys are "
-                                     f"{sorted(kinds)}")
-        options = typing.get_args(kinds[key]) or (kinds[key],)  # Optional[X]: X, None
-        if isinstance(value, bool) or \
-                not any(isinstance(value, _JSON_TYPES[kind][1]) for kind in options):
-            wanted = " or ".join(_JSON_TYPES[kind][0] for kind in options)
-            raise ConfigurationError(f"{where}: key {key!r} must be {wanted}, "
-                                     f"got {json.dumps(value)}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigurationError(f"{where}: key {key!r} must be a finite number, "
-                                     f"got {json.dumps(value)}")
+    try:
+        check_fields(cls, section)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"config file {path}, section {name!r}: {exc}") from exc
     return dict(section)
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .attention import AttentionProjections, causal_mask, multi_head_attention
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .params import ParameterStore
 from .tensor import (Tensor, _layer_norm, _softmax, add, cross_entropy, dense,
                      embedding_lookup, layer_norm, matmul, mul, reduce_sum, relu)
@@ -29,8 +29,6 @@ if TYPE_CHECKING:
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     """Fixed sin/cos position table of shape [length, dim]."""
-    if length < 1 or dim < 1:
-        raise ConfigurationError(f"positions need length, dim >= 1; got {length}, {dim}")
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(dim, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .decoder import ReportDecoder, report_loss, token_accuracy
 from .encoder import NUM_ETHNICITY_GROUPS, FusionEncoder, FusionResult
-from .errors import ConfigurationError, ContractError, DataError, DimensionError
+from .errors import (ConfigurationError, ContractError, DataError, DimensionError,
+                     check_fields)
 from .params import ParameterStore, load_checkpoint, save_checkpoint
 from .records import PatientRecord, ScalarFeatures
 from .tensor import Tensor, no_tape
@@ -117,16 +118,12 @@ class ModelConfig:
     layer_norm_eps: float = 1e-6
 
     def __post_init__(self):
-        for name in ("model_dim", "num_heads", "ffn_dim", "embed_dim", "report_len",
-                     "chief_len", "icd_len", "decoder_layers", "scalar_out_dim",
-                     "image_feature_dim", "image_tokens"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        check_fields(type(self), vars(self))
         if self.num_heads > self.model_dim:
             raise ConfigurationError(f"model_dim {self.model_dim} is too narrow for "
                                      f"{self.num_heads} heads")
-        if not 0 < self.layer_norm_eps < np.inf:  # nan fails every comparison
-            raise ConfigurationError(f"layer_norm_eps must be positive and finite, got "
+        if self.layer_norm_eps <= 0:
+            raise ConfigurationError(f"layer_norm_eps must be positive, got "
                                      f"{self.layer_norm_eps}")
 
     def to_dict(self) -> dict:
@@ -134,10 +131,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
+        check_fields(cls, payload)
         return cls(**payload)
 
 
@@ -296,8 +290,8 @@ class ReportGenerator:
                          input_mask, ParameterStore.for_loading(state))
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"checkpoint {path} lacks model metadata: {exc}") from exc
-        except DataError as exc:
-            raise DataError(f"checkpoint {path}: {exc}") from exc
+        except (ConfigurationError, DataError) as exc:
+            raise type(exc)(f"checkpoint {path}: {exc}") from exc
         unexpected = sorted(set(state) - set(model.store.parameters))
         if unexpected:
             raise DataError(f"checkpoint {path}: unexpected parameters {unexpected}")

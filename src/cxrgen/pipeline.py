@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, check_fields
 from .metrics import EvalReport, FileEmbeddings, HashedEmbeddings, corpus_evaluate
 from .model import (ABLATION_LABELS, ModelConfig, ReportGenerator,
                     resolve_input_mask)
@@ -40,7 +40,7 @@ def run_synth(out_dir: PathLike, config: Optional[SyntheticConfig] = None,
     return write_synthetic_dataset(dataset, out_dir, record_format=record_format)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitPlan:
     """How the cleaned corpus is carved into train/val/test."""
 
@@ -51,13 +51,13 @@ class SplitPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.subset_fraction < 1.0:
-            raise ConfigurationError("subset_fraction must be in (0, 1)")
-        if not abs(self.train_fraction + self.val_fraction - 1.0) <= 1e-9:  # nan, inf fail
+        check_fields(type(self), vars(self))
+        for name in ("subset_fraction", "train_fraction", "val_fraction"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if abs(self.train_fraction + self.val_fraction - 1.0) > 1e-9:
             raise ConfigurationError(f"train_fraction + val_fraction must equal 1, got "
                                      f"{self.train_fraction} + {self.val_fraction}")
-        if self.test_size is not None and self.test_size < 1:
-            raise ConfigurationError("test_size must be positive when set")
 
 
 def run_preprocess(data_dir: PathLike, out_dir: PathLike,

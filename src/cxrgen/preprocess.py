@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ConfigurationError, ContractError, DataError
+from .errors import ConfigurationError, ContractError, DataError, check_fields
 from .records import PatientRecord, RawRecord, ScalarFeatures
 from .vocab import END_ID, PAD_ID, START_ID, Vocabulary
 
@@ -201,14 +201,12 @@ def tokenize_and_fit_vocab(corpus: Iterable[str]) -> Vocabulary:
 
 
 def encode_report(text: str, vocab: Vocabulary, length: int) -> list[int]:
-    """[START] + body + [END], body truncated to fit, padded to ``length``."""
-    if length < 3:
-        raise ConfigurationError(f"report length must be >= 3, got {length}")
+    """[START] + body + [END], body truncated to fit, padded to ``length`` >= 3."""
     body = vocab.encode(text)[: length - 2]
     return pad_truncate([START_ID] + body + [END_ID], length)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
     report_len: int = 43
     chief_len: int = 2
@@ -216,9 +214,7 @@ class PreprocessConfig:
     image_feature_dim: int = 1280
 
     def __post_init__(self):
-        for name in ("report_len", "chief_len", "icd_len", "image_feature_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
+        check_fields(type(self), vars(self))
         if self.report_len < 3:
             raise ConfigurationError("report_len must be >= 3 to fit START and END")
 

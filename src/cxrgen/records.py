@@ -236,13 +236,20 @@ def write_patient_records(path: PathLike, records: Sequence[PatientRecord]) -> N
 
 
 def load_image_features(path: PathLike) -> dict[str, list[float]]:
-    """Read a {sample_id, features} JSONL file into a lookup table."""
+    """Read a {sample_id, features} JSONL file into a lookup table; a malformed
+    row raises a DataError naming the file, the row number and the sample id."""
     table: dict[str, list[float]] = {}
-    for row in read_jsonl(path):
+    for number, row in enumerate(read_jsonl(path), start=1):
+        if not isinstance(row, dict):
+            raise DataError(f"{path}: row {number} is a {type(row).__name__}, "
+                            f"not a JSON object")
         try:
+            if bool in map(type, row["features"]):  # float(True) would pass as 1.0
+                raise DataError("field 'features' must hold numbers, got a bool")
             table[str(row["sample_id"])] = [float(x) for x in row["features"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed image-feature row in {path}: {exc}") from exc
+        except (DataError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: row {number} (sample {row.get('sample_id')!r}): "
+                            f"malformed image-feature row: {exc}") from exc
     return table
 
 

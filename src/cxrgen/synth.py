@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, check_fields
 from .records import (RawRecord, atomic_write_text, write_image_features,
                       write_jsonl, write_raw_records, write_raw_records_csv)
 
@@ -67,13 +67,9 @@ class SyntheticConfig:
     outlier_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ConfigurationError(f"num_samples must be positive, got {self.num_samples}")
-        if self.feature_dim < 1:
-            raise ConfigurationError(f"feature_dim must be positive, got {self.feature_dim}")
-        if not 0 <= self.image_noise < np.inf:  # nan fails every comparison
-            raise ConfigurationError(f"image_noise must be >= 0 and finite, got "
-                                     f"{self.image_noise}")
+        check_fields(type(self), vars(self))
+        if self.image_noise < 0:
+            raise ConfigurationError(f"image_noise must be >= 0, got {self.image_noise}")
         if not 0.0 <= self.outlier_fraction < 1.0:
             raise ConfigurationError("outlier_fraction must be in [0, 1)")
 

@@ -9,7 +9,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, ContractError, NonFiniteGradientError,
-                     TrainingError)
+                     TrainingError, check_fields)
 from .tensor import Array, GradientTape, Tensor
 
 ADAM_BETA1 = 0.9
@@ -33,14 +33,12 @@ class TrainConfig:
     grad_clip_norm: Optional[float] = None
 
     def __post_init__(self):
-        if not 0 < self.base_lr < math.inf:  # nan fails every comparison
-            raise ConfigurationError(f"base_lr must be positive and finite, got {self.base_lr}")
-        for name in ("warmup_steps", "batch_size", "max_epochs", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.grad_clip_norm is not None and not 0 < self.grad_clip_norm < math.inf:
-            raise ConfigurationError(f"grad_clip_norm must be positive and finite when set, "
-                                     f"got {self.grad_clip_norm}")
+        check_fields(type(self), vars(self))
+        if self.base_lr <= 0:
+            raise ConfigurationError(f"base_lr must be positive, got {self.base_lr}")
+        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
+            raise ConfigurationError(f"grad_clip_norm must be positive when set, got "
+                                     f"{self.grad_clip_norm}")
 
 
 def lr_at_step(step: int, config: TrainConfig) -> float:
@@ -167,8 +165,6 @@ class EarlyStopper:
     validation-loss improvement."""
 
     def __init__(self, patience: int):
-        if patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {patience}")
         self.patience = patience
         self.best = math.inf
         self.bad_epochs = 0

@@ -7,7 +7,8 @@ in-place one is checked against, the per-pair metrics (Counter
 n-grams, dynamic-programming LCS, one provider call per token) that
 corpus-at-once scoring is checked against, and the ``dataclasses.asdict``
 record serializers that the direct ``to_dict`` methods are checked
-against."""
+against. ``CONFIGS`` lists the config dataclasses whose fields the field
+tests and the source guard both go over."""
 
 from __future__ import annotations
 
@@ -22,11 +23,16 @@ from cxrgen.decoder import _KVCache, report_loss
 from cxrgen.errors import EvaluationError
 from cxrgen.metrics import (BLEU_BUCKET_LABELS, BleuResult, EvalReport, HashedEmbeddings,
                             RougeLResult, SampleScores, bleu1_bucket)
-from cxrgen.preprocess import ETHNICITY_UNKNOWN
+from cxrgen.model import ModelConfig
+from cxrgen.pipeline import SplitPlan
+from cxrgen.preprocess import ETHNICITY_UNKNOWN, PreprocessConfig
 from cxrgen.records import PatientRecord, RawRecord, ScalarFeatures
+from cxrgen.synth import SyntheticConfig
 from cxrgen.tensor import GradientTape, Tensor, add, mul
-from cxrgen.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from cxrgen.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TrainConfig
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
+
+CONFIGS = (ModelConfig, TrainConfig, PreprocessConfig, SplitPlan, SyntheticConfig)
 
 FD_STEP = 1e-5
 GRAD_RTOL = 1e-5

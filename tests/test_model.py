@@ -587,6 +587,22 @@ class TestParametersOwnTheirArrays:
             ReportGenerator.load(bad)
         assert str(bad) in str(info.value)
 
+    @pytest.mark.parametrize("edit, names", [
+        (lambda c: c.update(model_dimm=64), "unknown key 'model_dimm'"),
+        (lambda c: c.update(layer_norm_eps=-1.0), "layer_norm_eps must be positive"),
+        (lambda c: c.update(ffn_dim=8.5), "'ffn_dim' must be an integer"),
+    ], ids=["unknown", "range", "type"])
+    def test_load_names_file_in_model_config_errors(self, tmp_path, edit, names):
+        from cxrgen.params import load_checkpoint, save_checkpoint
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        _tiny_model(seed=3).save(good)
+        state, meta = load_checkpoint(good)
+        edit(meta["model_config"])
+        save_checkpoint(bad, state, meta)
+        with pytest.raises(ConfigurationError, match=names) as info:
+            ReportGenerator.load(bad)
+        assert str(info.value).startswith(f"checkpoint {bad}: ")
+
     def test_fresh_forward_after_update_equals_loaded_model(self, tmp_path):
         """Forward, backward and Adam, then a fresh forward on the same (now
         updated in place) parameters: loss and gradients equal those of a

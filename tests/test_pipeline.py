@@ -198,6 +198,12 @@ class TestPreprocessStage:
         with pytest.raises(ConfigurationError, match="train_fraction"):
             SplitPlan(train_fraction=train, val_fraction=val)
 
+    @pytest.mark.parametrize("train,val", [(1.5, -0.5), (-0.5, 1.5), (1.0, 0.0), (0.0, 1.0)])
+    def test_plan_rejects_fractions_outside_0_1_when_built(self, train, val):
+        # they sum to 1, so only a range check stops them before run_preprocess reads
+        with pytest.raises(ConfigurationError, match=r"train_fraction must be in \(0, 1\)"):
+            SplitPlan(train_fraction=train, val_fraction=val)
+
 
 class TestTrainingStage:
     def test_writes_checkpoint_and_history(self, workspace):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrgen.errors import DataError
-from cxrgen.records import (PatientRecord, RawRecord, ScalarFeatures, read_patient_records,
-                            write_patient_records)
+from cxrgen.records import (PatientRecord, RawRecord, ScalarFeatures, load_image_features,
+                            read_patient_records, write_image_features, write_patient_records)
 
 from helpers import patient_record_dict_reference, raw_record_dict_reference
 
@@ -145,3 +145,34 @@ class TestReadPatientRecords:
         where = re.escape(f"{path}: row 2 is a list, not a JSON object")
         with pytest.raises(DataError, match=f"^{where}$"):
             read_patient_records(path)
+
+
+class TestLoadImageFeatures:
+    def _rows(self, tmp_path):
+        path = tmp_path / "good.jsonl"
+        write_image_features(path, {f"s{i}": [0.5, 0.25] for i in range(3)})
+        assert load_image_features(path) == {f"s{i}": [0.5, 0.25] for i in range(3)}
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row["features"].__setitem__(0, True),
+         "field 'features' must hold numbers, got a bool"),
+        (lambda row: row.pop("features"), "'features'"),
+        (lambda row: row.update(features=["a", 0.5]), "could not convert"),
+    ], ids=["bool", "missing", "text"])
+    def test_malformed_row_names_file_row_and_sample(self, tmp_path, edit, message):
+        # float(True) is 1.0: a JSON true would be read as a feature value
+        rows = self._rows(tmp_path)
+        edit(rows[1])
+        path = tmp_path / "features.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        where = re.escape(f"{path}: row 2 (sample 's1'): malformed image-feature row: ")
+        with pytest.raises(DataError, match=f"^{where}.*{re.escape(message)}"):
+            load_image_features(path)
+
+    def test_row_that_is_no_object_named(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        path.write_text("[1, 2]\n", encoding="utf-8")
+        where = re.escape(f"{path}: row 1 is a list, not a JSON object")
+        with pytest.raises(DataError, match=f"^{where}$"):
+            load_image_features(path)

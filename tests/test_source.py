@@ -1,15 +1,19 @@
 """Source hygiene: every name a cxrgen module imports is used in it, every
-tensor op has a finite-difference case in acceptance criterion 1, and only
-cxrgen.tensor writes the exp, log and variance formulas."""
+tensor op has a finite-difference case in acceptance criterion 1, only
+cxrgen.tensor writes the exp, log and variance formulas, and only
+cxrgen.errors decides which values a config field takes."""
 
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import cxrgen
 from cxrgen import tensor
+
+from helpers import CONFIGS
 
 MODULES = sorted(p for p in Path(cxrgen.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -125,3 +129,45 @@ def test_a_restated_formula_is_caught():
                      "y = np.log(e).sum()\n")
     assert restated_formulas(tree) == [1, 2, 3]
     assert restated_formulas(ast.parse("math.log(2.0) + np.expm1(x)")) == []
+
+
+def checks_fields_first(source: str) -> bool:
+    """Whether the function in ``source`` starts with
+    ``check_fields(type(self), vars(self))``."""
+    (function,) = ast.parse(textwrap.dedent(source)).body
+    return ast.unparse(function.body[0]) == "check_fields(type(self), vars(self))"
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_every_config_checks_its_fields_first(cls):
+    assert checks_fields_first(inspect.getsource(cls.__post_init__)), (
+        f"{cls.__name__}.__post_init__ must call check_fields(type(self), vars(self)) first")
+
+
+def test_a_config_that_checks_late_is_caught():
+    assert checks_fields_first("def __post_init__(self):\n"
+                               "    check_fields(type(self), vars(self))\n"
+                               "    if self.x <= 0: raise ValueError\n")
+    assert not checks_fields_first("def __post_init__(self):\n"
+                                   "    if self.x < 1: raise ValueError\n"
+                                   "    check_fields(type(self), vars(self))\n")
+
+
+def reads_type_hints(tree: ast.AST) -> bool:
+    """Whether ``tree`` calls ``get_type_hints``, bare or as an attribute."""
+    return any(isinstance(node, ast.Call) and "get_type_hints" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_only_errors_reads_config_annotations(path):
+    assert not reads_type_hints(ast.parse(path.read_text(encoding="utf-8"))), (
+        f"{path.name} reads type hints; check config values with errors.check_fields")
+
+
+def test_a_type_hint_reader_is_caught():
+    assert reads_type_hints(ast.parse("kinds = typing.get_type_hints(cls)"))
+    assert reads_type_hints(ast.parse("kinds = get_type_hints(cls)"))
+    assert not reads_type_hints(ast.parse("check_fields(cls, section)"))
