@@ -5,27 +5,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import ConfigurationError, CxrgenError, check_fields
 from .model import INPUT_PRESETS, ModelConfig
 from .pipeline import (SplitPlan, run_ablation, run_evaluation, run_generation,
                        run_preprocess, run_synth, run_training)
 from .preprocess import PreprocessConfig
+from .records import read_json
 from .synth import SyntheticConfig
 from .training import TrainConfig
 
 
 def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
-    return payload
+    return read_json(path, "config file", ConfigurationError) if path else {}
 
 
 def _section(config: dict, path: str | None, name: str, cls) -> dict:

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Protocol, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .records import atomic_open, atomic_write_text
+from .records import atomic_open, atomic_write_text, read_json
 
 Tokens = Sequence[str]
 
@@ -264,13 +264,7 @@ class FileEmbeddings:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FileEmbeddings":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise EvaluationError(f"cannot read embeddings {path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise EvaluationError(f"embeddings {path}: expected a JSON object of "
-                                  f"token vectors, got {type(payload).__name__}")
+        payload = read_json(path, "embeddings", EvaluationError)
         try:
             return cls(payload)
         except EvaluationError as exc:

@@ -8,7 +8,6 @@ maps one subcommand onto each function here.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -21,9 +20,9 @@ from .model import (ABLATION_LABELS, ModelConfig, ReportGenerator,
                     resolve_input_mask)
 from .preprocess import (NormalizationStats, PreprocessConfig, build_patient_record,
                          remove_outliers, tokenize_and_fit_vocab, standardize_text)
-from .records import (PatientRecord, RawRecord, atomic_open, atomic_write_text,
-                      load_image_features, read_jsonl, read_patient_records,
-                      read_raw_records, write_jsonl, write_patient_records)
+from .records import (PatientRecord, RawRecord, atomic_open, load_image_features,
+                      read_jsonl, read_patient_records, read_raw_records, read_rows,
+                      write_json, write_jsonl, write_patient_records)
 from .synth import (DatasetManifest, SyntheticConfig, balance_by_unique_reports,
                     generate_synthetic, load_planted_phrases, write_synthetic_dataset)
 from .training import EVAL_CHUNK, FitResult, TrainConfig, fit, split_dataset
@@ -135,8 +134,7 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     report_vocab.save(out / "report_vocab.json")
     chief_vocab.save(out / "chief_vocab.json")
     icd_vocab.save(out / "icd_vocab.json")
-    atomic_write_text(out / "norm_stats.json",
-                      json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n")
+    write_json(out / "norm_stats.json", stats.to_dict())
 
     summary = {
         "records_in": len(raw),
@@ -224,26 +222,21 @@ def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
     return len(rows)
 
 
+def _generation_pair(row: Mapping) -> tuple[str, list[str], list[str]]:
+    """(sample_id, generated tokens, reference tokens) of one generation row."""
+    sample_id, generated, reference = row["sample_id"], row["generated"], row["reference"]
+    for field, text in (("generated", generated), ("reference", reference)):
+        if not isinstance(text, str):
+            raise DataError(f"{field!r} must be a string, got {type(text).__name__}")
+    return str(sample_id), generated.split(), reference.split()
+
+
 def run_evaluation(generated_path: PathLike, out_path: Optional[PathLike] = None,
                    embeddings_path: Optional[PathLike] = None,
                    per_sample_csv: Optional[PathLike] = None,
                    smooth: bool = False) -> EvalReport:
     """Score a generation file and optionally persist the JSON report."""
-    rows = read_jsonl(generated_path)
-    pairs = []
-    for number, row in enumerate(rows, start=1):
-        where = f"{generated_path}: generation row {number}"
-        if not isinstance(row, dict):
-            raise DataError(f"{where} is a {type(row).__name__}, not a JSON object")
-        try:
-            sample_id, generated, reference = row["sample_id"], row["generated"], row["reference"]
-        except KeyError as exc:
-            raise DataError(f"{where} is missing field {exc}") from exc
-        for field, text in (("generated", generated), ("reference", reference)):
-            if not isinstance(text, str):
-                raise DataError(f"{where} (sample {sample_id!r}): {field!r} must be a "
-                                f"string, got {type(text).__name__}")
-        pairs.append((str(sample_id), generated.split(), reference.split()))
+    pairs = read_rows(generated_path, _generation_pair)
     provider = FileEmbeddings.load(embeddings_path) if embeddings_path else HashedEmbeddings()
     report = corpus_evaluate(pairs, provider=provider, smooth=smooth)
     if out_path is not None:
@@ -345,6 +338,5 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
     summary = {"seed": seed, "rows": rows,
                "model_config": model_cfg.to_dict(),
                "train_config": asdict(train_cfg)}
-    atomic_write_text(work / "ablation_report.json",
-                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(work / "ablation_report.json", summary)
     return summary

@@ -9,17 +9,15 @@ the right planted sentences; an image-only model can at best guess them.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, check_fields
-from .records import (RawRecord, atomic_write_text, write_image_features,
-                      write_jsonl, write_raw_records, write_raw_records_csv)
+from .records import (RawRecord, file_sha256, read_json, read_rows, write_image_features,
+                      write_json, write_jsonl, write_raw_records, write_raw_records_csv)
 
 PathLike = Union[str, Path]
 
@@ -140,18 +138,16 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
     return SyntheticDataset(records, features, planted, config)
 
 
-def balance_by_unique_reports(records: Sequence[RawRecord], target_size: int,
-                              key: Optional[Callable] = None) -> list[RawRecord]:
+def balance_by_unique_reports(records: Sequence[RawRecord],
+                              target_size: int) -> list[RawRecord]:
     """Round-robin subsample so per-report-text counts differ by at most one
-    (where group sizes allow). Group order is sorted by key for determinism.
-    """
+    (where group sizes allow); groups go in report-text order, for determinism."""
     if not 1 <= target_size <= len(records):
         raise ConfigurationError(f"target_size must be in 1..{len(records)}, "
                                  f"got {target_size}")
-    key = key or (lambda rec: rec.report)
     groups: dict[str, list[RawRecord]] = {}
     for rec in records:
-        groups.setdefault(key(rec), []).append(rec)
+        groups.setdefault(rec.report, []).append(rec)
     ordered = [groups[k] for k in sorted(groups)]
     subset: list[RawRecord] = []
     depth = 0
@@ -169,14 +165,6 @@ def balance_by_unique_reports(records: Sequence[RawRecord], target_size: int,
     return subset
 
 
-def file_sha256(path: PathLike) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @dataclass
 class DatasetManifest:
     """File names, content hashes, and provenance for one emitted dataset."""
@@ -192,17 +180,17 @@ class DatasetManifest:
 
     def save(self, directory: PathLike) -> Path:
         path = Path(directory) / self.MANIFEST_NAME
-        atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        write_json(path, self.to_dict())
         return path
 
     @classmethod
     def load(cls, directory: PathLike) -> "DatasetManifest":
         path = Path(directory) / cls.MANIFEST_NAME
+        payload = read_json(path, "manifest")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
             return cls(files=dict(payload["files"]), sha256=dict(payload["sha256"]),
                        meta=dict(payload.get("meta", {})))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"cannot read manifest {path}: {exc}") from exc
 
     def verify(self, directory: PathLike) -> None:
@@ -258,12 +246,13 @@ def write_synthetic_dataset(dataset: SyntheticDataset, out_dir: PathLike,
     return manifest
 
 
+def _planted_row(row: Mapping) -> tuple[str, list[str]]:
+    phrases = row["phrases"]
+    if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
+        raise DataError(f"field 'phrases' must be a list of strings, got {phrases!r}")
+    return str(row["sample_id"]), phrases
+
+
 def load_planted_phrases(path: PathLike) -> dict[str, list[str]]:
-    from .records import read_jsonl
-    table: dict[str, list[str]] = {}
-    for row in read_jsonl(path):
-        try:
-            table[str(row["sample_id"])] = [str(p) for p in row["phrases"]]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed planted-phrase row in {path}: {exc}") from exc
-    return table
+    """{sample_id: planted phrases} from a {sample_id, phrases} JSONL file."""
+    return dict(read_rows(path, _planted_row))

@@ -160,25 +160,6 @@ def split_dataset(records: Sequence, fractions: Sequence[float],
             [records[i] for i in order[counts[0]:]])
 
 
-class EarlyStopper:
-    """Stop after ``patience`` consecutive epochs without a strict
-    validation-loss improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = math.inf
-        self.bad_epochs = 0
-
-    def update(self, val_loss: float) -> bool:
-        """Record one epoch's validation loss; True means stop now."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.bad_epochs = 0
-            return False
-        self.bad_epochs += 1
-        return self.bad_epochs >= self.patience
-
-
 @dataclass
 class FitResult:
     history: list
@@ -211,17 +192,18 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
     """Mini-batch Adam training with warmup and early stopping.
 
     Each mini-batch is an index array into the training split, packed once,
-    and one ``model.loss_for_batch`` forward and backward. A non-finite batch
-    loss, gradient or validation loss aborts the run (``diverged=True``) and
-    restores the best checkpoint seen so far; the model is always left holding
-    the best-validation parameters when fit returns.
+    and one ``model.loss_for_batch`` forward and backward. Training stops
+    once ``early_stop_patience`` epochs in a row bring no strict improvement
+    of the best validation loss. A non-finite batch loss, gradient or
+    validation loss aborts the run (``diverged=True``) and restores the best
+    checkpoint seen so far; the model is always left holding the
+    best-validation parameters when fit returns.
     """
     if not train_set or not val_set:
         raise ConfigurationError("fit needs non-empty train and validation sets")
     train = model.pack(train_set)
     parameters = model.parameters()
     state = OptimizerState.for_parameters(parameters)
-    stopper = EarlyStopper(config.early_stop_patience)
     rng = np.random.default_rng(config.seed)
 
     best_state = model.state_dict()
@@ -229,10 +211,8 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
     best_epoch = 0
     history: list[dict] = []
     step = 0
-    epochs_run = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        epochs_run = epoch
         order = rng.permutation(len(train))
         loss_weighted = 0.0
         correct = 0
@@ -275,13 +255,13 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
         if diverged:
             model.load_state_dict(best_state)
             return FitResult(history, best_state, best_val_loss,
-                             best_epoch, epochs_run, diverged=True)
+                             best_epoch, epoch, diverged=True)
         if val_loss < best_val_loss:
             best_val_loss = val_loss
             best_state = model.state_dict()
             best_epoch = epoch
-        if stopper.update(val_loss):
+        if epoch - best_epoch >= config.early_stop_patience:
             break
 
     model.load_state_dict(best_state)
-    return FitResult(history, best_state, best_val_loss, best_epoch, epochs_run)
+    return FitResult(history, best_state, best_val_loss, best_epoch, epoch)

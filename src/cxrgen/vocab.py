@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 from .errors import ConfigurationError, ContractError, DataError
-from .records import atomic_write_text
+from .records import atomic_write_text, read_json
 
 PAD_ID = 0
 START_ID = 1
@@ -33,6 +33,9 @@ class Vocabulary:
     def __init__(self, tokens: Sequence[str]):
         seen = set(RESERVED_TOKENS)
         for tok in tokens:
+            if not isinstance(tok, str):
+                raise ConfigurationError(f"vocabulary token {tok!r} must be a str, "
+                                         f"got {type(tok).__name__}")
             if tok in seen:
                 raise ConfigurationError(f"duplicate or reserved token in vocabulary: {tok!r}")
             seen.add(tok)
@@ -81,24 +84,15 @@ class Vocabulary:
     def text(self, ids: Iterable[int]) -> str:
         return detokenize(self.decode(ids))
 
-    # -- persistence ---------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {"tokens": self._id_to_token[len(RESERVED_TOKENS):]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Vocabulary":
-        try:
-            return cls(payload["tokens"])
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"malformed vocabulary payload: {exc}") from exc
-
+    # -- persistence: {"tokens": [every token after the reserved ones]} ------
     def save(self, path: Union[str, Path]) -> None:
-        atomic_write_text(path, json.dumps(self.to_dict(), sort_keys=True) + "\n")
+        tokens = self._id_to_token[len(RESERVED_TOKENS):]
+        atomic_write_text(path, json.dumps({"tokens": tokens}, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Vocabulary":
+        payload = read_json(path, "vocabulary")
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
-        return cls.from_dict(payload)
+            return cls(payload["tokens"])
+        except (ConfigurationError, KeyError, TypeError) as exc:
+            raise DataError(f"malformed vocabulary {path}: {exc}") from exc

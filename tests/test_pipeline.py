@@ -333,7 +333,7 @@ class TestEvaluationStage:
         bad = tmp_path / "bad.jsonl"
         good = {"sample_id": "ok", "generated": "a", "reference": "a"}
         bad.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n")
-        with pytest.raises(DataError, match=f"bad.jsonl: generation row 2 .*{complaint}"):
+        with pytest.raises(DataError, match=f"bad.jsonl: row 2 .*{complaint}"):
             run_evaluation(bad)
 
 
@@ -526,6 +526,15 @@ class TestCli:
         assert err.startswith(f"error: config file {cfg}, section {section!r}: ")
         assert repr(key) in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_a_config_file_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"train": {"seed": "\xff"}}')
+        assert cli_main(["train", "--data", str(tmp_path / "data"), "--out",
+                         str(tmp_path / "out"), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_config_takes_an_integer_for_a_number_and_null_where_optional(self, tmp_path,
                                                                          capsys):

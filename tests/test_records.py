@@ -1,4 +1,5 @@
-"""Record types: direct serialization, ingestion checks, named read errors."""
+"""Record types: direct serialization, ingestion checks, and one error shape
+for every input file the package reads."""
 
 import json
 import re
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrgen.errors import DataError
+from cxrgen.cli import _load_config_file
+from cxrgen.errors import ConfigurationError, DataError, EvaluationError
+from cxrgen.metrics import FileEmbeddings
+from cxrgen.pipeline import run_evaluation
 from cxrgen.records import (PatientRecord, RawRecord, ScalarFeatures, load_image_features,
-                            read_patient_records, write_image_features, write_patient_records)
+                            read_patient_records, read_raw_records, write_image_features,
+                            write_patient_records)
+from cxrgen.synth import DatasetManifest, load_planted_phrases
+from cxrgen.vocab import Vocabulary
 
 from helpers import patient_record_dict_reference, raw_record_dict_reference
 
@@ -176,3 +183,111 @@ class TestLoadImageFeatures:
         where = re.escape(f"{path}: row 1 is a list, not a JSON object")
         with pytest.raises(DataError, match=f"^{where}$"):
             load_image_features(path)
+
+
+RAW_ROW = TestRawRecordFromDict.ROW
+PATIENT_ROW = PatientRecord("p0", ScalarFeatures(*[0.5] * 8), 2, [4], [6], [0.1], [1, 2],
+                            "clear").to_dict()
+
+# reader -> (file name, how it reads the path, error class, a good first row or
+# None for a file that holds one JSON document)
+READERS = {
+    "raw-jsonl": ("records.jsonl", read_raw_records, DataError, RAW_ROW),
+    "patient-split": ("train.jsonl", read_patient_records, DataError, PATIENT_ROW),
+    "features": ("features.jsonl", load_image_features, DataError,
+                 {"sample_id": "s0", "features": [0.5]}),
+    "generations": ("generated.jsonl", run_evaluation, DataError,
+                    {"sample_id": "s0", "generated": "a", "reference": "a"}),
+    "planted": ("planted.jsonl", load_planted_phrases, DataError,
+                {"sample_id": "s0", "phrases": ["a b"]}),
+    "vocabulary": ("vocab.json", Vocabulary.load, DataError, None),
+    "manifest": ("manifest.json", lambda path: DatasetManifest.load(path.parent),
+                 DataError, None),
+    "config": ("cfg.json", lambda path: _load_config_file(str(path)), ConfigurationError,
+               None),
+    "embeddings": ("emb.json", FileEmbeddings.load, EvaluationError, None),
+}
+
+# input -> the bytes of line 3, after a good row on line 1 and a blank line 2
+ROW_INPUTS = {
+    "non-utf8": b'{"sample_id": "s\xff"}\n',
+    "invalid-json": b'{"sample_id": \n',
+    "not-an-object": b'["s9", 1]\n',
+    "missing-fields": b'{"sample_id": "s9"}\n',
+}
+
+# input -> the whole file
+DOCUMENT_INPUTS = {
+    "non-utf8": b'{"tokens": ["\xff"]}\n',
+    "invalid-json": b'{"tokens": \n',
+    "not-an-object": b'[["a", 1.0]]\n',
+}
+
+
+def _read_error(tmp_path, reader, content):
+    name, read, error, _ = READERS[reader]
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(error) as caught:
+        read(path)
+    return path, str(caught.value)
+
+
+@pytest.mark.parametrize("case", sorted(ROW_INPUTS))
+@pytest.mark.parametrize("reader", [r for r in READERS if READERS[r][3] is not None])
+def test_a_bad_row_is_named_by_file_and_line(tmp_path, reader, case):
+    good = json.dumps(READERS[reader][3]).encode()
+    path, message = _read_error(tmp_path, reader, good + b"\n\n" + ROW_INPUTS[case])
+    assert message.startswith(f"{path}: row 3 "), message
+    if case == "missing-fields":
+        assert message.startswith(f"{path}: row 3 (sample 's9'): "), message
+
+
+@pytest.mark.parametrize("case", ["non-utf8", "missing-fields"])
+def test_a_bad_csv_row_is_named_by_file_and_line(tmp_path, case):
+    header = ",".join(RAW_ROW).encode()
+    line = {"non-utf8": b"s\xff,1\n", "missing-fields": b"s9\n"}[case]
+    path = tmp_path / "records.csv"
+    path.write_bytes(header + b"\n\n" + line)
+    with pytest.raises(DataError) as caught:
+        read_raw_records(path)
+    assert str(caught.value).startswith(f"{path}: row 3 "), str(caught.value)
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_INPUTS))
+@pytest.mark.parametrize("reader", [r for r in READERS if READERS[r][3] is None])
+def test_a_bad_document_is_named_by_file(tmp_path, reader, case):
+    path, message = _read_error(tmp_path, reader, DOCUMENT_INPUTS[case])
+    assert str(path) in message
+    if case == "not-an-object":
+        assert message.endswith("must hold a JSON object, got list"), message
+
+
+@pytest.mark.parametrize("phrases", ["low oxygen", None, 3, [None, 3]],
+                         ids=["string", "null", "number", "non-strings"])
+def test_planted_phrases_must_be_a_list_of_strings(tmp_path, phrases):
+    rows = [{"sample_id": "s0", "phrases": ["a b"]}, {"sample_id": "s1", "phrases": phrases}]
+    path = tmp_path / "planted.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    where = re.escape(f"{path}: row 2 (sample 's1'): field 'phrases' must be a list of "
+                      f"strings, got {phrases!r}")
+    with pytest.raises(DataError, match=f"^{where}$"):
+        load_planted_phrases(path)
+
+
+def test_a_vocabulary_token_must_be_text(tmp_path):
+    with pytest.raises(ConfigurationError, match="vocabulary token 1 must be a str, got int"):
+        Vocabulary(["a", 1])
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"tokens": ["a", 1]}), encoding="utf-8")
+    where = re.escape(f"malformed vocabulary {path}: vocabulary token 1 must be a str, "
+                      f"got int")
+    with pytest.raises(DataError, match=f"^{where}$"):
+        Vocabulary.load(path)
+
+
+def test_a_vocabulary_without_tokens_names_its_file(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"words": ["a"]}), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(f'malformed vocabulary {path}: ')}"):
+        Vocabulary.load(path)

@@ -1,7 +1,8 @@
 """Source hygiene: every name a cxrgen module imports is used in it, every
 tensor op has a finite-difference case in acceptance criterion 1, only
-cxrgen.tensor writes the exp, log and variance formulas, and only
-cxrgen.errors decides which values a config field takes."""
+cxrgen.tensor writes the exp, log and variance formulas, only
+cxrgen.errors decides which values a config field takes, and only
+cxrgen.records opens and decodes input files."""
 
 import ast
 import inspect
@@ -171,3 +172,64 @@ def test_a_type_hint_reader_is_caught():
     assert reads_type_hints(ast.parse("kinds = typing.get_type_hints(cls)"))
     assert reads_type_hints(ast.parse("kinds = get_type_hints(cls)"))
     assert not reads_type_hints(ast.parse("check_fields(cls, section)"))
+
+
+# records.py reads every input file; params.py opens the binary .npz
+# checkpoint and parses the metadata embedded in it
+FILE_READERS = ("records.py", "params.py")
+
+
+def _opens_for_reading(call: ast.Call) -> bool:
+    """Whether ``call`` is ``open(path, mode)`` or ``path.open(mode)`` with a
+    mode that reads: none given, one with "r" or "+", or one not spelled out."""
+    if isinstance(call.func, ast.Name) and call.func.id == "open":
+        position = 1
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+        position = 0
+    else:
+        return False
+    modes = call.args[position:position + 1] + [kw.value for kw in call.keywords
+                                                 if kw.arg == "mode"]
+    if not modes:
+        return True
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("r+"))
+
+
+def file_reads(tree: ast.AST) -> list[int]:
+    """Lines that call ``json.load`` or ``json.loads``, a ``.read_text`` or
+    ``.read_bytes`` method, or open a file for reading."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        _opens_for_reading(node)
+        or isinstance(node.func, ast.Attribute) and (
+            node.func.attr in ("read_text", "read_bytes")
+            or node.func.attr in ("load", "loads") and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json")))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in FILE_READERS],
+                         ids=lambda p: p.name)
+def test_only_records_reads_input_files(path):
+    lines = file_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, (f"{path.name} opens or decodes a file at lines {lines}; read it "
+                       f"with cxrgen.records.read_rows or read_json instead")
+
+
+def test_a_file_reader_is_caught():
+    tree = ast.parse("a = json.loads(text)\n"
+                     "b = json.load(fh)\n"
+                     "c = Path(path).read_text(encoding='utf-8')\n"
+                     "with open(path, encoding='utf-8') as fh: pass\n"
+                     "with open(path, 'rb') as fh: pass\n"
+                     "with path.open() as fh: pass\n"
+                     "with open(path, mode='r+') as fh: pass\n"
+                     "with open(path, some_mode) as fh: pass\n"
+                     "d = path.read_bytes()\n")
+    assert file_reads(tree) == list(range(1, 10))
+    assert file_reads(ast.parse("s = json.dumps(x)\n"
+                                "with open(path, 'w', encoding='utf-8') as fh: pass\n"
+                                "with path.open('xb') as fh: pass\n"
+                                "with open(path, mode='a') as fh: pass\n"
+                                "with atomic_open(path) as fh: pass\n"
+                                "payload = read_json(path, 'vocabulary')\n")) == []

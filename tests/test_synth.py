@@ -195,7 +195,7 @@ class TestBalancing:
         pool = [Rec(f"r{g}-{i}", f"report {g}") for g, n in enumerate(sizes)
                 for i in range(n)]
         target = data.draw(st.integers(1, len(pool)))
-        out = balance_by_unique_reports(pool, target, key=lambda r: r.report)
+        out = balance_by_unique_reports(pool, target)
         assert len(out) == target
         counts = Counter(r.report for r in out)
         # groups that ran out of members may fall short; among groups that

@@ -13,7 +13,7 @@ from cxrgen.model import ModelConfig, ReportGenerator
 from cxrgen.params import ParameterStore
 from cxrgen.tensor import GradientTape, Tensor, add, mul, reduce_sum
 from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS,
-                             EarlyStopper, OptimizerState, TrainConfig, adam_step,
+                             OptimizerState, TrainConfig, adam_step,
                              clip_gradients, evaluate_split, fit, lr_at_step,
                              split_dataset)
 
@@ -225,35 +225,6 @@ class TestClipGradients:
         assert np.linalg.norm(out["a"]) == pytest.approx(1.0)
 
 
-class TestEarlyStopper:
-    def test_documented_sequence_stops_after_seven(self):
-        stopper = EarlyStopper(patience=5)
-        losses = [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95]
-        decisions = [stopper.update(v) for v in losses]
-        assert decisions == [False, False, False, False, False, False, True]
-
-    def test_never_stops_before_patience_plus_one_epochs(self):
-        stopper = EarlyStopper(patience=5)
-        for i, v in enumerate([5.0, 5.1, 5.2, 5.3, 5.4], start=1):
-            stopped = stopper.update(v)
-            assert stopped == (i == 0)  # never within the first 5 here
-        assert stopper.update(5.5) is True  # 6th epoch, 5 bad in a row after best
-
-    def test_strict_improvement_required(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(1.0)
-        assert not stopper.update(1.0)  # equal is not an improvement
-        assert stopper.update(1.0)
-
-    def test_improvement_resets_counter(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(1.0)
-        assert not stopper.update(1.1)
-        assert not stopper.update(0.9)
-        assert not stopper.update(1.0)
-        assert stopper.update(1.0)
-
-
 class TestSplitDataset:
     def test_sizes_at_corpus_scale(self):
         records = list(range(3000))
@@ -402,6 +373,37 @@ class TestFit:
         # epoch 1 improves on inf; epochs 2-4 are flat -> stop at epoch 4
         assert result.epochs_run == 4
         assert result.best_epoch == 1
+
+    @pytest.mark.parametrize("patience, val_losses, stop_epoch", [
+        (5, [1.0, 0.9, 0.91, 0.92, 0.93, 0.94, 0.95], 7),
+        (5, [5.0, 5.1, 5.2, 5.3, 5.4, 5.5], 6),    # never before patience + 1 epochs
+        (2, [1.0, 1.0, 1.0], 3),                     # an equal loss is no improvement
+        (2, [1.0, 1.1, 0.9, 1.0, 1.0], 5),           # an improvement restarts the count
+    ], ids=["documented", "not-before", "strict", "reset"])
+    def test_stops_after_patience_epochs_without_improvement(self, patience, val_losses,
+                                                             stop_epoch):
+        class ScriptedValidation(_ToyModel):
+            """Validation loss read from ``val_losses``, then ever lower, so
+            a run that does not stop on time goes on to ``max_epochs``."""
+
+            def __init__(self):
+                super().__init__()
+                self.script = iter(val_losses + [0.5 ** k for k in range(1, 10)])
+
+            def loss_for_batch(self, targets):
+                if list(targets) == ["val"]:
+                    value = next(self.script)
+                    return reduce_sum(mul(Tensor(np.array([value])), 1.0)), 0, 1
+                return super().loss_for_batch(targets)
+
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2,
+                          max_epochs=len(val_losses) + 5, early_stop_patience=patience,
+                          seed=0)
+        result = fit(ScriptedValidation(), [1.0, 1.0], ["val"], cfg)
+        assert result.epochs_run == stop_epoch
+        assert [row["val_loss"] for row in result.history] == val_losses
+        best = min(val_losses)
+        assert (result.best_epoch, result.best_val_loss) == (val_losses.index(best) + 1, best)
 
     def test_model_left_at_best_checkpoint(self):
         model = _ToyModel()
