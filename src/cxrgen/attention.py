@@ -2,20 +2,19 @@
 
 Multi-head attention runs a whole batch at once: inputs are [B·n, d] rows,
 each of Q/K/V is one fused [d, h·d_k] projection (Megatron-LM style), and
-the heads become an axis of a [B, h, n, d_k] array.
+the heads become an axis of a [B, h, n, d_k] array that the one taped op
+``tensor.attention`` takes; this module adds the mask and the heads.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 from .params import ParameterStore
-from .tensor import (Tensor, add, batched_matmul, matmul, mul, reshape, softmax,
-                     swap_axes)
+from .tensor import Tensor, attention, matmul, reshape, swap_axes
 
 # Additive pre-softmax fill for forbidden positions; at float64 this is
 # indistinguishable from -inf after exponentiation but never produces nan.
@@ -41,26 +40,17 @@ def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
     softmax so their weights underflow to exactly zero. A query row with
     every key forbidden is rejected.
     """
-    if q.ndim < 2 or not q.ndim == k.ndim == v.ndim or \
-            not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
-        raise DimensionError(f"attention expects q/k/v with matching leading axes, "
-                             f"got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"query width {q.shape} does not match key width {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"key count {k.shape} does not match value count {v.shape}")
-    (n_q, d_k), n_k = q.shape[-2:], k.shape[-2]
-    logits = mul(batched_matmul(q, swap_axes(k, -1, -2)), 1.0 / math.sqrt(d_k))
+    bias = None
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
-        if m.shape != (n_q, n_k):
-            raise DimensionError(f"mask shape {m.shape} does not match logits shape {(n_q, n_k)}")
+        logits_shape = q.shape[-2:-1] + k.shape[-2:-1]
+        if m.shape != logits_shape:
+            raise DimensionError(f"mask shape {m.shape} does not match logits shape {logits_shape}")
         if not m.any(axis=1).all():
             raise ContractError("attention mask leaves a query row with no permitted keys")
-        logits = add(logits, Tensor(np.broadcast_to(np.where(m, 0.0, MASKED_LOGIT),
-                                                    logits.shape)))
-    weights = softmax(logits)
-    return AttentionResult(batched_matmul(weights, v), weights)
+        bias = np.where(m, 0.0, MASKED_LOGIT)
+    output, weights = attention(q, k, v, bias)
+    return AttentionResult(output, Tensor(weights))
 
 
 class AttentionProjections:

@@ -19,7 +19,7 @@ import numpy as np
 from .attention import AttentionProjections, causal_mask, multi_head_attention
 from .errors import ContractError, DimensionError
 from .params import ParameterStore
-from .tensor import (Tensor, _layer_norm, _softmax, add, cross_entropy, dense,
+from .tensor import (Tensor, _attention, _layer_norm, add, cross_entropy, dense,
                      embedding_lookup, layer_norm, matmul, mul, reduce_sum, relu)
 from .vocab import END_ID, START_ID
 
@@ -138,8 +138,8 @@ class _KVCache:
     Each layer's cross-attention K/V are projected once from the encoder
     rows; its self-attention K/V [B, h, length, d // h] fill one position per
     step. ``step`` runs the layer's fused projections in the taped ops' order
-    on numpy arrays and calls the ops' own softmax and layer-norm kernels.
-    No mask is needed: the cache holds only positions <= t.
+    on numpy arrays through the ops' own kernels ``_attention`` and
+    ``_layer_norm``. No mask is needed: the cache holds only positions <= t.
     """
 
     def __init__(self, decoder: ReportDecoder, encoder_rows: Tensor, batch_size: int,
@@ -167,8 +167,7 @@ class _KVCache:
     def _attend(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
                 projections) -> np.ndarray:
         q = self._split(x @ projections.w_q.data, x.shape[0])
-        logits = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / math.sqrt(q.shape[-1]))
-        out = _softmax(logits) @ values
+        out = _attention(q, np.swapaxes(keys, -1, -2), values, None)[0]
         return np.swapaxes(out, 1, 2).reshape(x.shape[0], -1) @ projections.w_o.data
 
     def keep(self, rows: np.ndarray) -> None:

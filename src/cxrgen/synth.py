@@ -188,8 +188,11 @@ class DatasetManifest:
         path = Path(directory) / cls.MANIFEST_NAME
         payload = read_json(path, "manifest")
         try:
-            return cls(files=dict(payload["files"]), sha256=dict(payload["sha256"]),
-                       meta=dict(payload.get("meta", {})))
+            files, sha256 = dict(payload["files"]), dict(payload["sha256"])
+            if files.keys() != sha256.keys() or not all(
+                    isinstance(x, str) for x in [*files.values(), *sha256.values()]):
+                raise ValueError("'files' and 'sha256' must map the same names to strings")
+            return cls(files=files, sha256=sha256, meta=dict(payload.get("meta", {})))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"cannot read manifest {path}: {exc}") from exc
 

@@ -1,18 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 The op set is deliberately small: only what the model runs. Products:
-``matmul``, ``batched_matmul``, ``dense``. Elementwise: ``add``, ``mul``,
-``relu``. Rows: ``softmax``, ``layer_norm``, ``cross_entropy`` (the token
-loss). Shapes: ``concat``, ``reshape``, ``swap_axes``. Gather and reduce:
-``embedding_lookup``, ``reduce_sum``. Position-wise ops work on 2-D rows,
-and softmax and concat act on the last axis; attention runs batched over
-leading axes through ``batched_matmul`` and ``swap_axes``.
+``matmul``, ``dense``. Elementwise: ``add``, ``mul``, ``relu``. Rows:
+``layer_norm``, ``cross_entropy`` (the token loss). Attention: ``attention``,
+batched over leading axes. Shapes: ``concat``, ``reshape``, ``swap_axes``.
+Gather and reduce: ``embedding_lookup``, ``reduce_sum``. Position-wise ops
+work on 2-D rows, and concat acts on the last axis.
 
 Forward passes run as plain numpy; when a ``GradientTape`` is active and not
 paused by ``no_tape``, each op also appends a node holding a backward
 closure. Nodes are appended after their inputs, so a single reverse
-sweep over the tape is a valid topological order. The softmax and
-layer-norm formulas live once, in the numpy kernels ``_softmax`` and
+sweep over the tape is a valid topological order. The attention and
+layer-norm formulas live once, in the numpy kernels ``_attention`` and
 ``_layer_norm``: the taped ops and the decoder's key/value cache both call
 them, and no other module calls ``np.exp``, ``np.log`` or ``.var``.
 
@@ -24,6 +23,7 @@ all run before the update, and the next step records a fresh tape.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -233,19 +233,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", ad @ bd, (a, b), backward)
 
 
-def batched_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``np.matmul`` over matching leading axes: [..., n, k] x [..., k, m]."""
-    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] \
-            or a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"batched_matmul: incompatible shapes {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-
-    def backward(g: Array) -> tuple:
-        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
-
-    return _emit("batched_matmul", ad @ bd, (a, b), backward)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.shape == bd.shape:
@@ -289,20 +276,39 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", np.where(mask, x.data, 0.0), (x,), backward)
 
 
-def _softmax(x: Array) -> Array:
-    """Softmax of a numpy array along its last axis, max-shifted."""
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _attention(q: Array, kt: Array, v: Array, bias: Optional[Array]) -> tuple[Array, Array]:
+    """(output, weights) of ``softmax(q kt / sqrt(d) + bias) v`` over the last two
+    axes of numpy arrays, the keys ``kt`` given transposed; max-shifted softmax."""
+    logits = (q @ kt) * (1.0 / math.sqrt(q.shape[-1]))
+    if bias is not None:
+        logits = logits + bias
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return weights @ v, weights
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax along the last axis (max-shifted)."""
-    out = _softmax(x.data)
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              bias: Optional[Array] = None) -> tuple[Tensor, Array]:
+    """``_attention`` of q [..., n_q, d], k [..., n_k, d] and v [..., n_k, d_v]
+    with matching leading axes plus an optional constant logit ``bias``:
+    (output, weights as an array). One tape node, whose backward runs the
+    chain q·kT, scale, bias add, softmax, weights·v in reverse."""
+    if q.ndim < 2 or not q.ndim == k.ndim == v.ndim or not q.shape[:-2] == k.shape[:-2] \
+            == v.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise DimensionError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
+    qd, vd = q.data, v.data
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    out, weights = _attention(qd, kt, vd, bias)
+    scale = 1.0 / math.sqrt(qd.shape[-1])
 
     def backward(g: Array) -> tuple:
-        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
+        gw = g @ np.swapaxes(vd, -1, -2)
+        gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
+        return (gl @ np.swapaxes(kt, -1, -2),
+                np.swapaxes(np.swapaxes(qd, -1, -2) @ gl, -1, -2),
+                np.swapaxes(weights, -1, -2) @ g)
 
-    return _emit("softmax", out, (x,), backward)
+    return _emit("attention", out, (q, k, v), backward), weights
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -31,6 +31,8 @@ class Vocabulary:
     """Bidirectional token <-> id map; ids 0..3 are PAD/START/END/UNK."""
 
     def __init__(self, tokens: Sequence[str]):
+        if isinstance(tokens, str):
+            raise ConfigurationError(f"vocabulary tokens must be a list of str, not {tokens!r}")
         seen = set(RESERVED_TOKENS)
         for tok in tokens:
             if not isinstance(tok, str):

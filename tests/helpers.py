@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, the
 plain-numpy token cross-entropy that ``cross_entropy`` is checked against,
+the plain-numpy six-op attention chain that ``attention`` is checked against,
 the per-sample reference loss, the per-record input masking that packing is
 checked against, the full-prefix greedy decoder that cached
 decoding is checked against, the out-of-place Adam update that the
@@ -121,6 +122,28 @@ def cross_entropy_reference(logits: np.ndarray, labels: np.ndarray,
     one_hot[rows, labels] = 1.0
     grad = g[:, None] * (np.exp(logits - lse[:, None]) - one_hot)
     return lse - logits[rows, labels], grad
+
+
+def attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias,
+                        g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Reference for ``tensor.attention``: the six-op chain (transpose the
+    keys, q·kT, scale by 1/sqrt(d), add ``bias`` unless None, softmax,
+    weights·v) forward, then each op's backward in reverse for the output
+    gradient ``g``. Returns (output, dq, dk, dv)."""
+    kt = np.swapaxes(k, -1, -2)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    logits = (q @ kt) * scale
+    if bias is not None:
+        logits = logits + bias
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    dweights = g @ np.swapaxes(v, -1, -2)
+    dv = np.swapaxes(weights, -1, -2) @ g
+    dlogits = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+    dscores = dlogits * scale
+    dq = dscores @ k
+    dk = np.swapaxes(dscores, -1, -2) @ q
+    return weights @ v, dq, dk, dv
 
 
 def per_sample_loss(model, records) -> Tensor:

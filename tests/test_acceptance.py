@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import FD_STEP, GRAD_RTOL, check_gradients
-from cxrgen.attention import (AttentionProjections, multi_head_attention,
+from cxrgen.attention import (MASKED_LOGIT, AttentionProjections, multi_head_attention,
                               scaled_dot_product_attention)
 from cxrgen.metrics import BLEU_BUCKET_LABELS, bleu, corpus_evaluate, rouge_l
 from cxrgen.model import ModelConfig, ReportGenerator
@@ -28,9 +28,9 @@ from cxrgen.preprocess import (FeatureStats, NormalizationStats,
                                tokenize_and_fit_vocab)
 from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.synth import SyntheticConfig, generate_synthetic
-from cxrgen.tensor import (Tensor, add, batched_matmul, concat, cross_entropy,
-                           dense, embedding_lookup, layer_norm, matmul, mul,
-                           reduce_sum, relu, reshape, softmax, swap_axes)
+from cxrgen.tensor import (Tensor, add, attention, concat, cross_entropy, dense,
+                           embedding_lookup, layer_norm, matmul, mul, reduce_sum, relu,
+                           reshape, swap_axes)
 from cxrgen.training import TrainConfig, fit
 from cxrgen.vocab import END_ID, PAD_ID, START_ID
 
@@ -109,9 +109,11 @@ def test_criterion_1_gradient_correctness():
         a = _rand(s, "a", (3, 4), rng, keep_away_from=0.0)
         return lambda: weighted(relu(a), w1t)
 
-    def op_softmax(s):
-        a = _rand(s, "a", (3, 4), rng)
-        return lambda: weighted(softmax(a), w1t)
+    def op_attention_masked(s):
+        q, k, v = _rand(s, "q", (3, 2), rng), _rand(s, "k", (4, 2), rng), _rand(s, "v", (4, 4), rng)
+        bias = np.where(np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=bool),
+                        0.0, MASKED_LOGIT)
+        return lambda: weighted(attention(q, k, v, bias)[0], w1t)
 
     def op_layer_norm(s):
         x = _rand(s, "x", (3, 4), rng)
@@ -129,10 +131,11 @@ def test_criterion_1_gradient_correctness():
         wc = rng.standard_normal((2, 7))
         return lambda: weighted(concat([a, b]), wc)
 
-    def op_batched_matmul(s):
-        a, b = _rand(s, "a", (2, 3, 4), rng), _rand(s, "b", (2, 4, 3), rng)
-        wb = rng.standard_normal((2, 3, 3))
-        return lambda: weighted(batched_matmul(a, b), wb)
+    def op_attention_leading_axes(s):
+        q, k = _rand(s, "q", (2, 3, 3, 4), rng), _rand(s, "k", (2, 3, 5, 4), rng)
+        v = _rand(s, "v", (2, 3, 5, 2), rng)
+        wa = rng.standard_normal((2, 3, 3, 2))
+        return lambda: weighted(attention(q, k, v)[0], wa)
 
     def op_swap_axes(s):
         a = _rand(s, "a", (2, 3, 4), rng)
@@ -166,9 +169,9 @@ def test_criterion_1_gradient_correctness():
         mask = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=bool)
         return lambda: weighted(multi_head_attention(q, kv, kv, proj, 2, mask).output, wm)
 
-    for make in (op_matmul, op_batched_matmul, op_add_same, op_add_bias_row,
-                 op_mul_elem, op_mul_scalar, op_relu,
-                 op_softmax, op_layer_norm, op_dense, op_concat,
+    for make in (op_matmul, op_attention_masked, op_attention_leading_axes, op_add_same,
+                 op_add_bias_row, op_mul_elem, op_mul_scalar, op_relu, op_layer_norm,
+                 op_dense, op_concat,
                  op_reshape, op_swap_axes, op_reduce_sum,
                  op_embedding_lookup, op_cross_entropy, op_multi_head_attention):
         scenario(make)

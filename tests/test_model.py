@@ -1,7 +1,9 @@
 """End-to-end model wrapper: masking presets, config, loss, generation, checkpoints."""
 
 import dataclasses
+import gc
 import json
+import weakref
 import zipfile
 
 import numpy as np
@@ -281,6 +283,24 @@ class TestLossForBatch:
                                        err_msg=path)
         assert total == sum(sum(t != PAD_ID for t in r.report_ids[1:]) for r in records)
         assert 0 <= correct <= total
+
+    def test_a_step_tape_is_freed_without_the_cycle_collector(self):
+        """Backward closures hold arrays, never tensors: a recorded tensor
+        points at its tape, so a closure holding one would make a cycle that
+        keeps each step's activations alive until the cycle collector runs."""
+        model = _tiny_model()
+        batch = model.pack([_record(seed=0), _record(seed=1)])
+        gc.disable()
+        try:
+            with GradientTape() as tape:
+                loss = model.loss_for_batch(batch)[0]
+            tape.backward(loss)
+            first = weakref.ref(tape)
+            with GradientTape() as tape:  # re-registers every parameter
+                loss = model.loss_for_batch(batch)[0]
+            assert first() is None
+        finally:
+            gc.enable()
 
     def test_batch_is_cut_after_the_last_real_label(self, monkeypatch):
         model = _tiny_model()

@@ -291,3 +291,28 @@ def test_a_vocabulary_without_tokens_names_its_file(tmp_path):
     path.write_text(json.dumps({"words": ["a"]}), encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(f'malformed vocabulary {path}: ')}"):
         Vocabulary.load(path)
+
+
+def test_a_vocabulary_is_a_list_of_tokens_not_a_string(tmp_path):
+    with pytest.raises(ConfigurationError, match="vocabulary tokens must be a list of str"):
+        Vocabulary("abc")
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"tokens": "abc"}), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(f'malformed vocabulary {path}: ')}"):
+        Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("files, sha256", [
+    ({"a": "x"}, {}),
+    ({}, {"a": "h"}),
+    ({"a": "x"}, {"b": "h"}),
+    ({"a": 1}, {"a": "h"}),
+    ({"a": "x"}, {"a": None}),
+], ids=["hash-missing", "file-missing", "names-differ", "file-not-text", "hash-not-text"])
+def test_a_manifest_hashes_each_file_by_name(tmp_path, files, sha256):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"files": {"a": "x"}, "sha256": {"a": "h"}}), encoding="utf-8")
+    assert DatasetManifest.load(tmp_path).sha256 == {"a": "h"}
+    path.write_text(json.dumps({"files": files, "sha256": sha256}), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(f'cannot read manifest {path}: ')}"):
+        DatasetManifest.load(tmp_path)

@@ -1,8 +1,8 @@
 """Source hygiene: every name a cxrgen module imports is used in it, every
 tensor op has a finite-difference case in acceptance criterion 1, only
-cxrgen.tensor writes the exp, log and variance formulas, only
-cxrgen.errors decides which values a config field takes, and only
-cxrgen.records opens and decodes input files."""
+cxrgen.tensor writes the exp, log and variance formulas and the attention
+product q·kT, only cxrgen.errors decides which values a config field takes,
+and only cxrgen.records opens and decodes input files."""
 
 import ast
 import inspect
@@ -130,6 +130,50 @@ def test_a_restated_formula_is_caught():
                      "y = np.log(e).sum()\n")
     assert restated_formulas(tree) == [1, 2, 3]
     assert restated_formulas(ast.parse("math.log(2.0) + np.expm1(x)")) == []
+
+
+def _is_swapaxes(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == "swapaxes" and isinstance(node.func.value, ast.Name) \
+        and node.func.value.id == "np"
+
+
+def transposed_products(tree: ast.AST) -> list[int]:
+    """Lines with a matrix product (``@``, ``np.matmul`` or ``np.dot``) one of
+    whose operands is ``np.swapaxes(...)``: the q·kT of the attention
+    formula, which belongs to the kernel ``tensor._attention``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("matmul", "dot"):
+            operands = node.args
+        else:
+            continue
+        if any(_is_swapaxes(x) for x in operands):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor.py"],
+                         ids=lambda p: p.name)
+def test_only_tensor_writes_the_attention_product(path):
+    lines = transposed_products(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, (f"{path.name} multiplies by a transposed operand at lines {lines}; "
+                       f"call tensor._attention or tensor.attention instead")
+
+
+def test_a_restated_attention_product_is_caught():
+    tree = ast.parse("logits = (q @ np.swapaxes(keys, -1, -2)) * scale\n"
+                     "g = np.swapaxes(a, 0, 1) @ b\n"
+                     "s = np.matmul(q, np.swapaxes(k, 1, 2))\n"
+                     "d = x.dot(np.swapaxes(k, -1, -2))\n")
+    assert transposed_products(tree) == [1, 2, 3, 4]
+    assert transposed_products(ast.parse(
+        "out = _attention(q, np.swapaxes(keys, -1, -2), values, None)[0]\n"
+        "y = np.swapaxes(out, 1, 2).reshape(n, -1) @ w_o\n"
+        "z = x @ w.T\n")) == []
 
 
 def checks_fields_first(source: str) -> bool:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cxrgen.errors import ContractError, DimensionError
-from cxrgen.tensor import (GradientTape, Tensor, add, batched_matmul, concat,
-                           cross_entropy, dense, embedding_lookup, layer_norm, matmul,
-                           mul, reduce_sum, relu, reshape, softmax, swap_axes)
+from cxrgen.attention import MASKED_LOGIT
+from cxrgen.tensor import (GradientTape, Tensor, add, attention, concat, cross_entropy,
+                           dense, embedding_lookup, layer_norm, matmul, mul, reduce_sum,
+                           relu, reshape, swap_axes)
 
-from helpers import check_gradients, cross_entropy_reference, numeric_grad, rel_err
+from helpers import (attention_reference, check_gradients, cross_entropy_reference,
+                     numeric_grad, rel_err)
 
 
 def t(data, grad=True):
@@ -30,28 +32,39 @@ class TestForwardSemantics:
         with pytest.raises(DimensionError):
             matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
+    # the softmax lives inside ``attention``: for a zero query the logits are
+    # ``bias`` itself, so the weights are its softmax
+
     def test_softmax_known_values(self):
-        # logits [ln 1, ln 3] -> probabilities [0.25, 0.75]
-        s = softmax(t([[math.log(1.0), math.log(3.0)]]))
-        np.testing.assert_allclose(s.data, [[0.25, 0.75]], atol=1e-12)
+        # logits [ln 1, ln 3] -> weights [0.25, 0.75] -> 0.25 * 10 + 0.75 * 20
+        q, k, v = t([[0.0]]), t([[1.0], [2.0]]), t([[10.0], [20.0]])
+        out, w = attention(q, k, v, np.array([[math.log(1.0), math.log(3.0)]]))
+        np.testing.assert_allclose(w, [[0.25, 0.75]], atol=1e-12)
+        np.testing.assert_allclose(out.data, [[17.5]], atol=1e-12)
 
     def test_softmax_shift_invariance(self):
-        x = np.array([[0.5, -1.2, 3.3, 0.0]])
-        a = softmax(t(x)).data
-        b = softmax(t(x + 1000.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        rng = np.random.default_rng(6)
+        q, k, v = (t(rng.standard_normal(shape)) for shape in ((2, 3), (4, 3), (4, 2)))
+        bias = np.array([[0.5, -1.2, 3.3, 0.0]])
+        a_out, a = attention(q, k, v, bias)
+        b_out, b = attention(q, k, v, bias + 1000.0)
+        np.testing.assert_allclose(b, a, atol=1e-12)
+        np.testing.assert_allclose(b_out.data, a_out.data, atol=1e-12)
         assert np.isfinite(b).all()
 
     def test_softmax_rows_sum_to_one(self):
-        x = t(np.random.default_rng(0).standard_normal((5, 7)))
-        s = softmax(x).data
-        np.testing.assert_allclose(s.sum(axis=1), np.ones(5), atol=1e-12)
+        rng = np.random.default_rng(0)
+        q, k, v = (t(rng.standard_normal(shape) * 5) for shape in ((5, 3), (7, 3), (7, 2)))
+        for bias in (None, np.where(rng.uniform(size=(5, 7)) > 0.4, 0.0, MASKED_LOGIT)):
+            _, w = attention(q, k, v, bias)
+            np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_cross_entropy_matches_log_of_softmax(self):
         x = t(np.random.default_rng(1).standard_normal((3, 4)))
         labels = [2, 0, 3]
+        probs = np.exp(x.data) / np.exp(x.data).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(cross_entropy(x, labels).data,
-                                   -np.log(softmax(x).data[[0, 1, 2], labels]), atol=1e-12)
+                                   -np.log(probs[[0, 1, 2], labels]), atol=1e-12)
 
     def test_cross_entropy_shape_checks(self):
         with pytest.raises(DimensionError):
@@ -97,25 +110,51 @@ class TestForwardSemantics:
         np.testing.assert_allclose(joined.data[:, :3], a.data)
         np.testing.assert_allclose(joined.data[:, 3:], b.data)
 
-    def test_batched_matmul_is_matmul_per_leading_index(self):
+    def test_attention_is_per_leading_index(self):
         rng = np.random.default_rng(5)
-        a, b = t(rng.standard_normal((2, 3, 4, 5))), t(rng.standard_normal((2, 3, 5, 2)))
-        out = batched_matmul(a, b)
-        assert out.shape == (2, 3, 4, 2)
+        q, k = t(rng.standard_normal((2, 3, 4, 5))), t(rng.standard_normal((2, 3, 6, 5)))
+        v = t(rng.standard_normal((2, 3, 6, 2)))
+        bias = np.where(np.tri(4, 6, 1, dtype=bool), 0.0, MASKED_LOGIT)
+        out, w = attention(q, k, v, bias)
+        assert out.shape == (2, 3, 4, 2) and w.shape == (2, 3, 4, 6)
         for i in range(2):
             for j in range(3):
-                np.testing.assert_allclose(out.data[i, j], a.data[i, j] @ b.data[i, j],
-                                           atol=1e-12)
-        two_d = batched_matmul(t(a.data[0, 0]), t(b.data[0, 0]))
-        np.testing.assert_allclose(two_d.data, a.data[0, 0] @ b.data[0, 0], atol=1e-12)
+                o, wij = attention(t(q.data[i, j]), t(k.data[i, j]), t(v.data[i, j]), bias)
+                np.testing.assert_allclose(out.data[i, j], o.data, atol=1e-12)
+                np.testing.assert_allclose(w[i, j], wij, atol=1e-12)
 
-    def test_batched_matmul_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            batched_matmul(t(np.ones((2, 3, 4))), t(np.ones((3, 4, 2))))
-        with pytest.raises(DimensionError):
-            batched_matmul(t(np.ones((2, 3, 4))), t(np.ones((2, 3, 2))))
-        with pytest.raises(DimensionError):
-            batched_matmul(t(np.ones((2, 3, 4))), t(np.ones((4, 2))))
+    def test_attention_shape_mismatch(self):
+        q, k, v = t(np.ones((2, 3, 4))), t(np.ones((2, 5, 4))), t(np.ones((2, 5, 2)))
+        attention(q, k, v)  # the shapes that fit
+        for bad in ((t(np.ones((3, 3, 4))), k, v),   # leading axes differ
+                    (q, t(np.ones((2, 5, 3))), v),   # query and key widths differ
+                    (q, k, t(np.ones((2, 4, 2)))),   # key and value counts differ
+                    (q, t(np.ones((5, 4))), v),      # ranks differ
+                    (t(np.ones(4)), t(np.ones(4)), t(np.ones(4)))):  # not even 2-d
+            with pytest.raises(DimensionError):
+                attention(*bad)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shape", [(), (2, 3)], ids=["2d", "4d"])
+    def test_attention_matches_the_six_op_reference(self, masked, shape):
+        rng = np.random.default_rng(7)
+        q, k = t(rng.standard_normal(shape + (4, 5))), t(rng.standard_normal(shape + (6, 5)))
+        v = t(rng.standard_normal(shape + (6, 3)))
+        g = rng.standard_normal(shape + (4, 3))
+        bias = np.where(rng.uniform(size=(4, 6)) > 0.3, 0.0, MASKED_LOGIT) if masked else None
+        with GradientTape() as tape:
+            out, _ = attention(q, k, v, bias)
+            root = reduce_sum(mul(out, Tensor(g)))
+        tape.backward(root)
+        for got, want in zip((out.data, tape.grad(q), tape.grad(k), tape.grad(v)),
+                             attention_reference(q.data, k.data, v.data, bias, g)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_attention_is_one_tape_node(self):
+        q, k, v = t(np.ones((2, 3))), t(np.ones((4, 3))), t(np.ones((4, 2)))
+        with GradientTape() as tape:
+            attention(q, k, v, np.zeros((2, 4)))
+        assert [node.op for node in tape._nodes] == ["leaf"] * 3 + ["attention"]
 
     def test_swap_axes_matches_numpy(self):
         x = t(np.arange(24.0).reshape(2, 3, 4))
@@ -156,7 +195,7 @@ class TestForwardSemantics:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(4)
         x = t(rng.standard_normal((3, 5)) * 50)
-        for out in (softmax(x), cross_entropy(x, [0, 4, 2]), relu(x),
+        for out in (attention(x, x, x)[0], cross_entropy(x, [0, 4, 2]), relu(x),
                     layer_norm(x, t(np.ones(5)), t(np.zeros(5)))):
             assert np.isfinite(out.data).all()
 
@@ -254,10 +293,12 @@ class TestGradientsAgainstFiniteDifferences:
         x = t(self.rng.standard_normal(20) + np.where(self.rng.uniform(size=20) > 0.5, 2, -2))
         check_gradients(lambda: reduce_sum(mul(relu(x), relu(x))), [x])
 
-    def test_softmax(self):
-        x = t(self.rng.standard_normal((3, 5)))
-        w = Tensor(self.rng.standard_normal((3, 5)))
-        check_gradients(lambda: reduce_sum(mul(softmax(x), w)), [x])
+    def test_attention_masked(self):
+        q, k = t(self.rng.standard_normal((3, 4))), t(self.rng.standard_normal((5, 4)))
+        v = t(self.rng.standard_normal((5, 2)))
+        bias = np.where(self.rng.uniform(size=(3, 5)) > 0.3, 0.0, MASKED_LOGIT)
+        w = Tensor(self.rng.standard_normal((3, 2)))
+        check_gradients(lambda: reduce_sum(mul(attention(q, k, v, bias)[0], w)), [q, k, v])
 
     def test_cross_entropy(self):
         x = t(self.rng.standard_normal((4, 5)))
@@ -290,11 +331,11 @@ class TestGradientsAgainstFiniteDifferences:
 
         check_gradients(loss, [a, b])
 
-    def test_batched_matmul(self):
-        a = t(self.rng.standard_normal((2, 3, 4)))
-        b = t(self.rng.standard_normal((2, 4, 2)))
-        w = Tensor(self.rng.standard_normal((2, 3, 2)))
-        check_gradients(lambda: reduce_sum(mul(batched_matmul(a, b), w)), [a, b])
+    def test_attention_leading_axes(self):
+        q, k, v = (t(self.rng.standard_normal(shape))
+                   for shape in ((2, 3, 3, 4), (2, 3, 5, 4), (2, 3, 5, 2)))
+        w = Tensor(self.rng.standard_normal((2, 3, 3, 2)))
+        check_gradients(lambda: reduce_sum(mul(attention(q, k, v)[0], w)), [q, k, v])
 
     def test_swap_axes(self):
         x = t(self.rng.standard_normal((2, 3, 4)))
