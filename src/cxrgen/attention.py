@@ -1,9 +1,10 @@
 """Scaled dot-product attention, multi-head attention, and masking.
 
 Multi-head attention runs a whole batch at once: inputs are [B·n, d] rows,
-each of Q/K/V is one fused [d, h·d_k] projection (Megatron-LM style), and
-the heads become an axis of a [B, h, n, d_k] array that the one taped op
-``tensor.attention`` takes; this module adds the mask and the heads.
+and each of Q/K/V is one fused [d, h·d_k] projection (Megatron-LM style)
+whose column block i is head i. The projected rows go straight to the one
+taped op ``tensor.attention``, which splits and merges the heads; this
+module adds the projections and the mask.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, DimensionError
 from .params import ParameterStore
-from .tensor import Tensor, attention, matmul, reshape, swap_axes
+from .tensor import Tensor, attention, matmul
 
 # Additive pre-softmax fill for forbidden positions; at float64 this is
 # indistinguishable from -inf after exponentiation but never produces nan.
@@ -22,35 +23,35 @@ MASKED_LOGIT = -1e30
 
 
 class AttentionResult(NamedTuple):
-    """``output`` [..., n_q, d_v]; ``weights`` [..., n_q, n_k], each row
-    summing to one. Multi-head attention returns output rows [B·n_q, d] and
-    weights [B, h, n_q, n_k]."""
+    """``output`` rows [B·n_q, d_v] and the ``weights`` array [B, h, n_q, n_k],
+    each row summing to one."""
 
     output: Tensor
-    weights: Tensor
+    weights: np.ndarray
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor,
-                                 mask: Optional[np.ndarray] = None) -> AttentionResult:
-    """softmax(q kT / sqrt(d_k)) v over the last two axes of q, k, v.
+                                 mask: Optional[np.ndarray] = None, heads: int = 1,
+                                 batch: int = 1) -> AttentionResult:
+    """softmax(q kT / sqrt(d_k)) v per record and head.
 
-    Leading axes (batch, heads) must match. ``mask`` is a boolean
-    [n_q, n_k] array, shared by every leading index, where True marks a
-    permitted position; forbidden logits get an additive -1e30 before the
-    softmax so their weights underflow to exactly zero. A query row with
-    every key forbidden is rejected.
+    q holds [B·n_q, h·d_k] rows and k, v [B·n_k, h·d_k] and [B·n_k, h·d_v]
+    rows of ``batch`` records, one after another; head i is column block i.
+    ``mask`` is a boolean [n_q, n_k] array, shared by every record and head,
+    where True marks a permitted position; forbidden logits get an additive
+    -1e30 before the softmax so their weights underflow to exactly zero. A
+    query row with every key forbidden is rejected.
     """
     bias = None
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
-        logits_shape = q.shape[-2:-1] + k.shape[-2:-1]
+        logits_shape = (q.shape[0] // batch, k.shape[0] // batch)
         if m.shape != logits_shape:
             raise DimensionError(f"mask shape {m.shape} does not match logits shape {logits_shape}")
         if not m.any(axis=1).all():
             raise ContractError("attention mask leaves a query row with no permitted keys")
         bias = np.where(m, 0.0, MASKED_LOGIT)
-    output, weights = attention(q, k, v, bias)
-    return AttentionResult(output, Tensor(weights))
+    return AttentionResult(*attention(q, k, v, heads, batch, bias))
 
 
 class AttentionProjections:
@@ -91,25 +92,11 @@ def multi_head_attention(q_in: Tensor, k_in: Tensor, v_in: Tensor,
     record after record; ``mask`` ([n_q, n_k]) applies to every record.
     Returns output rows [B·n_q, d] and weights [B, h, n_q, n_k].
     """
-    d, h = projections.w_q.shape[0], projections.num_heads
-    width = d // h
-    for t, name in ((q_in, "queries"), (k_in, "keys"), (v_in, "values")):
-        if t.ndim != 2 or t.shape[1] != d:
-            raise DimensionError(f"{name} shape {t.shape} does not match model width {d}")
-        if batch_size < 1 or t.shape[0] % batch_size:
-            raise DimensionError(f"{name}: {t.shape[0]} rows do not split into "
-                                 f"{batch_size} records")
-
-    def heads(x: Tensor, w: Tensor) -> Tensor:
-        # [B·n, d] -> [B·n, h·width] -> [B, h, n, width]
-        n = x.shape[0] // batch_size
-        return swap_axes(reshape(matmul(x, w), (batch_size, n, h, width)), 1, 2)
-
-    attn = scaled_dot_product_attention(heads(q_in, projections.w_q),
-                                        heads(k_in, projections.w_k),
-                                        heads(v_in, projections.w_v), mask)
-    combined = reshape(swap_axes(attn.output, 1, 2), (q_in.shape[0], h * width))
-    return AttentionResult(matmul(combined, projections.w_o), attn.weights)
+    attn = scaled_dot_product_attention(matmul(q_in, projections.w_q),
+                                        matmul(k_in, projections.w_k),
+                                        matmul(v_in, projections.w_v), mask,
+                                        projections.num_heads, batch_size)
+    return AttentionResult(matmul(attn.output, projections.w_o), attn.weights)
 
 
 def causal_mask(n: int) -> np.ndarray:

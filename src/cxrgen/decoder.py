@@ -19,7 +19,7 @@ import numpy as np
 from .attention import AttentionProjections, causal_mask, multi_head_attention
 from .errors import ContractError, DimensionError
 from .params import ParameterStore
-from .tensor import (Tensor, _attention, _layer_norm, add, cross_entropy, dense,
+from .tensor import (Tensor, _attention, _heads, _layer_norm, add, cross_entropy, dense,
                      embedding_lookup, layer_norm, matmul, mul, reduce_sum, relu)
 from .vocab import END_ID, START_ID
 
@@ -137,9 +137,11 @@ class _KVCache:
 
     Each layer's cross-attention K/V are projected once from the encoder
     rows; its self-attention K/V [B, h, length, d // h] fill one position per
-    step. ``step`` runs the layer's fused projections in the taped ops' order
-    on numpy arrays through the ops' own kernels ``_attention`` and
-    ``_layer_norm``. No mask is needed: the cache holds only positions <= t.
+    step. Both are held in the attention op's head layout ``_heads``. ``step``
+    runs the layer's fused projections in the taped ops' order on numpy arrays
+    through the ops' own kernels ``_attention``, given a transposed view of
+    the cached keys, and ``_layer_norm``. No mask is needed: the cache holds
+    only positions <= t.
     """
 
     def __init__(self, decoder: ReportDecoder, encoder_rows: Tensor, batch_size: int,
@@ -154,21 +156,16 @@ class _KVCache:
                                  f"{batch_size} records")
         self.decoder, self.t = decoder, 0
         enc = encoder_rows.data
-        self.cross = [(self._split(enc @ layer.cross_attn.w_k.data, batch_size),
-                       self._split(enc @ layer.cross_attn.w_v.data, batch_size))
+        self.cross = [(_heads(enc @ layer.cross_attn.w_k.data, batch_size, self.heads),
+                       _heads(enc @ layer.cross_attn.w_v.data, batch_size, self.heads))
                       for layer in decoder.layers]
         shape = (batch_size, self.heads, length, d // self.heads)
         self.self_kv = [(np.empty(shape), np.empty(shape)) for _ in decoder.layers]
 
-    def _split(self, x: np.ndarray, batch: int) -> np.ndarray:
-        # [B·n, h·width] -> [B, h, n, width]
-        return np.swapaxes(x.reshape(batch, x.shape[0] // batch, self.heads, -1), 1, 2)
-
     def _attend(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
                 projections) -> np.ndarray:
-        q = self._split(x @ projections.w_q.data, x.shape[0])
-        out = _attention(q, np.swapaxes(keys, -1, -2), values, None)[0]
-        return np.swapaxes(out, 1, 2).reshape(x.shape[0], -1) @ projections.w_o.data
+        q = _heads(x @ projections.w_q.data, x.shape[0], self.heads)
+        return _attention(q, np.swapaxes(keys, -1, -2), values, None)[0] @ projections.w_o.data
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the batch rows selected by the boolean ``rows``."""
@@ -183,8 +180,8 @@ class _KVCache:
         for layer, (keys, values), (cross_k, cross_v) in zip(dec.layers, self.self_kv,
                                                             self.cross):
             attn = layer.self_attn
-            keys[:, :, t] = self._split(x @ attn.w_k.data, x.shape[0])[:, :, 0]
-            values[:, :, t] = self._split(x @ attn.w_v.data, x.shape[0])[:, :, 0]
+            keys[:, :, t] = _heads(x @ attn.w_k.data, x.shape[0], self.heads)[:, :, 0]
+            values[:, :, t] = _heads(x @ attn.w_v.data, x.shape[0], self.heads)[:, :, 0]
             attended = self._attend(x, keys[:, :, :t + 1], values[:, :, :t + 1], attn)
             x = _layer_norm(x + attended, layer.ln1_gamma.data, layer.ln1_beta.data,
                             layer._eps)[0]

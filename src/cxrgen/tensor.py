@@ -3,9 +3,10 @@
 The op set is deliberately small: only what the model runs. Products:
 ``matmul``, ``dense``. Elementwise: ``add``, ``mul``, ``relu``. Rows:
 ``layer_norm``, ``cross_entropy`` (the token loss). Attention: ``attention``,
-batched over leading axes. Shapes: ``concat``, ``reshape``, ``swap_axes``.
-Gather and reduce: ``embedding_lookup``, ``reduce_sum``. Position-wise ops
-work on 2-D rows, and concat acts on the last axis.
+which takes query, key and value rows of a batch of records and a head count.
+Shapes: ``concat``, ``reshape``. Gather and reduce: ``embedding_lookup``,
+``reduce_sum``. Position-wise ops work on 2-D rows, and concat acts on the
+last axis.
 
 Forward passes run as plain numpy; when a ``GradientTape`` is active and not
 paused by ``no_tape``, each op also appends a node holding a backward
@@ -13,7 +14,8 @@ closure. Nodes are appended after their inputs, so a single reverse
 sweep over the tape is a valid topological order. The attention and
 layer-norm formulas live once, in the numpy kernels ``_attention`` and
 ``_layer_norm``: the taped ops and the decoder's key/value cache both call
-them, and no other module calls ``np.exp``, ``np.log`` or ``.var``.
+them, and no other module calls ``np.exp``, ``np.log`` or ``.var``. The head
+layout lives once, in ``_heads``: head i of a row is its column block i.
 
 Ops never write into a tensor's ``data``. The optimizer does: ``adam_step``
 updates each parameter's array in place between steps. That is safe because a
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -66,9 +69,10 @@ class Tensor:
     """Dense row-major float64 array with optional tape tracking.
 
     ``node_id`` is the handle assigned by the tape that most recently
-    recorded this tensor; constants no tape has seen keep ``node_id=None``.
-    Parameters (``requires_grad=True``) are (re-)registered lazily as leaves
-    on whichever tape first consumes them.
+    recorded this tensor, and ``_tape`` a weak reference to that tape, so a
+    parameter keeps no finished step's tape alive; constants no tape has seen
+    keep ``node_id=None``. Parameters (``requires_grad=True``) are
+    (re-)registered lazily as leaves on whichever tape first consumes them.
     """
 
     __slots__ = ("data", "requires_grad", "node_id", "_tape")
@@ -77,7 +81,7 @@ class Tensor:
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.node_id: Optional[int] = None
-        self._tape: Optional["GradientTape"] = None
+        self._tape: Optional[weakref.ref] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,12 +124,14 @@ class GradientTape:
 
     Intended use is one tape per training step, entered as a context
     manager. The tape is single-writer: ops append nodes only from the
-    thread that entered it.
+    thread that entered it. Recorded tensors refer to it only weakly, so it
+    and its closures live exactly as long as the caller holds it.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._grads: Optional[list[Optional[Array]]] = None
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "GradientTape":
         _tape_stack().append(self)
@@ -143,11 +149,11 @@ class GradientTape:
     def _tracked_id(self, tensor: Tensor) -> Optional[int]:
         """``tensor``'s node on this tape; a parameter this tape has not seen
         yet becomes a new leaf, and an untracked constant gets None."""
-        if tensor._tape is self and tensor.node_id is not None:
+        if tensor._tape is self._ref and tensor.node_id is not None:
             return tensor.node_id
         if not tensor.requires_grad:
             return None
-        tensor._tape, tensor.node_id = self, len(self._nodes)
+        tensor._tape, tensor.node_id = self._ref, len(self._nodes)
         self._nodes.append(_Node("leaf", (), None))
         return tensor.node_id
 
@@ -155,7 +161,7 @@ class GradientTape:
                 backward: BackwardFn, out: Tensor) -> None:
         node_id = len(self._nodes)
         self._nodes.append(_Node(op, tuple(input_ids), backward))
-        out._tape = self
+        out._tape = self._ref
         out.node_id = node_id
 
     def backward(self, root: Tensor) -> None:
@@ -168,7 +174,7 @@ class GradientTape:
         if root.data.size != 1:
             raise ContractError(f"backward() needs a scalar root, got shape {root.shape}")
         grads: list[Optional[Array]] = [None] * len(self._nodes)
-        if root._tape is self and root.node_id is not None:
+        if root._tape is self._ref and root.node_id is not None:
             grads[root.node_id] = np.ones_like(root.data)
             for node_id in range(root.node_id, -1, -1):
                 gout = grads[node_id]
@@ -191,7 +197,7 @@ class GradientTape:
         """
         if self._grads is None:
             raise ContractError("grad() called before backward()")
-        if tensor._tape is self and tensor.node_id is not None:
+        if tensor._tape is self._ref and tensor.node_id is not None:
             g = self._grads[tensor.node_id]
             if g is not None:
                 return np.asarray(g, dtype=np.float64).reshape(tensor.data.shape)
@@ -210,12 +216,6 @@ def _emit(op: str, out_data: Array, inputs: Sequence[Tensor], backward: Backward
         if any(i is not None for i in ids):
             tape._record(op, ids, backward, out)
     return out
-
-
-def _normalize_axis(ndim: int, axis: int, op: str) -> int:
-    if not -ndim <= axis < ndim:
-        raise DimensionError(f"{op}: axis {axis} out of range for {ndim}-d tensor")
-    return axis % ndim
 
 
 # --------------------------------------------------------------------------
@@ -276,37 +276,56 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", np.where(mask, x.data, 0.0), (x,), backward)
 
 
+def _heads(x: Array, batch: int, heads: int) -> Array:
+    """Rows [B·n, h·w] of ``batch`` records, one after another, as a
+    [B, h, n, w] view: head i is column block i."""
+    return np.swapaxes(x.reshape(batch, x.shape[0] // batch, heads, -1), 1, 2)
+
+
+def _merge(x: Array) -> Array:
+    """[B, h, n, w] back to rows [B·n, h·w], the inverse of ``_heads``."""
+    return np.swapaxes(x, 1, 2).reshape(-1, x.shape[1] * x.shape[3])
+
+
 def _attention(q: Array, kt: Array, v: Array, bias: Optional[Array]) -> tuple[Array, Array]:
-    """(output, weights) of ``softmax(q kt / sqrt(d) + bias) v`` over the last two
-    axes of numpy arrays, the keys ``kt`` given transposed; max-shifted softmax."""
+    """(output rows, weights) of ``softmax(q kt / sqrt(w) + bias) v`` for heads
+    q [B, h, n_q, w], keys given transposed as kt [B, h, w, n_k] and v
+    [B, h, n_k, w_v]; max-shifted softmax. The output is merged back to rows
+    [B·n_q, h·w_v]; the weights are [B, h, n_q, n_k]."""
     logits = (q @ kt) * (1.0 / math.sqrt(q.shape[-1]))
     if bias is not None:
         logits = logits + bias
     e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
-    return weights @ v, weights
+    return _merge(weights @ v), weights
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor,
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, batch: int,
               bias: Optional[Array] = None) -> tuple[Tensor, Array]:
-    """``_attention`` of q [..., n_q, d], k [..., n_k, d] and v [..., n_k, d_v]
-    with matching leading axes plus an optional constant logit ``bias``:
-    (output, weights as an array). One tape node, whose backward runs the
-    chain q·kT, scale, bias add, softmax, weights·v in reverse."""
-    if q.ndim < 2 or not q.ndim == k.ndim == v.ndim or not q.shape[:-2] == k.shape[:-2] \
-            == v.shape[:-2] or q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
-    qd, vd = q.data, v.data
-    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    """``_attention`` of ``batch`` records split into ``heads`` heads: query
+    rows q [B·n_q, h·w], key rows k [B·n_k, h·w] and value rows v [B·n_k,
+    h·w_v], record after record, plus an optional constant logit ``bias``
+    [n_q, n_k]. Returns (output rows [B·n_q, h·w_v], weights [B, h, n_q, n_k]
+    as an array). One tape node, whose backward runs the chain q·kT, scale,
+    bias add, softmax, weights·v in reverse and merges each gradient to rows."""
+    if not q.ndim == k.ndim == v.ndim == 2 or heads < 1 or batch < 1 \
+            or q.shape[0] % batch or k.shape[0] % batch or k.shape[0] != v.shape[0] \
+            or q.shape[1] != k.shape[1] or q.shape[1] % heads or v.shape[1] % heads:
+        raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} do not "
+                             f"split into {batch} records of {heads} heads")
+    qd = np.ascontiguousarray(_heads(q.data, batch, heads))
+    vd = np.ascontiguousarray(_heads(v.data, batch, heads))
+    kt = np.ascontiguousarray(np.swapaxes(_heads(k.data, batch, heads), -1, -2))
     out, weights = _attention(qd, kt, vd, bias)
     scale = 1.0 / math.sqrt(qd.shape[-1])
 
     def backward(g: Array) -> tuple:
+        g = _heads(g, batch, heads)
         gw = g @ np.swapaxes(vd, -1, -2)
         gl = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * scale
-        return (gl @ np.swapaxes(kt, -1, -2),
-                np.swapaxes(np.swapaxes(qd, -1, -2) @ gl, -1, -2),
-                np.swapaxes(weights, -1, -2) @ g)
+        return (_merge(gl @ np.swapaxes(kt, -1, -2)),
+                _merge(np.swapaxes(np.swapaxes(qd, -1, -2) @ gl, -1, -2)),
+                _merge(np.swapaxes(weights, -1, -2) @ g))
 
     return _emit("attention", out, (q, k, v), backward), weights
 
@@ -404,19 +423,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         return (g.reshape(old_shape),)
 
     return _emit("reshape", x.data.reshape(shape), (x,), backward)
-
-
-def swap_axes(x: Tensor, axis1: int, axis2: int) -> Tensor:
-    """Exchange two axes. Unlike ``np.swapaxes``, which returns a view, the
-    result is a contiguous copy."""
-    a1 = _normalize_axis(x.ndim, axis1, "swap_axes")
-    a2 = _normalize_axis(x.ndim, axis2, "swap_axes")
-
-    def backward(g: Array) -> tuple:
-        return (np.swapaxes(g, a1, a2),)
-
-    return _emit("swap_axes", np.ascontiguousarray(np.swapaxes(x.data, a1, a2)), (x,),
-                 backward)
 
 
 def reduce_sum(x: Tensor) -> Tensor:

@@ -232,6 +232,7 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             loss_weighted += value * len(batch)
             tape.backward(batch_loss)
             grads = tape.gradients(parameters)
+            del tape  # frees the step's closures and node gradients before the update
             if config.grad_clip_norm is not None:
                 grads = clip_gradients(grads, config.grad_clip_norm)
             step += 1

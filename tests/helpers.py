@@ -124,26 +124,35 @@ def cross_entropy_reference(logits: np.ndarray, labels: np.ndarray,
     return lse - logits[rows, labels], grad
 
 
-def attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias,
-                        g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Reference for ``tensor.attention``: the six-op chain (transpose the
-    keys, q·kT, scale by 1/sqrt(d), add ``bias`` unless None, softmax,
-    weights·v) forward, then each op's backward in reverse for the output
-    gradient ``g``. Returns (output, dq, dk, dv)."""
-    kt = np.swapaxes(k, -1, -2)
+def attention_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                        batch: int, bias, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Reference for ``tensor.attention``: cut the rows of ``batch`` records
+    into [B, h, n, w] heads (head i is column block i), run the six-op chain
+    (transpose the keys, q·kT, scale by 1/sqrt(w), add ``bias`` unless None,
+    softmax, weights·v) forward, then each op's backward in reverse for the
+    output-row gradient ``g``, and join the heads back into rows. Returns
+    (output, weights, dq, dk, dv)."""
+    def split(x):
+        return x.reshape(batch, x.shape[0] // batch, heads, -1).transpose(0, 2, 1, 3)
+
+    def join(x):
+        return x.transpose(0, 2, 1, 3).reshape(-1, heads * x.shape[3])
+
+    q, k, v, g = split(q), split(k), split(v), split(g)
+    kt = k.transpose(0, 1, 3, 2)
     scale = 1.0 / math.sqrt(q.shape[-1])
     logits = (q @ kt) * scale
     if bias is not None:
         logits = logits + bias
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
-    dweights = g @ np.swapaxes(v, -1, -2)
-    dv = np.swapaxes(weights, -1, -2) @ g
+    dweights = g @ v.transpose(0, 1, 3, 2)
+    dv = weights.transpose(0, 1, 3, 2) @ g
     dlogits = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
     dscores = dlogits * scale
     dq = dscores @ k
-    dk = np.swapaxes(dscores, -1, -2) @ q
-    return weights @ v, dq, dk, dv
+    dk = dscores.transpose(0, 1, 3, 2) @ q
+    return join(weights @ v), weights, join(dq), join(dk), join(dv)
 
 
 def per_sample_loss(model, records) -> Tensor:

@@ -20,29 +20,36 @@ def t(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def one_head(q, k, v, mask=None):
+    """Output rows and [n_q, n_k] weights of one record of one head."""
+    out, w = scaled_dot_product_attention(q, k, v, mask)
+    assert w.shape[:2] == (1, 1)
+    return out, w[0, 0]
+
+
 class TestScaledDotProduct:
     def test_known_weights_and_output(self):
         # d_k=1, logits [0, ln 9] -> weights [0.1, 0.9] -> 0.1*10 + 0.9*20 = 19
         q = Tensor([[1.0]])
         k = Tensor([[0.0], [math.log(9.0)]])
         v = Tensor([[10.0], [20.0]])
-        out, w = scaled_dot_product_attention(q, k, v)
-        np.testing.assert_allclose(w.data, [[0.1, 0.9]], atol=1e-12)
+        out, w = one_head(q, k, v)
+        np.testing.assert_allclose(w, [[0.1, 0.9]], atol=1e-12)
         np.testing.assert_allclose(out.data, [[19.0]], atol=1e-12)
 
     def test_equal_logits_give_uniform_weights(self):
         q = Tensor(np.zeros((2, 3)))
         k = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
         v = Tensor(np.eye(4))
-        _, w = scaled_dot_product_attention(q, k, v)
-        np.testing.assert_allclose(w.data, np.full((2, 4), 0.25), atol=1e-12)
+        _, w = one_head(q, k, v)
+        np.testing.assert_allclose(w, np.full((2, 4), 0.25), atol=1e-12)
 
     def test_single_key_gets_full_weight(self):
         q = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
         k = Tensor(np.random.default_rng(2).standard_normal((1, 4)))
         v = Tensor([[7.0, 8.0]])
-        out, w = scaled_dot_product_attention(q, k, v)
-        np.testing.assert_allclose(w.data, np.ones((3, 1)), atol=0)
+        out, w = one_head(q, k, v)
+        np.testing.assert_allclose(w, np.ones((3, 1)), atol=0)
         np.testing.assert_allclose(out.data, np.tile([7.0, 8.0], (3, 1)))
 
     def test_scaling_uses_sqrt_dk(self):
@@ -50,10 +57,10 @@ class TestScaledDotProduct:
         q = Tensor(np.ones((1, d_k)))
         k = Tensor(np.vstack([np.ones(d_k), np.zeros(d_k)]))
         v = Tensor([[1.0], [0.0]])
-        _, w = scaled_dot_product_attention(q, k, v)
+        _, w = one_head(q, k, v)
         # logit gap is d_k / sqrt(d_k) = 4
         expected = 1.0 / (1.0 + math.exp(-d_k / math.sqrt(d_k)))
-        np.testing.assert_allclose(w.data[0, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(w[0, 0], expected, atol=1e-12)
 
     def test_masked_positions_get_zero_weight(self):
         rng = np.random.default_rng(3)
@@ -61,9 +68,9 @@ class TestScaledDotProduct:
         v = Tensor(rng.standard_normal((5, 2)))
         mask = np.ones((3, 5), dtype=bool)
         mask[0, 2] = mask[2, 4] = mask[2, 0] = False
-        _, w = scaled_dot_product_attention(q, k, v, mask)
-        assert w.data[0, 2] == 0.0 and w.data[2, 4] == 0.0 and w.data[2, 0] == 0.0
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(3), atol=1e-12)
+        _, w = one_head(q, k, v, mask)
+        assert w[0, 2] == 0.0 and w[2, 4] == 0.0 and w[2, 0] == 0.0
+        np.testing.assert_allclose(w.sum(axis=1), np.ones(3), atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
         rng = np.random.default_rng(4)
@@ -94,10 +101,9 @@ class TestScaledDotProduct:
         q, k = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((5, 3)))
         v = Tensor(rng.standard_normal((5, 4)))
         perm = np.array([3, 0, 4, 1, 2])
-        out1, w1 = scaled_dot_product_attention(q, k, v)
-        out2, w2 = scaled_dot_product_attention(q, Tensor(k.data[perm]),
-                                                Tensor(v.data[perm]))
-        np.testing.assert_allclose(w2.data, w1.data[:, perm], atol=1e-12)
+        out1, w1 = one_head(q, k, v)
+        out2, w2 = one_head(q, Tensor(k.data[perm]), Tensor(v.data[perm]))
+        np.testing.assert_allclose(w2, w1[:, perm], atol=1e-12)
         np.testing.assert_allclose(out2.data, out1.data, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -112,25 +118,31 @@ class TestScaledDotProduct:
         if use_mask:
             mask = rng.uniform(size=(n_q, n_k)) > 0.3
             mask[:, 0] = True  # keep every row satisfiable
-        _, w = scaled_dot_product_attention(q, k, v, mask)
-        assert (w.data >= 0).all()
-        np.testing.assert_allclose(w.data.sum(axis=1), np.ones(n_q), atol=1e-12)
+        _, w = one_head(q, k, v, mask)
+        assert (w >= 0).all()
+        np.testing.assert_allclose(w.sum(axis=1), np.ones(n_q), atol=1e-12)
         if mask is not None:
-            assert (w.data[~mask] == 0.0).all()
+            assert (w[~mask] == 0.0).all()
 
     def test_leading_axes_attend_independently(self):
+        # each record and head of the rows attends on its own: 2 records of 4
+        # queries and 6 keys, 3 heads of width 5 (values 2)
         rng = np.random.default_rng(12)
-        q, k = rng.standard_normal((2, 3, 4, 5)), rng.standard_normal((2, 3, 6, 5))
-        v = rng.standard_normal((2, 3, 6, 2))
+        q, k = rng.standard_normal((2 * 4, 3 * 5)), rng.standard_normal((2 * 6, 3 * 5))
+        v = rng.standard_normal((2 * 6, 3 * 2))
         mask = rng.uniform(size=(4, 6)) > 0.3
         mask[:, 0] = True
-        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-        for i in range(2):
+        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask, 3, 2)
+        assert w.shape == (2, 3, 4, 6)
+        for b in range(2):
             for j in range(3):
-                o, wij = scaled_dot_product_attention(Tensor(q[i, j]), Tensor(k[i, j]),
-                                                      Tensor(v[i, j]), mask)
-                np.testing.assert_allclose(out.data[i, j], o.data, atol=1e-12)
-                np.testing.assert_allclose(w.data[i, j], wij.data, atol=1e-12)
+                o, wbj = scaled_dot_product_attention(
+                    Tensor(q[4 * b:4 * b + 4, 5 * j:5 * j + 5]),
+                    Tensor(k[6 * b:6 * b + 6, 5 * j:5 * j + 5]),
+                    Tensor(v[6 * b:6 * b + 6, 2 * j:2 * j + 2]), mask)
+                np.testing.assert_allclose(out.data[4 * b:4 * b + 4, 2 * j:2 * j + 2], o.data,
+                                           atol=1e-12)
+                np.testing.assert_allclose(w[b, j], wbj[0, 0], atol=1e-12)
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
@@ -169,8 +181,8 @@ class TestMultiHeadAttention:
         x = Tensor(rng.standard_normal((5, 10)))
         result = multi_head_attention(x, x, x, proj)
         assert result.output.shape == (5, 10)
-        assert result.weights.shape == (1, 3, 5, 5)
-        np.testing.assert_allclose(result.weights.data.sum(axis=-1), np.ones((1, 3, 5)),
+        assert isinstance(result.weights, np.ndarray) and result.weights.shape == (1, 3, 5, 5)
+        np.testing.assert_allclose(result.weights.sum(axis=-1), np.ones((1, 3, 5)),
                                    atol=1e-12)
 
     def test_parameter_paths(self):
@@ -223,7 +235,7 @@ class TestMultiHeadAttention:
                                        Tensor(kv[5 * b:5 * b + 5]), proj, 1, mask)
             np.testing.assert_allclose(batched.output.data[4 * b:4 * b + 4], one.output.data,
                                        atol=1e-12)
-            np.testing.assert_allclose(batched.weights.data[b], one.weights.data[0], atol=1e-12)
+            np.testing.assert_allclose(batched.weights[b], one.weights[0], atol=1e-12)
 
     @pytest.mark.parametrize("heads", [0, 7])
     def test_head_count_must_fit_the_width(self, heads):

@@ -181,7 +181,7 @@ class TestCrossAttentionFusion:
         one_row = Tensor(np.random.default_rng(1).standard_normal((2, cfg.model_dim)))
         image_rows = enc.image_pathway(np.random.default_rng(2).standard_normal((2, 10)))
         result = enc.cross_attention_fusion(image_rows, one_row)
-        np.testing.assert_allclose(result.attention.weights.data,
+        np.testing.assert_allclose(result.attention.weights,
                                    np.ones((2, cfg.num_heads, cfg.image_tokens, 1)), atol=0)
 
     def test_weights_rows_sum_to_one(self):
@@ -191,7 +191,7 @@ class TestCrossAttentionFusion:
         image_rows = enc.image_pathway(np.random.default_rng(3).standard_normal((1, 10)))
         result = enc.cross_attention_fusion(image_rows, rep)
         assert result.output.shape == (cfg.image_tokens, cfg.model_dim)
-        weights = result.attention.weights.data
+        weights = result.attention.weights
         assert weights.shape == (1, cfg.num_heads, cfg.image_tokens, 4)
         np.testing.assert_allclose(weights.sum(axis=-1),
                                    np.ones((1, cfg.num_heads, cfg.image_tokens)), atol=1e-12)

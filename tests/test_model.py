@@ -5,6 +5,7 @@ import gc
 import json
 import weakref
 import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cxrgen.errors import ConfigurationError, ContractError, DataError, Dimensio
 from cxrgen.model import (ABLATION_LABELS, INPUT_PRESETS, InputMask,
                           ModelConfig, ReportGenerator)
 from cxrgen.params import ParameterStore
+from cxrgen.pipeline import ABLATION_MODEL
 from cxrgen.preprocess import ETHNICITY_UNKNOWN
 from cxrgen.records import PatientRecord, ScalarFeatures
 from cxrgen.tensor import GradientTape
@@ -299,6 +301,44 @@ class TestLossForBatch:
             with GradientTape() as tape:  # re-registers every parameter
                 loss = model.loss_for_batch(batch)[0]
             assert first() is None
+        finally:
+            gc.enable()
+
+    def test_a_desk_step_records_these_nodes(self):
+        """The tape of one training step of the desk model at batch 32, op by
+        op: the attention op splits and merges the heads itself, so the only
+        reshapes left are the encoder's."""
+        model = ReportGenerator(ModelConfig(**ABLATION_MODEL), vocab_size=30,
+                                chief_vocab_size=12, icd_vocab_size=12)
+        report = [START_ID, 5, 6, 7, 8, END_ID] + [PAD_ID] * 37
+        batch = model.pack([dataclasses.replace(
+            _record(seed=seed), report_ids=report,
+            image_features=np.random.default_rng(seed).standard_normal(64).tolist())
+            for seed in range(32)])
+        with GradientTape() as tape:
+            model.loss_for_batch(batch)
+        assert len(tape) == 112
+        assert Counter(node.op for node in tape._nodes) == {
+            "leaf": 49, "matmul": 25, "add": 15, "layer_norm": 6, "attention": 4,
+            "reshape": 4, "embedding_lookup": 3, "concat": 1, "cross_entropy": 1,
+            "mul": 1, "scale": 1, "relu": 1, "sum": 1}
+
+    def test_a_finished_tape_is_freed_while_its_tensors_live(self):
+        """A recorded tensor, parameter or not, holds its tape only weakly: the
+        caller that holds the tape can read the gradient of an intermediate, and
+        dropping the tape frees its closures and gradients."""
+        model = _tiny_model()
+        batch = model.pack([_record(seed=0), _record(seed=1)])
+        gc.disable()
+        try:
+            with GradientTape() as tape:
+                rows = model.encoder.encode(batch).output
+                loss = model.loss_for_batch(batch)[0]
+            tape.backward(loss)
+            assert tape.grad(loss) == 1.0 and tape.grad(rows).shape == rows.shape
+            finished = weakref.ref(tape)
+            del tape
+            assert finished() is None
         finally:
             gc.enable()
 

@@ -1,8 +1,9 @@
 """Source hygiene: every name a cxrgen module imports is used in it, every
 tensor op has a finite-difference case in acceptance criterion 1, only
 cxrgen.tensor writes the exp, log and variance formulas and the attention
-product q·kT, only cxrgen.errors decides which values a config field takes,
-and only cxrgen.records opens and decodes input files."""
+product q·kT and splits rows into attention heads or merges them back, only
+cxrgen.errors decides which values a config field takes, and only
+cxrgen.records opens and decodes input files."""
 
 import ast
 import inspect
@@ -174,6 +175,47 @@ def test_a_restated_attention_product_is_caught():
         "out = _attention(q, np.swapaxes(keys, -1, -2), values, None)[0]\n"
         "y = np.swapaxes(out, 1, 2).reshape(n, -1) @ w_o\n"
         "z = x @ w.T\n")) == []
+
+
+def head_swaps(tree: ast.AST) -> list[int]:
+    """Lines that exchange axes 1 and 2 by ``np.swapaxes(x, 1, 2)``,
+    ``x.swapaxes(1, 2)`` or ``swap_axes(x, 1, 2)``: the split of [B·n, h·w]
+    rows into [B, h, n, w] heads, or the merge back, which belong to
+    ``tensor._heads`` and the attention op."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "swap_axes" or _is_swapaxes(node):
+            axes = node.args[1:3]
+        elif isinstance(func, ast.Attribute) and func.attr == "swapaxes":
+            axes = node.args[:2]
+        else:
+            continue
+        if {getattr(axis, "value", None) for axis in axes} == {1, 2}:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tensor.py"],
+                         ids=lambda p: p.name)
+def test_only_tensor_splits_heads(path):
+    lines = head_swaps(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, (f"{path.name} splits or merges attention heads at lines {lines}; "
+                       f"pass rows and a head count to tensor.attention, or use "
+                       f"tensor._heads")
+
+
+def test_a_head_split_is_caught():
+    tree = ast.parse("q = np.swapaxes(x.reshape(b, n, h, -1), 1, 2)\n"
+                     "y = out.swapaxes(2, 1).reshape(n, -1)\n"
+                     "z = swap_axes(reshape(t, (b, n, h, w)), 1, 2)\n")
+    assert head_swaps(tree) == [1, 2, 3]
+    assert head_swaps(ast.parse("kt = np.swapaxes(keys, -1, -2)\n"
+                                "a = x.swapaxes(0, 1)\n"
+                                "b = np.swapaxes(x, 0, 2)\n"
+                                "c = swap_axes(x, 1, 3)\n")) == []
 
 
 def checks_fields_first(source: str) -> bool:

@@ -10,9 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from cxrgen.errors import ContractError, DimensionError
 from cxrgen.attention import MASKED_LOGIT
-from cxrgen.tensor import (GradientTape, Tensor, add, attention, concat, cross_entropy,
-                           dense, embedding_lookup, layer_norm, matmul, mul, reduce_sum,
-                           relu, reshape, swap_axes)
+from cxrgen.tensor import (GradientTape, Tensor, _heads, add, attention, concat,
+                           cross_entropy, dense, embedding_lookup, layer_norm, matmul, mul,
+                           reduce_sum, relu, reshape)
 
 from helpers import (attention_reference, check_gradients, cross_entropy_reference,
                      numeric_grad, rel_err)
@@ -38,16 +38,16 @@ class TestForwardSemantics:
     def test_softmax_known_values(self):
         # logits [ln 1, ln 3] -> weights [0.25, 0.75] -> 0.25 * 10 + 0.75 * 20
         q, k, v = t([[0.0]]), t([[1.0], [2.0]]), t([[10.0], [20.0]])
-        out, w = attention(q, k, v, np.array([[math.log(1.0), math.log(3.0)]]))
-        np.testing.assert_allclose(w, [[0.25, 0.75]], atol=1e-12)
+        out, w = attention(q, k, v, 1, 1, np.array([[math.log(1.0), math.log(3.0)]]))
+        np.testing.assert_allclose(w, [[[[0.25, 0.75]]]], atol=1e-12, strict=True)
         np.testing.assert_allclose(out.data, [[17.5]], atol=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(6)
         q, k, v = (t(rng.standard_normal(shape)) for shape in ((2, 3), (4, 3), (4, 2)))
         bias = np.array([[0.5, -1.2, 3.3, 0.0]])
-        a_out, a = attention(q, k, v, bias)
-        b_out, b = attention(q, k, v, bias + 1000.0)
+        a_out, a = attention(q, k, v, 1, 1, bias)
+        b_out, b = attention(q, k, v, 1, 1, bias + 1000.0)
         np.testing.assert_allclose(b, a, atol=1e-12)
         np.testing.assert_allclose(b_out.data, a_out.data, atol=1e-12)
         assert np.isfinite(b).all()
@@ -56,8 +56,9 @@ class TestForwardSemantics:
         rng = np.random.default_rng(0)
         q, k, v = (t(rng.standard_normal(shape) * 5) for shape in ((5, 3), (7, 3), (7, 2)))
         for bias in (None, np.where(rng.uniform(size=(5, 7)) > 0.4, 0.0, MASKED_LOGIT)):
-            _, w = attention(q, k, v, bias)
-            np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-12)
+            _, w = attention(q, k, v, 1, 1, bias)
+            np.testing.assert_allclose(w.sum(axis=-1), np.ones((1, 1, 5)), atol=1e-12,
+                                       strict=True)
 
     def test_cross_entropy_matches_log_of_softmax(self):
         x = t(np.random.default_rng(1).standard_normal((3, 4)))
@@ -110,58 +111,73 @@ class TestForwardSemantics:
         np.testing.assert_allclose(joined.data[:, :3], a.data)
         np.testing.assert_allclose(joined.data[:, 3:], b.data)
 
+    def test_heads_are_column_blocks_of_each_record(self):
+        x = np.arange(2 * 4 * 3 * 5.0).reshape(2 * 4, 3 * 5)  # 2 records, 3 heads
+        heads = _heads(x, 2, 3)
+        assert heads.shape == (2, 3, 4, 5)
+        for b in range(2):
+            for i in range(3):
+                np.testing.assert_array_equal(heads[b, i], x[4 * b:4 * b + 4, 5 * i:5 * i + 5])
+
     def test_attention_is_per_leading_index(self):
+        # a record b and head j of the [B, h, n, w] layout attend on their own:
+        # 2 records of 4 queries and 6 keys, 3 heads of width 5 (values 2)
         rng = np.random.default_rng(5)
-        q, k = t(rng.standard_normal((2, 3, 4, 5))), t(rng.standard_normal((2, 3, 6, 5)))
-        v = t(rng.standard_normal((2, 3, 6, 2)))
+        q, k = t(rng.standard_normal((2 * 4, 3 * 5))), t(rng.standard_normal((2 * 6, 3 * 5)))
+        v = t(rng.standard_normal((2 * 6, 3 * 2)))
         bias = np.where(np.tri(4, 6, 1, dtype=bool), 0.0, MASKED_LOGIT)
-        out, w = attention(q, k, v, bias)
-        assert out.shape == (2, 3, 4, 2) and w.shape == (2, 3, 4, 6)
-        for i in range(2):
+        out, w = attention(q, k, v, 3, 2, bias)
+        assert out.shape == (2 * 4, 3 * 2) and w.shape == (2, 3, 4, 6)
+        for b in range(2):
             for j in range(3):
-                o, wij = attention(t(q.data[i, j]), t(k.data[i, j]), t(v.data[i, j]), bias)
-                np.testing.assert_allclose(out.data[i, j], o.data, atol=1e-12)
-                np.testing.assert_allclose(w[i, j], wij, atol=1e-12)
+                o, wbj = attention(t(q.data[4 * b:4 * b + 4, 5 * j:5 * j + 5]),
+                                   t(k.data[6 * b:6 * b + 6, 5 * j:5 * j + 5]),
+                                   t(v.data[6 * b:6 * b + 6, 2 * j:2 * j + 2]), 1, 1, bias)
+                np.testing.assert_allclose(out.data[4 * b:4 * b + 4, 2 * j:2 * j + 2], o.data,
+                                           atol=1e-12)
+                np.testing.assert_allclose(w[b, j], wbj[0, 0], atol=1e-12)
 
     def test_attention_shape_mismatch(self):
-        q, k, v = t(np.ones((2, 3, 4))), t(np.ones((2, 5, 4))), t(np.ones((2, 5, 2)))
-        attention(q, k, v)  # the shapes that fit
-        for bad in ((t(np.ones((3, 3, 4))), k, v),   # leading axes differ
-                    (q, t(np.ones((2, 5, 3))), v),   # query and key widths differ
-                    (q, k, t(np.ones((2, 4, 2)))),   # key and value counts differ
-                    (q, t(np.ones((5, 4))), v),      # ranks differ
-                    (t(np.ones(4)), t(np.ones(4)), t(np.ones(4)))):  # not even 2-d
+        # 2 records of 3 queries and 5 keys, 2 heads of width 4 (values 2)
+        q, k, v = t(np.ones((6, 8))), t(np.ones((10, 8))), t(np.ones((10, 4)))
+        attention(q, k, v, 2, 2)  # the shapes that fit
+        for bad, heads, batch in (
+                ((t(np.ones((5, 8))), k, v), 2, 2),                 # queries split no batch
+                ((q, t(np.ones((9, 8))), t(np.ones((9, 4)))), 2, 2),  # keys split no batch
+                ((q, k, t(np.ones((8, 4)))), 2, 2),                 # key and value counts differ
+                ((q, t(np.ones((10, 6))), v), 2, 2),                # query and key widths differ
+                ((q, k, t(np.ones((10, 3)))), 2, 2),                # values split into no heads
+                ((q, k, v), 3, 2),                                  # widths split into no heads
+                ((q, k, v), 0, 2), ((q, k, v), 2, 0),               # no heads, no records
+                ((t(np.ones((2, 3, 8))), k, v), 2, 2)):             # not rows
             with pytest.raises(DimensionError):
-                attention(*bad)
+                attention(*bad, heads, batch)
 
     @pytest.mark.parametrize("masked", [False, True])
-    @pytest.mark.parametrize("shape", [(), (2, 3)], ids=["2d", "4d"])
-    def test_attention_matches_the_six_op_reference(self, masked, shape):
+    @pytest.mark.parametrize("batch,heads", [(1, 1), (2, 3)], ids=["2d", "4d"])
+    def test_attention_matches_the_six_op_reference(self, masked, batch, heads):
+        # "2d": one record of one head; "4d": the [B, h, n, w] layout of 2 records
+        # of 3 heads; 4 queries and 6 keys of width 5 per head, values 3
         rng = np.random.default_rng(7)
-        q, k = t(rng.standard_normal(shape + (4, 5))), t(rng.standard_normal(shape + (6, 5)))
-        v = t(rng.standard_normal(shape + (6, 3)))
-        g = rng.standard_normal(shape + (4, 3))
+        q = t(rng.standard_normal((batch * 4, heads * 5)))
+        k = t(rng.standard_normal((batch * 6, heads * 5)))
+        v = t(rng.standard_normal((batch * 6, heads * 3)))
+        g = rng.standard_normal((batch * 4, heads * 3))
         bias = np.where(rng.uniform(size=(4, 6)) > 0.3, 0.0, MASKED_LOGIT) if masked else None
         with GradientTape() as tape:
-            out, _ = attention(q, k, v, bias)
+            out, w = attention(q, k, v, heads, batch, bias)
             root = reduce_sum(mul(out, Tensor(g)))
         tape.backward(root)
-        for got, want in zip((out.data, tape.grad(q), tape.grad(k), tape.grad(v)),
-                             attention_reference(q.data, k.data, v.data, bias, g)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for got, want in zip((out.data, w, tape.grad(q), tape.grad(k), tape.grad(v)),
+                             attention_reference(q.data, k.data, v.data, heads, batch,
+                                                 bias, g)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, strict=True)
 
     def test_attention_is_one_tape_node(self):
-        q, k, v = t(np.ones((2, 3))), t(np.ones((4, 3))), t(np.ones((4, 2)))
+        q, k, v = t(np.ones((2, 4))), t(np.ones((4, 4))), t(np.ones((4, 2)))
         with GradientTape() as tape:
-            attention(q, k, v, np.zeros((2, 4)))
+            attention(q, k, v, 2, 1, np.zeros((2, 4)))
         assert [node.op for node in tape._nodes] == ["leaf"] * 3 + ["attention"]
-
-    def test_swap_axes_matches_numpy(self):
-        x = t(np.arange(24.0).reshape(2, 3, 4))
-        np.testing.assert_array_equal(swap_axes(x, 0, 2).data, np.swapaxes(x.data, 0, 2))
-        np.testing.assert_array_equal(swap_axes(x, -1, -2).data, np.swapaxes(x.data, 1, 2))
-        with pytest.raises(DimensionError):
-            swap_axes(x, 0, 3)
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -195,7 +211,7 @@ class TestForwardSemantics:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(4)
         x = t(rng.standard_normal((3, 5)) * 50)
-        for out in (attention(x, x, x)[0], cross_entropy(x, [0, 4, 2]), relu(x),
+        for out in (attention(x, x, x, 1, 1)[0], cross_entropy(x, [0, 4, 2]), relu(x),
                     layer_norm(x, t(np.ones(5)), t(np.zeros(5)))):
             assert np.isfinite(out.data).all()
 
@@ -298,7 +314,8 @@ class TestGradientsAgainstFiniteDifferences:
         v = t(self.rng.standard_normal((5, 2)))
         bias = np.where(self.rng.uniform(size=(3, 5)) > 0.3, 0.0, MASKED_LOGIT)
         w = Tensor(self.rng.standard_normal((3, 2)))
-        check_gradients(lambda: reduce_sum(mul(attention(q, k, v, bias)[0], w)), [q, k, v])
+        check_gradients(lambda: reduce_sum(mul(attention(q, k, v, 1, 1, bias)[0], w)),
+                        [q, k, v])
 
     def test_cross_entropy(self):
         x = t(self.rng.standard_normal((4, 5)))
@@ -332,22 +349,19 @@ class TestGradientsAgainstFiniteDifferences:
         check_gradients(loss, [a, b])
 
     def test_attention_leading_axes(self):
+        # 2 records of 3 queries and 5 keys, 3 heads of width 4 (values 2)
         q, k, v = (t(self.rng.standard_normal(shape))
-                   for shape in ((2, 3, 3, 4), (2, 3, 5, 4), (2, 3, 5, 2)))
-        w = Tensor(self.rng.standard_normal((2, 3, 3, 2)))
-        check_gradients(lambda: reduce_sum(mul(attention(q, k, v)[0], w)), [q, k, v])
+                   for shape in ((2 * 3, 3 * 4), (2 * 5, 3 * 4), (2 * 5, 3 * 2)))
+        w = Tensor(self.rng.standard_normal((2 * 3, 3 * 2)))
+        check_gradients(lambda: reduce_sum(mul(attention(q, k, v, 3, 2)[0], w)), [q, k, v])
 
-    def test_swap_axes(self):
-        x = t(self.rng.standard_normal((2, 3, 4)))
-        w = Tensor(self.rng.standard_normal((4, 3, 2)))
-        check_gradients(lambda: reduce_sum(mul(swap_axes(x, 0, 2), w)), [x])
-
-    def test_reshape_transpose(self):
+    def test_reshape(self):
         x = t(self.rng.standard_normal((3, 4)))
+        w = Tensor(self.rng.standard_normal((4, 3)))
 
         def loss():
-            y = swap_axes(reshape(x, (4, 3)), 0, 1)
-            return reduce_sum(mul(y, y))
+            y = reshape(x, (4, 3))
+            return reduce_sum(mul(mul(y, y), w))
 
         check_gradients(loss, [x])
 

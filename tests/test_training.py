@@ -1,17 +1,20 @@
 """Optimizer math, schedules, early stopping, splits, and the fit loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxrgen import training
 from cxrgen.errors import (ConfigurationError, ContractError, NonFiniteGradientError,
                            TrainingError)
 from cxrgen.model import ModelConfig, ReportGenerator
 from cxrgen.params import ParameterStore
-from cxrgen.tensor import GradientTape, Tensor, add, mul, reduce_sum
+from cxrgen.tensor import GradientTape, Tensor, active_tape, add, mul, reduce_sum
 from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS,
                              OptimizerState, TrainConfig, adam_step,
                              clip_gradients, evaluate_split, fit, lr_at_step,
@@ -522,6 +525,32 @@ class TestFit:
         assert second.best_state["x0"][0] != kept["x0"][0]
         for k, a in first.best_state.items():
             np.testing.assert_array_equal(a, kept[k])
+
+    def test_no_step_tape_outlives_its_step(self, monkeypatch):
+        """Each step's tape, with its closures and node gradients, is freed
+        before validation runs and when fit returns: no parameter keeps it."""
+        tapes = []
+
+        class Tracked(GradientTape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        class Validated(_ToyModel):
+            def loss_for_batch(self, targets):
+                if active_tape() is None:  # evaluate_split
+                    assert tapes and all(ref() is None for ref in tapes)
+                return super().loss_for_batch(targets)
+
+        monkeypatch.setattr(training, "GradientTape", Tracked)
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=2,
+                          early_stop_patience=5, seed=0)
+        gc.disable()  # freed by reference counting, not by the cycle collector
+        try:
+            fit(Validated(), [1.0, 2.0, 3.0], [2.0], cfg)
+        finally:
+            gc.enable()
+        assert len(tapes) == 4 and all(ref() is None for ref in tapes)
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigurationError):
