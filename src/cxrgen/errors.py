@@ -25,7 +25,7 @@ class ConfigurationError(CxrgenError):
     """A configuration value is invalid or degenerate."""
 
 
-_field_types = cache(get_type_hints)  # resolving string annotations costs ~20 us a field
+field_types = cache(get_type_hints)  # resolving string annotations costs ~20 us a field
 
 
 def check_fields(cls, values: Mapping) -> None:
@@ -36,7 +36,7 @@ def check_fields(cls, values: Mapping) -> None:
     if not isinstance(values, Mapping):
         raise ConfigurationError(f"expected a mapping of field names to values, got "
                                  f"{type(values).__name__}")
-    kinds = _field_types(cls)
+    kinds = field_types(cls)
     for key, value in values.items():
         if key not in kinds:
             raise ConfigurationError(f"unknown key {key!r}; known keys are {sorted(kinds)}")

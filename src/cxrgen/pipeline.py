@@ -20,8 +20,8 @@ from .model import (ABLATION_LABELS, ModelConfig, ReportGenerator,
                     resolve_input_mask)
 from .preprocess import (NormalizationStats, PreprocessConfig, build_patient_record,
                          remove_outliers, tokenize_and_fit_vocab, standardize_text)
-from .records import (PatientRecord, RawRecord, atomic_open, load_image_features,
-                      read_jsonl, read_patient_records, read_raw_records, read_rows,
+from .records import (PatientRecord, RawRecord, atomic_open, check_row,
+                      load_image_features, read_patient_records, read_raw_records, read_rows,
                       write_json, write_jsonl, write_patient_records)
 from .synth import (DatasetManifest, SyntheticConfig, balance_by_unique_reports,
                     generate_synthetic, load_planted_phrases, write_synthetic_dataset)
@@ -69,7 +69,8 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     balanced subset feeds the train/val split and the remainder is held out
     as the test set. Normalization stats come from the training split only.
     Each distinct report, chief complaint and ICD title is standardized once
-    per call; the vocabulary fits and every split's records reuse the result.
+    per call, and encoded once per vocabulary; the vocabulary fits and every
+    split's records reuse the results.
     """
     cfg = preprocess_config or PreprocessConfig()
     plan = plan or SplitPlan()
@@ -89,19 +90,20 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     if len(cleaned) < 10:
         raise DataError(f"only {len(cleaned)} records survive outlier removal")
 
-    # one standardization per distinct text, kept for this call only
-    standardized: dict[str, str] = {}
+    # each distinct text standardized once and encoded once per vocabulary
+    clean = {text: standardize_text(text) for text in
+             {text for r in cleaned for text in (r.report, r.chief_complaint, r.icd_title)}}
+    encoded: dict[tuple[str, Vocabulary], tuple[str, list[int]]] = {}
 
-    def standardize(text: str) -> str:
-        clean = standardized.get(text)
-        if clean is None:
-            clean = standardized[text] = standardize_text(text)
-        return clean
+    def encode(text: str, vocab: Vocabulary) -> tuple[str, list[int]]:
+        if (text, vocab) not in encoded:
+            encoded[text, vocab] = clean[text], vocab.encode(clean[text])
+        return encoded[text, vocab]
 
     # vocabularies come from the complete cleaned corpus, not the subset
-    report_vocab = tokenize_and_fit_vocab(standardize(r.report) for r in cleaned)
-    chief_vocab = tokenize_and_fit_vocab(standardize(r.chief_complaint) for r in cleaned)
-    icd_vocab = tokenize_and_fit_vocab(standardize(r.icd_title) for r in cleaned)
+    report_vocab = tokenize_and_fit_vocab(clean[r.report] for r in cleaned)
+    chief_vocab = tokenize_and_fit_vocab(clean[r.chief_complaint] for r in cleaned)
+    icd_vocab = tokenize_and_fit_vocab(clean[r.icd_title] for r in cleaned)
 
     subset_size = max(2, int(round(plan.subset_fraction * len(cleaned))))
     curated = balance_by_unique_reports(cleaned, subset_size)
@@ -124,7 +126,7 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
             if feats is None:
                 raise DataError(f"no image features for record {rec.sample_id}")
             out_records.append(build_patient_record(rec, stats, report_vocab, chief_vocab,
-                                                    icd_vocab, feats, cfg, standardize))
+                                                    icd_vocab, feats, cfg, encode))
         return out_records
 
     splits = {"train": build_split(train_raw), "val": build_split(val_raw),
@@ -222,13 +224,12 @@ def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
     return len(rows)
 
 
-def _generation_pair(row: Mapping) -> tuple[str, list[str], list[str]]:
-    """(sample_id, generated tokens, reference tokens) of one generation row."""
-    sample_id, generated, reference = row["sample_id"], row["generated"], row["reference"]
-    for field, text in (("generated", generated), ("reference", reference)):
-        if not isinstance(text, str):
-            raise DataError(f"{field!r} must be a string, got {type(text).__name__}")
-    return str(sample_id), generated.split(), reference.split()
+_GENERATION_ROW = {"sample_id": str, "generated": str, "reference": str}
+
+
+def read_generations(path: PathLike) -> list[dict]:
+    """The {sample_id, generated, reference} rows of a generation file."""
+    return read_rows(path, lambda row: check_row(row, _GENERATION_ROW))
 
 
 def run_evaluation(generated_path: PathLike, out_path: Optional[PathLike] = None,
@@ -236,7 +237,8 @@ def run_evaluation(generated_path: PathLike, out_path: Optional[PathLike] = None
                    per_sample_csv: Optional[PathLike] = None,
                    smooth: bool = False) -> EvalReport:
     """Score a generation file and optionally persist the JSON report."""
-    pairs = read_rows(generated_path, _generation_pair)
+    pairs = [(row["sample_id"], row["generated"].split(), row["reference"].split())
+             for row in read_generations(generated_path)]
     provider = FileEmbeddings.load(embeddings_path) if embeddings_path else HashedEmbeddings()
     report = corpus_evaluate(pairs, provider=provider, smooth=smooth)
     if out_path is not None:
@@ -257,10 +259,10 @@ def planted_phrase_accuracy(generated_rows: Sequence[Mapping],
     matched = 0
     total = 0
     for row in generated_rows:
-        phrases = planted.get(str(row["sample_id"]))
+        phrases = planted.get(row["sample_id"])
         if phrases is None:
             raise DataError(f"no planted phrases for sample {row['sample_id']!r}")
-        tokens = str(row["generated"]).split()
+        tokens = row["generated"].split()
         for phrase in phrases:
             ptoks = phrase.split()
             total += len(ptoks)
@@ -324,7 +326,7 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
         run_generation(prep_dir, run_dir / "checkpoint.npz", gen_path,
                        split="test", inputs=name)
         report = run_evaluation(gen_path, run_dir / "eval_report.json")
-        accuracy = planted_phrase_accuracy(read_jsonl(gen_path), planted)
+        accuracy = planted_phrase_accuracy(read_generations(gen_path), planted)
         rows[name] = {
             "label": ABLATION_LABELS.get(name, name),
             "bleu_1": report.corpus["bleu_1"],

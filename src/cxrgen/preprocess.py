@@ -200,10 +200,15 @@ def tokenize_and_fit_vocab(corpus: Iterable[str]) -> Vocabulary:
     return Vocabulary.fit(corpus)
 
 
-def encode_report(text: str, vocab: Vocabulary, length: int) -> list[int]:
+def encode_text(text: str, vocab: Vocabulary) -> tuple[str, list[int]]:
+    """``text`` standardized, and the ids of its tokens in ``vocab``."""
+    clean = standardize_text(text)
+    return clean, vocab.encode(clean)
+
+
+def encode_report(body: Sequence[int], length: int) -> list[int]:
     """[START] + body + [END], body truncated to fit, padded to ``length`` >= 3."""
-    body = vocab.encode(text)[: length - 2]
-    return pad_truncate([START_ID] + body + [END_ID], length)
+    return pad_truncate([START_ID, *body[: length - 2], END_ID], length)
 
 
 @dataclass(frozen=True)
@@ -223,15 +228,15 @@ def build_patient_record(rec: RawRecord, stats: NormalizationStats,
                          report_vocab: Vocabulary, chief_vocab: Vocabulary,
                          icd_vocab: Vocabulary, image_features: Sequence[float],
                          cfg: PreprocessConfig,
-                         standardize: Optional[Callable[[str], str]] = None
+                         encode: Optional[Callable[[str, Vocabulary], tuple[str, list[int]]]] = None
                          ) -> PatientRecord:
     """Assemble one model-ready record from a cleaned raw record.
 
-    ``standardize`` (default ``standardize_text``) cleans the three texts;
-    ``run_preprocess`` passes one that looks up each distinct text's
-    ``standardize_text`` result in a table it keeps for the call."""
-    standardize = standardize or standardize_text
-    feats = [float(x) for x in image_features]
+    ``encode`` (default ``encode_text``) standardizes each text and encodes it
+    in its vocabulary; ``run_preprocess`` passes one that keeps each distinct
+    result for the call, so the ids it returns are only read, never changed."""
+    encode = encode or encode_text
+    feats = list(map(float, image_features))
     if len(feats) != cfg.image_feature_dim:
         raise DataError(f"record {rec.sample_id}: expected {cfg.image_feature_dim} "
                         f"image features, got {len(feats)}")
@@ -246,15 +251,14 @@ def build_patient_record(rec: RawRecord, stats: NormalizationStats,
         acuity=encode_acuity(rec.acuity),
         gender=encode_gender(rec.gender, rec.sample_id),
     )
-    report_text = standardize(rec.report)
+    report_text, report_body = encode(rec.report, report_vocab)
     return PatientRecord(
         sample_id=rec.sample_id,
         scalars=scalars,
         ethnicity=map_ethnicity(rec.ethnicity),
-        chief_ids=pad_truncate(chief_vocab.encode(standardize(rec.chief_complaint)),
-                               cfg.chief_len),
-        icd_ids=pad_truncate(icd_vocab.encode(standardize(rec.icd_title)), cfg.icd_len),
+        chief_ids=pad_truncate(encode(rec.chief_complaint, chief_vocab)[1], cfg.chief_len),
+        icd_ids=pad_truncate(encode(rec.icd_title, icd_vocab)[1], cfg.icd_len),
         image_features=feats,
-        report_ids=encode_report(report_text, report_vocab, cfg.report_len),
+        report_ids=encode_report(report_body, cfg.report_len),
         report_text=report_text,
     )

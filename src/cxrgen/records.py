@@ -2,8 +2,10 @@
 
 ``read_rows`` reads a JSONL file, numbering each row by its line, and applies
 a caller's field parser to each; ``read_json`` reads a file holding one JSON
-object. A bad file raises one error naming the file, and for a row its number
-and sample id: ``{path}: row N (sample 'id'): ...``.
+object. ``check_row`` is the one check of a row's fields: each record type
+declares its fields by its annotations, and each other row a small field
+map. A bad file raises one error naming the file, and for a row its number
+and sample id: ``{path}: row N (sample 'id'): field 'x' must be ..., got ...``.
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ import csv
 import hashlib
 import json
 import os
+import reprlib
 import secrets
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, field_types
 
 PathLike = Union[str, Path]
 T = TypeVar("T")
@@ -46,12 +49,6 @@ class ScalarFeatures:
         return np.array([getattr(self, name) for name in self.ORDER], dtype=np.float64)
 
 
-_RAW_FLOAT_FIELDS = ("acuity", "o2sat", "heart_rate", "resp_rate",
-                     "sbp", "dbp", "temperature_celsius")
-_RAW_STR_FIELDS = ("sample_id", "gender", "ethnicity", "chief_complaint",
-                   "icd_title", "report")
-
-
 @dataclass
 class RawRecord:
     """One triage encounter as ingested, before any cleaning."""
@@ -71,36 +68,11 @@ class RawRecord:
     report: str
 
     def to_dict(self) -> dict:
-        return {"sample_id": self.sample_id, "acuity": self.acuity, "o2sat": self.o2sat,
-                "heart_rate": self.heart_rate, "resp_rate": self.resp_rate,
-                "sbp": self.sbp, "dbp": self.dbp,
-                "temperature_celsius": self.temperature_celsius, "gender": self.gender,
-                "ethnicity": self.ethnicity, "chief_complaint": self.chief_complaint,
-                "icd_title": self.icd_title, "report": self.report}
+        return dict(vars(self))  # the fields in declaration order, each immutable
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "RawRecord":
-        sample_id = str(row.get("sample_id", "<missing sample_id>"))
-        kwargs = {}
-        for name in _RAW_STR_FIELDS:
-            if name not in row:
-                raise DataError(f"record {sample_id}: missing field {name!r}")
-            if not isinstance(row[name], str):
-                raise DataError(f"record {sample_id}: field {name!r} must be text, got "
-                                f"{type(row[name]).__name__} {row[name]!r}")
-            kwargs[name] = row[name]
-        for name in _RAW_FLOAT_FIELDS:
-            if name not in row:
-                raise DataError(f"record {sample_id}: missing field {name!r}")
-            if isinstance(row[name], bool):  # float(True) would pass as 1.0
-                raise DataError(f"record {sample_id}: field {name!r} must be a number, "
-                                f"got bool {row[name]!r}")
-            try:
-                kwargs[name] = float(row[name])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"record {sample_id}: field {name!r} is not numeric: "
-                                f"{row[name]!r}") from exc
-        return cls(**kwargs)
+        return cls(**check_row(row, field_types(cls)))
 
 
 @dataclass
@@ -117,39 +89,51 @@ class PatientRecord:
     report_text: str
 
     def to_dict(self) -> dict:
-        s = self.scalars
-        return {"sample_id": self.sample_id,
-                "scalars": {"heart_rate": s.heart_rate, "o2sat": s.o2sat,
-                            "resp_rate": s.resp_rate, "sbp": s.sbp, "dbp": s.dbp,
-                            "temperature": s.temperature, "acuity": s.acuity,
-                            "gender": s.gender},
+        return {"sample_id": self.sample_id, "scalars": vars(self.scalars).copy(),
                 "ethnicity": self.ethnicity, "chief_ids": list(self.chief_ids),
                 "icd_ids": list(self.icd_ids), "image_features": list(self.image_features),
                 "report_ids": list(self.report_ids), "report_text": self.report_text}
 
     @classmethod
     def from_dict(cls, row: Mapping) -> "PatientRecord":
-        try:
-            numeric = {"scalars": row["scalars"].values(), "ethnicity": [row["ethnicity"]],
-                       **{name: row[name] for name in ("chief_ids", "icd_ids",
-                                                       "image_features", "report_ids")}}
-            for name, values in numeric.items():
-                if bool in map(type, values):  # int(True) and float(True) would pass as 1
-                    raise DataError(f"field {name!r} must hold numbers, got a bool")
-            return cls(
-                sample_id=str(row["sample_id"]),
-                scalars=ScalarFeatures(**{k: float(v) for k, v in row["scalars"].items()}),
-                ethnicity=int(row["ethnicity"]),
-                chief_ids=[int(i) for i in row["chief_ids"]],
-                icd_ids=[int(i) for i in row["icd_ids"]],
-                image_features=[float(x) for x in row["image_features"]],
-                report_ids=[int(i) for i in row["report_ids"]],
-                report_text=str(row["report_text"]),
-            )
-        except KeyError as exc:
-            raise DataError(f"malformed patient record: missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed patient record: {exc}") from exc
+        return cls(**check_row(row, field_types(cls)))
+
+
+# the types of the elements of a JSON list of each kind: type(True) is bool, not int
+_ELEMENT_TYPES = {list[str]: {str}, list[int]: {int}, list[float]: {float}}
+_NUMBERS, _NUMBER_TYPES = list[float], {int, float}
+_WANTED = {str: "text", int: "an integer", float: "a number", list[str]: "a list of strings",
+           list[int]: "a list of integers", list[float]: "a list of numbers"}
+
+
+def check_row(row: Mapping, kinds: Mapping[str, type], within: str = "") -> dict:
+    """The fields ``kinds`` names, checked; other keys are ignored. ``str`` takes
+    a JSON string, ``int`` an integer, ``float`` an integer or float as a float,
+    neither a bool; ``list[X]`` a list of X; a dataclass an object of exactly its
+    fields. A DataError names a missing or rejected field, prefixed by ``within``."""
+    out = {}
+    for name, kind in kinds.items():
+        value = row.get(name)  # None, when missing, is no field's value
+        t = type(value)
+        if t is kind:
+            pass
+        elif kind is float and t is int:
+            value = float(value)
+        elif t is list and kind in _ELEMENT_TYPES \
+                and _ELEMENT_TYPES[kind].issuperset(map(type, value)):
+            pass
+        elif t is list and kind == _NUMBERS and _NUMBER_TYPES.issuperset(map(type, value)):
+            value = list(map(float, value))
+        elif t is dict and is_dataclass(kind) and value.keys() == field_types(kind).keys():
+            value = kind(**check_row(value, field_types(kind), f"{within}{name}."))
+        elif name not in row:
+            raise DataError(f"missing field {within + name!r}")
+        else:
+            wanted = _WANTED.get(kind) or f"an object of {', '.join(field_types(kind))}"
+            raise DataError(f"field {within + name!r} must be {wanted}, "
+                            f"got {reprlib.repr(value)}")
+        out[name] = value
+    return out
 
 
 @contextlib.contextmanager
@@ -210,8 +194,9 @@ def _csv_rows(path: PathLike, fh: IO[bytes]) -> Iterator[tuple[int, dict]]:
 
 
 def _parse_rows(path: PathLike, rows: Callable[[PathLike, IO[bytes]], Iterator],
-                parse: Callable[[dict], T]) -> list[T]:
-    out = []
+                parse: Callable[[dict], T]) -> tuple[list[int], list[T]]:
+    """The line number of every row of the file, and ``parse`` of the row."""
+    numbers, out = [], []
     try:
         with open(path, "rb") as fh:
             # decode all rows before parsing any: freed together, not between
@@ -222,22 +207,36 @@ def _parse_rows(path: PathLike, rows: Callable[[PathLike, IO[bytes]], Iterator],
                                     f"not a JSON object")
                 try:
                     out.append(parse(row))
-                except (DataError, KeyError, TypeError, ValueError) as exc:
+                    numbers.append(number)
+                except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
                     reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                     raise DataError(f"{path}: row {number} (sample "
                                     f"{row.get('sample_id')!r}): {reason}") from exc
     except (OSError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return out
+    return numbers, out
 
 
 def read_rows(path: PathLike, parse: Callable[[dict], T]) -> list[T]:
     """``parse`` applied to every row of the JSONL file at ``path``. Blank
     lines are skipped but counted. A line that is not UTF-8 JSON or not an
     object raises a DataError naming the file and the row; so does a
-    DataError, KeyError, TypeError or ValueError from ``parse``, with the
-    row's sample id."""
-    return _parse_rows(path, _json_rows, parse)
+    DataError, KeyError, TypeError, ValueError or OverflowError from
+    ``parse``, with the row's sample id."""
+    return _parse_rows(path, _json_rows, parse)[1]
+
+
+def read_table(path: PathLike, field: str, kind: type) -> dict[str, object]:
+    """{sample_id: ``field`` of type ``kind``} over the rows of a JSONL file;
+    a sample id on two rows raises a DataError naming the file and both rows."""
+    kinds, table, first_row = {"sample_id": str, field: kind}, {}, {}
+    for number, row in zip(*_parse_rows(path, _json_rows, lambda row: check_row(row, kinds))):
+        sample_id = row["sample_id"]
+        if sample_id in table:
+            raise DataError(f"{path}: rows {first_row[sample_id]} and {number} both hold "
+                            f"sample {sample_id!r}")
+        table[sample_id], first_row[sample_id] = row[field], number
+    return table
 
 
 def read_jsonl(path: PathLike) -> list[dict]:
@@ -265,11 +264,21 @@ def file_sha256(path: PathLike) -> str:
     return h.hexdigest()
 
 
+def _csv_record(row: dict) -> RawRecord:
+    """CSV has no number type: the float fields' cells become floats, and a
+    cell that is no number stays text for ``check_row`` to reject."""
+    for name, kind in field_types(RawRecord).items():
+        if kind is float:
+            with contextlib.suppress(KeyError, TypeError, ValueError):
+                row[name] = float(row[name])
+    return RawRecord.from_dict(row)
+
+
 def read_raw_records(path: PathLike) -> list[RawRecord]:
     """Load raw records from .jsonl or .csv (by extension), each row
     numbered by its line in the file."""
     if Path(path).suffix.lower() == ".csv":
-        return _parse_rows(path, _csv_rows, RawRecord.from_dict)
+        return _parse_rows(path, _csv_rows, _csv_record)[1]
     return read_rows(path, RawRecord.from_dict)
 
 
@@ -296,19 +305,10 @@ def write_patient_records(path: PathLike, records: Sequence[PatientRecord]) -> N
     write_jsonl(path, (r.to_dict() for r in records))
 
 
-def _image_feature_row(row: Mapping) -> tuple[str, list[float]]:
-    try:
-        if bool in map(type, row["features"]):  # float(True) would pass as 1.0
-            raise DataError("field 'features' must hold numbers, got a bool")
-        return str(row["sample_id"]), [float(x) for x in row["features"]]
-    except (DataError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed image-feature row: {exc}") from exc
-
-
 def load_image_features(path: PathLike) -> dict[str, list[float]]:
     """Read a {sample_id, features} JSONL file into a lookup table; a malformed
-    row raises a DataError naming the file, the row number and the sample id."""
-    return dict(read_rows(path, _image_feature_row))
+    row or a repeated sample id raises a DataError naming the file and row."""
+    return read_table(path, "features", list[float])
 
 
 def write_image_features(path: PathLike, table: Mapping[str, Sequence[float]]) -> None:

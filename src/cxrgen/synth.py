@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, DataError, check_fields
-from .records import (RawRecord, file_sha256, read_json, read_rows, write_image_features,
+from .records import (RawRecord, file_sha256, read_json, read_table, write_image_features,
                       write_json, write_jsonl, write_raw_records, write_raw_records_csv)
 
 PathLike = Union[str, Path]
@@ -249,13 +249,6 @@ def write_synthetic_dataset(dataset: SyntheticDataset, out_dir: PathLike,
     return manifest
 
 
-def _planted_row(row: Mapping) -> tuple[str, list[str]]:
-    phrases = row["phrases"]
-    if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
-        raise DataError(f"field 'phrases' must be a list of strings, got {phrases!r}")
-    return str(row["sample_id"]), phrases
-
-
 def load_planted_phrases(path: PathLike) -> dict[str, list[str]]:
     """{sample_id: planted phrases} from a {sample_id, phrases} JSONL file."""
-    return dict(read_rows(path, _planted_row))
+    return read_table(path, "phrases", list[str])

@@ -15,7 +15,7 @@ from cxrgen.errors import ConfigurationError, DataError
 from cxrgen.metrics import corpus_evaluate
 from cxrgen.model import ModelConfig
 from cxrgen.pipeline import (SplitPlan, load_preprocessed,
-                             planted_phrase_accuracy, run_evaluation,
+                             planted_phrase_accuracy, read_generations, run_evaluation,
                              run_generation, run_preprocess, run_synth,
                              run_training)
 from cxrgen.preprocess import (NormalizationStats, PreprocessConfig, build_patient_record,
@@ -117,8 +117,9 @@ class TestPreprocessStage:
         write_jsonl(tmp_path / "records.jsonl", rows)
         with pytest.raises(DataError) as caught:
             read_raw_records(tmp_path / "records.jsonl")
-        message = str(caught.value)
-        assert f"record {rows[1]['sample_id']}:" in message and repr(field) in message
+        assert str(caught.value).startswith(
+            f"{tmp_path / 'records.jsonl'}: row 2 (sample {rows[1]['sample_id']!r}): "
+            f"field {field!r} must be text, got "), str(caught.value)
 
     @pytest.mark.parametrize("field,value", [("acuity", True), ("o2sat", False),
                                              ("temperature_celsius", True)])
@@ -128,8 +129,8 @@ class TestPreprocessStage:
         rows = read_jsonl(workspace["data"] / "records.jsonl")[:3]
         rows[1][field] = value
         write_jsonl(tmp_path / "records.jsonl", rows)
-        with pytest.raises(DataError, match=f"record {rows[1]['sample_id']}: field "
-                                            f"{field!r} must be a number, got bool"):
+        with pytest.raises(DataError, match=f"row 2 \\(sample {rows[1]['sample_id']!r}\\): "
+                                            f"field {field!r} must be a number, got {value}$"):
             read_raw_records(tmp_path / "records.jsonl")
 
     def test_standardizes_each_distinct_text_once_per_call(self, workspace, tmp_path,
@@ -181,7 +182,8 @@ class TestPreprocessStage:
             for i, rec in enumerate(records):
                 values = list(rec.to_dict().values())
                 writer.writerow(values[:-1] if i == 2 else values)
-        with pytest.raises(DataError, match=f"record {records[2].sample_id}: field 'report'"):
+        with pytest.raises(DataError, match=f"row 4 \\(sample {records[2].sample_id!r}\\): "
+                                            f"field 'report' must be text, got None$"):
             read_raw_records(path)
 
     def test_plan_validation(self):
@@ -231,6 +233,9 @@ class TestGenerationStage:
         rows = read_jsonl(workspace["generated"])
         assert len(rows) == workspace["n_generated"] == 10
         assert set(rows[0]) == {"sample_id", "generated", "reference"}
+
+    def test_rows_read_back_through_the_generation_schema(self, workspace):
+        assert read_generations(workspace["generated"]) == read_jsonl(workspace["generated"])
 
     def test_unknown_split_rejected(self, workspace):
         with pytest.raises(ConfigurationError):
@@ -326,8 +331,10 @@ class TestEvaluationStage:
     @pytest.mark.parametrize("row,complaint", [
         (["x", "a", "a"], "list, not a JSON object"),
         ("x a a", "str, not a JSON object"),
-        ({"sample_id": "x", "generated": None, "reference": "a"}, "'generated' must be a string"),
-        ({"sample_id": "x", "generated": "a", "reference": 3}, "'reference' must be a string"),
+        ({"sample_id": "x", "generated": None, "reference": "a"},
+         "field 'generated' must be text, got None"),
+        ({"sample_id": "x", "generated": "a", "reference": 3},
+         "field 'reference' must be text, got 3"),
     ], ids=["list", "string", "null-generated", "number-reference"])
     def test_malformed_row_names_file_and_row(self, tmp_path, row, complaint):
         bad = tmp_path / "bad.jsonl"

@@ -241,7 +241,7 @@ class TestPadTruncateAndReport:
 
     def test_encode_report_frames_and_pads(self):
         v = Vocabulary.fit(["a b c"])
-        ids = encode_report("a b", v, 6)
+        ids = encode_report(v.encode("a b"), 6)
         assert ids[0] == START_ID
         assert END_ID in ids
         assert len(ids) == 6
@@ -249,7 +249,7 @@ class TestPadTruncateAndReport:
 
     def test_encode_report_truncates_long_body(self):
         v = Vocabulary.fit(["a b c d e f"])
-        ids = encode_report("a b c d e f", v, 5)
+        ids = encode_report(v.encode("a b c d e f"), 5)
         assert len(ids) == 5
         assert ids[0] == START_ID and ids[-1] == END_ID
 

@@ -4,19 +4,21 @@ for every input file the package reads."""
 import json
 import re
 from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cxrgen.cli import _load_config_file
 from cxrgen.errors import ConfigurationError, DataError, EvaluationError
 from cxrgen.metrics import FileEmbeddings
-from cxrgen.pipeline import run_evaluation
+from cxrgen.pipeline import read_generations, run_evaluation
 from cxrgen.records import (PatientRecord, RawRecord, ScalarFeatures, load_image_features,
                             read_patient_records, read_raw_records, write_image_features,
-                            write_patient_records)
-from cxrgen.synth import DatasetManifest, load_planted_phrases
+                            write_jsonl, write_patient_records, write_raw_records_csv)
+from cxrgen.synth import (DatasetManifest, SyntheticConfig, SyntheticDataset,
+                          load_planted_phrases, write_synthetic_dataset)
 from cxrgen.vocab import Vocabulary
 
 from helpers import patient_record_dict_reference, raw_record_dict_reference
@@ -84,13 +86,32 @@ class TestRawRecordFromDict:
     @pytest.mark.parametrize("field", ["acuity", "o2sat", "temperature_celsius"])
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_in_a_numeric_field_rejected(self, field, value):
-        with pytest.raises(DataError, match=f"record s1: field {field!r} must be a number, "
-                                            f"got bool {value}"):
+        with pytest.raises(DataError, match=f"^field {field!r} must be a number, "
+                                            f"got {value}$"):
             RawRecord.from_dict({**self.ROW, field: value})
 
-    def test_numeric_strings_and_integers_accepted(self):
-        rec = RawRecord.from_dict({**self.ROW, "acuity": 3, "o2sat": "98.5"})
-        assert (rec.acuity, rec.o2sat) == (3.0, 98.5)
+    def test_json_integers_accepted(self):
+        rec = RawRecord.from_dict({**self.ROW, "acuity": 3, "o2sat": 98})
+        assert (rec.acuity, rec.o2sat) == (3.0, 98.0)
+        assert type(rec.acuity) is float and type(rec.o2sat) is float
+
+    def test_numeric_text_in_a_csv_accepted(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_raw_records_csv(path, [RawRecord.from_dict(self.ROW)])
+        path.write_text(path.read_text(encoding="utf-8").replace(",97.0,", ",98.5,"),
+                        encoding="utf-8")
+        (rec,) = read_raw_records(path)
+        assert rec.o2sat == 98.5 and type(rec.o2sat) is float
+
+    def test_numeric_text_in_json_rejected(self, tmp_path):
+        with pytest.raises(DataError, match="^field 'o2sat' must be a number, got '98.5'$"):
+            RawRecord.from_dict({**self.ROW, "o2sat": "98.5"})
+        path = tmp_path / "records.jsonl"
+        write_jsonl(path, [self.ROW, {**self.ROW, "sample_id": "s2", "o2sat": "98.5"}])
+        where = re.escape(f"{path}: row 2 (sample 's2'): field 'o2sat' must be a number, "
+                          f"got '98.5'")
+        with pytest.raises(DataError, match=f"^{where}$"):
+            read_raw_records(path)
 
 
 class TestReadPatientRecords:
@@ -115,21 +136,24 @@ class TestReadPatientRecords:
         sample = None if field == "sample_id" else "p1"
         with pytest.raises(DataError) as caught:
             read_patient_records(path)
-        assert str(caught.value) == (f"{path}: row 2 (sample {sample!r}): malformed patient "
-                                     f"record: missing field {field!r}")
+        assert str(caught.value) == f"{path}: row 2 (sample {sample!r}): missing field {field!r}"
 
-    @pytest.mark.parametrize("field,value", [("scalars", [0.5] * 8), ("chief_ids", ["a"]),
-                                             ("scalars", {"o2sat": 0.5})])
-    def test_malformed_value_names_file_row_and_sample(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field,value,wanted", [
+        ("scalars", [0.5] * 8, "an object of heart_rate, o2sat, resp_rate, sbp, dbp, "
+                               "temperature, acuity, gender"),
+        ("chief_ids", ["a"], "a list of integers"),
+        ("scalars", {"o2sat": 0.5}, "an object of heart_rate,"),
+    ], ids=["scalars-value0", "chief_ids-value1", "scalars-value2"])
+    def test_malformed_value_names_file_row_and_sample(self, tmp_path, field, value, wanted):
         rows = self._rows(tmp_path)
         rows[2][field] = value
         path = self._split(tmp_path, rows)
-        where = re.escape(f"{path}: row 3 (sample 'p2'): malformed")
+        where = re.escape(f"{path}: row 3 (sample 'p2'): field {field!r} must be {wanted}")
         with pytest.raises(DataError, match=f"^{where}"):
             read_patient_records(path)
 
     @pytest.mark.parametrize("field, edit", [
-        ("scalars", lambda row: row["scalars"].update(heart_rate=True)),
+        ("scalars.heart_rate", lambda row: row["scalars"].update(heart_rate=True)),
         ("ethnicity", lambda row: row.update(ethnicity=True)),
         ("chief_ids", lambda row: row["chief_ids"].__setitem__(0, True)),
         ("icd_ids", lambda row: row["icd_ids"].__setitem__(0, False)),
@@ -141,9 +165,8 @@ class TestReadPatientRecords:
         rows = self._rows(tmp_path)
         edit(rows[1])
         path = self._split(tmp_path, rows)
-        where = re.escape(f"{path}: row 2 (sample 'p1'): field {field!r} must hold numbers, "
-                          f"got a bool")
-        with pytest.raises(DataError, match=f"^{where}$"):
+        where = re.escape(f"{path}: row 2 (sample 'p1'): field {field!r} must be ")
+        with pytest.raises(DataError, match=f"^{where}.*(True|False)"):
             read_patient_records(path)
 
     def test_row_that_is_no_object_named(self, tmp_path):
@@ -163,9 +186,10 @@ class TestLoadImageFeatures:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda row: row["features"].__setitem__(0, True),
-         "field 'features' must hold numbers, got a bool"),
-        (lambda row: row.pop("features"), "'features'"),
-        (lambda row: row.update(features=["a", 0.5]), "could not convert"),
+         "field 'features' must be a list of numbers, got [True, 0.25]"),
+        (lambda row: row.pop("features"), "missing field 'features'"),
+        (lambda row: row.update(features=["a", 0.5]),
+         "field 'features' must be a list of numbers, got ['a', 0.5]"),
     ], ids=["bool", "missing", "text"])
     def test_malformed_row_names_file_row_and_sample(self, tmp_path, edit, message):
         # float(True) is 1.0: a JSON true would be read as a feature value
@@ -173,8 +197,8 @@ class TestLoadImageFeatures:
         edit(rows[1])
         path = tmp_path / "features.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        where = re.escape(f"{path}: row 2 (sample 's1'): malformed image-feature row: ")
-        with pytest.raises(DataError, match=f"^{where}.*{re.escape(message)}"):
+        where = re.escape(f"{path}: row 2 (sample 's1'): {message}")
+        with pytest.raises(DataError, match=f"^{where}$"):
             load_image_features(path)
 
     def test_row_that_is_no_object_named(self, tmp_path):
@@ -316,3 +340,151 @@ def test_a_manifest_hashes_each_file_by_name(tmp_path, files, sha256):
     path.write_text(json.dumps({"files": files, "sha256": sha256}), encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(f'cannot read manifest {path}: ')}"):
         DatasetManifest.load(tmp_path)
+
+
+def _split_row_2(path):
+    rec = read_patient_records(path)[1]
+    return {**vars(rec), **{f"scalars.{name}": value for name, value in vars(rec.scalars).items()}}
+
+
+def _table_row_2(load, field):
+    return lambda path: dict(zip(("sample_id", field), list(load(path).items())[1]))
+
+
+# row type -> (its reader in READERS, the declared kind of each field, and the
+# fields of row 2 as the reader returns them)
+ROW_TYPES = {
+    "raw-jsonl": ("raw-jsonl", get_type_hints(RawRecord),
+                  lambda path: vars(read_raw_records(path)[1])),
+    "split": ("patient-split",
+              {**get_type_hints(PatientRecord),
+               **{f"scalars.{name}": kind
+                  for name, kind in get_type_hints(ScalarFeatures).items()}},
+              _split_row_2),
+    "features": ("features", {"sample_id": str, "features": list[float]},
+                 _table_row_2(load_image_features, "features")),
+    "planted": ("planted", {"sample_id": str, "phrases": list[str]},
+                _table_row_2(load_planted_phrases, "phrases")),
+    "generations": ("generations", {"sample_id": str, "generated": str, "reference": str},
+                    lambda path: read_generations(path)[1]),
+}
+
+# one value of each JSON type, and the values a coercing parser turns into another
+JSON_VALUES = [None, True, False, 0, 7, -3, 2.7, 1e308, "", "123", [], [1, 2], ["a"], {}]
+
+
+def _read_as(kind, value):
+    """The value a reader returns for a JSON ``value`` that ``kind`` takes, or
+    None if ``kind`` rejects it: a float field takes a JSON int as a float, and
+    no number field takes a bool."""
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if kind in (str, int, float):
+        return value if type(value) is kind else None
+    if getattr(kind, "__origin__", None) is list:
+        if type(value) is not list:
+            return None
+        items = [_read_as(kind.__args__[0], x) for x in value]
+        return None if None in items else items
+    return None  # the nested scalars: none of JSON_VALUES is an object of its eight fields
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _with_value(row_type, field, value):
+    """The good row of ``row_type``, then a copy whose ``field`` is ``value``."""
+    good = READERS[ROW_TYPES[row_type][0]][3]
+    row = json.loads(json.dumps({**good, "sample_id": "s1"}))
+    *outer, name = field.split(".")
+    (row[outer[0]] if outer else row)[name] = value
+    return [good, row]
+
+
+@pytest.mark.parametrize("row_type, field", [(t, f) for t, (_, kinds, _) in ROW_TYPES.items()
+                                             for f in kinds])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.sampled_from(JSON_VALUES))
+def test_a_field_keeps_its_declared_type_or_is_rejected_by_name(tmp_path, row_type, field,
+                                                                value):
+    reader, kinds, read_row_2 = ROW_TYPES[row_type]
+    rows = _with_value(row_type, field, value)
+    path = tmp_path / READERS[reader][0]
+    _write_rows(path, rows)
+    expected = _read_as(kinds[field], value)
+    if expected is None:
+        with pytest.raises(DataError) as caught:
+            read_row_2(path)
+        assert str(caught.value).startswith(
+            f"{path}: row 2 (sample {rows[1]['sample_id']!r}): field {field!r} must be "), \
+            str(caught.value)
+    else:
+        # repr tells 7 from 7.0, so the kept value has its declared type too
+        assert repr(read_row_2(path)[field]) == repr(expected)
+
+
+@pytest.mark.parametrize("row_type, field, value", [
+    ("split", "image_features", "123"),
+    ("split", "chief_ids", "50"),
+    ("split", "ethnicity", 2.7),
+    ("split", "icd_ids", [5.9]),
+    ("split", "report_text", None),
+    ("split", "sample_id", 7),
+    ("features", "sample_id", 7),
+    ("planted", "sample_id", 7),
+    ("generations", "sample_id", 7),
+])
+def test_a_value_no_longer_coerced_is_rejected(tmp_path, row_type, field, value):
+    reader, _, read_row_2 = ROW_TYPES[row_type]
+    path = tmp_path / READERS[reader][0]
+    rows = _with_value(row_type, field, value)
+    _write_rows(path, rows)
+    where = re.escape(f"{path}: row 2 (sample {rows[1]['sample_id']!r}): field {field!r} "
+                      f"must be ")
+    with pytest.raises(DataError, match=f"^{where}"):
+        read_row_2(path)
+
+
+@pytest.mark.parametrize("reader, load", [("features", load_image_features),
+                                          ("planted", load_planted_phrases)])
+def test_a_repeated_sample_id_names_both_rows(tmp_path, reader, load):
+    name, _, _, good = READERS[reader]
+    path = tmp_path / name
+    other = {**good, "sample_id": "s1"}
+    _write_rows(path, [good, other])
+    assert list(load(path)) == ["s0", "s1"]
+    # a second row for the first id, which a dict would let win silently
+    _write_rows(path, [good, other, {**good, "phrases": [], "features": []}])
+    where = re.escape(f"{path}: rows 1 and 3 both hold sample 's0'")
+    with pytest.raises(DataError, match=f"^{where}$"):
+        load(path)
+
+
+_sample_ids = st.lists(st.text(), min_size=1, max_size=6, unique=True)
+
+
+class TestEveryWrittenFileReadsBack:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(raw_records, max_size=6, unique_by=lambda rec: rec.sample_id),
+           st.lists(st.lists(_floats, max_size=5), min_size=6, max_size=6),
+           st.lists(st.lists(st.text(), max_size=4), min_size=6, max_size=6),
+           st.sampled_from(["jsonl", "csv"]))
+    def test_a_synthetic_dataset(self, tmp_path, records, features, phrases, record_format):
+        ids = [rec.sample_id for rec in records]
+        dataset = SyntheticDataset(records, dict(zip(ids, features)), dict(zip(ids, phrases)),
+                                   SyntheticConfig())
+        write_synthetic_dataset(dataset, tmp_path, record_format=record_format)
+        assert read_raw_records(tmp_path / f"records.{record_format}") == records
+        assert load_image_features(tmp_path / "features.jsonl") == dataset.image_features
+        assert load_planted_phrases(tmp_path / "planted.jsonl") == dataset.planted_phrases
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(patient_records, max_size=4))
+    def test_a_split(self, tmp_path, records):
+        path = tmp_path / "train.jsonl"
+        write_patient_records(path, records)
+        assert read_patient_records(path) == records

@@ -2,8 +2,9 @@
 tensor op has a finite-difference case in acceptance criterion 1, only
 cxrgen.tensor writes the exp, log and variance formulas and the attention
 product q·kT and splits rows into attention heads or merges them back, only
-cxrgen.errors decides which values a config field takes, and only
-cxrgen.records opens and decodes input files."""
+cxrgen.errors decides which values a config field takes, only cxrgen.records
+opens and decodes input files, and only cxrgen.records decides which values a
+row field takes."""
 
 import ast
 import inspect
@@ -319,3 +320,77 @@ def test_a_file_reader_is_caught():
                                 "with open(path, mode='a') as fh: pass\n"
                                 "with atomic_open(path) as fh: pass\n"
                                 "payload = read_json(path, 'vocabulary')\n")) == []
+
+
+# the schema check, and the CSV cell conversion: CSV has no number type
+ROW_FIELD_CONVERTERS = ("check_row", "_csv_record")
+_CONVERSIONS = ("int", "float", "str")
+
+
+def _is_row_field(node: ast.AST) -> bool:
+    """Whether ``node`` is ``row[...]`` or ``row.get(...)``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "get":
+        node = node.func
+    elif not isinstance(node, ast.Subscript):
+        return False
+    return isinstance(node.value, ast.Name) and node.value.id == "row"
+
+
+def row_field_conversions(tree: ast.AST, exempt: tuple[str, ...] = ()) -> list[int]:
+    """Lines that apply ``int``, ``float`` or ``str`` to a row field
+    (``row[...]`` or ``row.get(...)``): directly, through ``map``, or to each
+    element a comprehension takes from it. The bodies of the functions named
+    in ``exempt`` are not searched."""
+    lines = []
+
+    def visit(node: ast.AST, elements: frozenset) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            return
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            elements |= {gen.target.id for gen in node.generators
+                         if isinstance(gen.target, ast.Name) and _is_row_field(gen.iter)}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name, args = node.func.id, node.args
+            if name in _CONVERSIONS and any(_is_row_field(arg) or isinstance(arg, ast.Name)
+                                            and arg.id in elements for arg in args) \
+                    or name == "map" and len(args) == 2 and _is_row_field(args[1]) \
+                    and isinstance(args[0], ast.Name) and args[0].id in _CONVERSIONS:
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, elements)
+
+    visit(tree, frozenset())
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_row_schema_converts_row_fields(path):
+    exempt = ROW_FIELD_CONVERTERS if path.name == "records.py" else ()
+    lines = row_field_conversions(ast.parse(path.read_text(encoding="utf-8")), exempt)
+    assert not lines, (f"{path.name} converts a row field with int, float or str at lines "
+                       f"{lines}; declare the field's kind for cxrgen.records.check_row")
+
+
+def test_a_row_field_conversion_is_caught():
+    tree = ast.parse("sid = str(row['sample_id'])\n"
+                     "n = int(row.get('ethnicity', 0))\n"
+                     "ids = [int(i) for i in row['icd_ids']]\n"
+                     "xs = list(map(float, row['features']))\n")
+    assert row_field_conversions(tree) == [1, 2, 3, 4]
+    assert row_field_conversions(ast.parse("v = float(value)\n"
+                                           "s = str(record.sample_id)\n"
+                                           "n = len(row['ids'])\n"
+                                           "ids = [int(i) for i in ids]\n"
+                                           "xs = list(map(float, feats))\n")) == []
+    exempt = ast.parse("def check_row(row):\n    return float(row['x'])\n"
+                       "def parse(row):\n    return str(row['x'])\n")
+    assert row_field_conversions(exempt, ROW_FIELD_CONVERTERS) == [4]
+    # a parser that coerces a field again, in the module that holds the schema
+    source = Path(cxrgen.__file__).with_name("records.py").read_text(encoding="utf-8")
+    good = "return cls(**check_row(row, field_types(cls)))"
+    assert source.count(good) == 2
+    mutant = source.replace(good, "return cls(**check_row({**row, 'sample_id': "
+                                  "str(row['sample_id'])}, field_types(cls)))", 1)
+    assert row_field_conversions(ast.parse(source), ROW_FIELD_CONVERTERS) == []
+    assert len(row_field_conversions(ast.parse(mutant), ROW_FIELD_CONVERTERS)) == 1
