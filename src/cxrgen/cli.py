@@ -16,20 +16,26 @@ from .synth import SyntheticConfig
 from .training import TrainConfig
 
 
+# the config class of each section a config file may hold
+SECTIONS = {"synth": SyntheticConfig, "preprocess": PreprocessConfig, "split": SplitPlan,
+            "model": ModelConfig, "train": TrainConfig}
+
+
 def _load_config_file(path: str | None) -> dict:
-    return read_json(path, "config file", ConfigurationError) if path else {}
-
-
-def _section(config: dict, path: str | None, name: str, cls) -> dict:
-    """Section ``name`` of the config file at ``path``, its keys checked by
-    ``check_fields`` against the dataclass ``cls``; an error names the file
-    and the section."""
-    section = config.get(name, {})
-    try:
-        check_fields(cls, section)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"config file {path}, section {name!r}: {exc}") from exc
-    return dict(section)
+    """Every section of the config file at ``path``, {} where it has none, each
+    checked by ``check_fields`` against its config class. A key that names no
+    section is rejected; an error names the file, and the section."""
+    config = read_json(path, "config file", ConfigurationError) if path else {}
+    unknown = sorted(set(config) - set(SECTIONS))
+    if unknown:
+        raise ConfigurationError(f"config file {path}: unknown section {unknown[0]!r}; "
+                                 f"sections are {sorted(SECTIONS)}")
+    for name, cls in SECTIONS.items():
+        try:
+            check_fields(cls, config.get(name, {}))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"config file {path}, section {name!r}: {exc}") from exc
+    return {name: dict(config.get(name, {})) for name in SECTIONS}
 
 
 def _given(**flags) -> dict:
@@ -93,8 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    overrides = _section(_load_config_file(args.config), args.config, "synth",
-                         SyntheticConfig)
+    overrides = _load_config_file(args.config)["synth"]
     overrides.update(_given(num_samples=args.n, seed=args.seed))
     manifest = run_synth(args.out, SyntheticConfig(**overrides),
                          record_format=args.format)
@@ -104,8 +109,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     config = _load_config_file(args.config)
-    prep = PreprocessConfig(**_section(config, args.config, "preprocess", PreprocessConfig))
-    plan_kwargs = _section(config, args.config, "split", SplitPlan)
+    prep = PreprocessConfig(**config["preprocess"])
+    plan_kwargs = config["split"]
     plan_kwargs.setdefault("seed", args.seed)
     summary = run_preprocess(args.data, args.out, prep, SplitPlan(**plan_kwargs))
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -114,8 +119,8 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _load_config_file(args.config)
-    model_cfg = ModelConfig(**_section(config, args.config, "model", ModelConfig))
-    train_kwargs = _section(config, args.config, "train", TrainConfig)
+    model_cfg = ModelConfig(**config["model"])
+    train_kwargs = config["train"]
     train_kwargs.setdefault("seed", args.seed)
     result = run_training(args.data, args.out, model_cfg, TrainConfig(**train_kwargs),
                           inputs=args.inputs)
@@ -144,11 +149,9 @@ def _cmd_ablate(args) -> int:
     config = _load_config_file(args.config)
     summary = run_ablation(
         args.out, seed=args.seed, configurations=args.configurations,
-        model_overrides=_section(config, args.config, "model", ModelConfig),
-        train_overrides={**_section(config, args.config, "train", TrainConfig),
-                         **_given(max_epochs=args.epochs)},
-        synth_overrides={**_section(config, args.config, "synth", SyntheticConfig),
-                         **_given(num_samples=args.n)},
+        model_overrides=config["model"],
+        train_overrides={**config["train"], **_given(max_epochs=args.epochs)},
+        synth_overrides={**config["synth"], **_given(num_samples=args.n)},
     )
     header = f"{'configuration':<16} {'BLEU-1':>8} {'ROUGE-L':>8} {'emb-F1':>8} {'planted':>8}"
     print(header)

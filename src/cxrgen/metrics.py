@@ -232,30 +232,21 @@ class HashedEmbeddings:
 class FileEmbeddings:
     """Unit-normalized embeddings loaded from a {token: [floats]} JSON file.
 
-    Every vector must be a 1-d list of finite numbers with a nonzero, finite
-    norm, and all vectors must have one width; otherwise an
-    ``EvaluationError`` names the token (and, from ``load``, the file).
+    Every vector, in a file a list of numbers, must be finite with a nonzero,
+    finite norm, and all must have one width; otherwise an ``EvaluationError``
+    names the token (and, from ``load``, the file).
     """
 
     def __init__(self, vectors: Mapping[str, Sequence[float]]):
         self._vectors: dict[str, np.ndarray] = {}
         width = None
         for token, vec in vectors.items():
-            try:
-                arr = np.array(vec)
-            except ValueError:  # ragged nesting
-                arr = None
-            # numpy reads a JSON true among numbers as 1, so bools are looked for
-            if (arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf"
-                    or any(isinstance(x, bool) for x in vec)):
-                raise EvaluationError(f"embedding for token {token!r} must be a "
-                                      f"1-d list of numbers")
+            arr = np.asarray(vec, dtype=np.float64)
             if width is None:
                 width = arr.size
             if arr.size != width:
                 raise EvaluationError(f"embedding for token {token!r} has {arr.size} "
                                       f"entries, the first vector has {width}")
-            arr = arr.astype(np.float64)
             norm = float(np.linalg.norm(arr))
             if not np.isfinite(arr).all() or not math.isfinite(norm) or norm == 0.0:
                 raise EvaluationError(f"embedding for token {token!r} must be finite "
@@ -264,9 +255,9 @@ class FileEmbeddings:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "FileEmbeddings":
-        payload = read_json(path, "embeddings", EvaluationError)
+        vectors = read_json(path, "embeddings", EvaluationError, dict[str, list[float]])
         try:
-            return cls(payload)
+            return cls(vectors)
         except EvaluationError as exc:
             raise EvaluationError(f"embeddings {path}: {exc}") from exc
 

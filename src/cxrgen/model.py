@@ -18,7 +18,7 @@ from .encoder import NUM_ETHNICITY_GROUPS, FusionEncoder, FusionResult
 from .errors import (ConfigurationError, ContractError, DataError, DimensionError,
                      check_fields)
 from .params import ParameterStore, load_checkpoint, save_checkpoint
-from .records import PatientRecord, ScalarFeatures
+from .records import PatientRecord, ScalarFeatures, check_row
 from .tensor import Tensor, no_tape
 from .vocab import END_ID, PAD_ID, START_ID
 
@@ -58,6 +58,15 @@ def resolve_input_mask(name: str) -> InputMask:
     except KeyError:
         raise ConfigurationError(f"unknown input preset {name!r}; choose from "
                                  f"{sorted(INPUT_PRESETS)}") from None
+
+
+@dataclass(frozen=True)
+class VocabSizes:
+    """The report, chief-complaint and ICD vocabulary sizes a checkpoint records."""
+
+    report: int
+    chief: int
+    icd: int
 
 
 ABLATION_LABELS = {
@@ -141,24 +150,23 @@ class ReportGenerator:
     def __init__(self, config: ModelConfig, vocab_size: int, chief_vocab_size: int,
                  icd_vocab_size: int, seed: int = 0,
                  input_mask: Optional[InputMask] = None):
-        self._build(config, (vocab_size, chief_vocab_size, icd_vocab_size), input_mask,
-                    ParameterStore(np.random.default_rng(seed)))
+        self._build(config, VocabSizes(vocab_size, chief_vocab_size, icd_vocab_size),
+                    input_mask, ParameterStore(np.random.default_rng(seed)))
 
-    def _build(self, config: ModelConfig, vocab_sizes: Sequence[int],
+    def _build(self, config: ModelConfig, sizes: VocabSizes,
                input_mask: Optional[InputMask], store: ParameterStore) -> None:
-        vocab_size, chief_vocab_size, icd_vocab_size = vocab_sizes
-        if vocab_size <= END_ID:
+        if sizes.report <= END_ID:
             raise ConfigurationError(f"report vocabulary must cover the reserved ids, "
-                                     f"got {vocab_size}")
-        if chief_vocab_size < 1 or icd_vocab_size < 1:
+                                     f"got {sizes.report}")
+        if sizes.chief < 1 or sizes.icd < 1:
             raise ConfigurationError(f"chief and ICD vocabularies must be non-empty, got "
-                                     f"{chief_vocab_size} and {icd_vocab_size}")
+                                     f"{sizes.chief} and {sizes.icd}")
         self.config = config
         self.input_mask = input_mask or InputMask()
         self.store = store
-        self.encoder = FusionEncoder(store, config, chief_vocab_size, icd_vocab_size)
-        self.decoder = ReportDecoder(store, config, vocab_size)
-        self._vocab_sizes = (vocab_size, chief_vocab_size, icd_vocab_size)
+        self.encoder = FusionEncoder(store, config, sizes.chief, sizes.icd)
+        self.decoder = ReportDecoder(store, config, sizes.report)
+        self._vocab_sizes = sizes
 
     # -- inputs -----------------------------------------------------------------
     def pack(self, records: Sequence[PatientRecord]) -> PackedRecords:
@@ -196,8 +204,8 @@ class ReportGenerator:
                 (~np.isin(ethnicity, np.arange(1, NUM_ETHNICITY_GROUPS + 1)), ContractError,
                  f"ethnicity group must be an integer in 1..{NUM_ETHNICITY_GROUPS}"),
                 *((((grid < 0) | (grid >= size)).any(axis=1), ContractError,
-                   f"{name} id outside the vocabulary of {size}") for name, grid, size in
-                  zip(("report", "chief", "icd"), (report, chief, icd), self._vocab_sizes)),
+                   f"{name} id outside the vocabulary of {size}") for (name, size), grid in
+                  zip(vars(self._vocab_sizes).items(), (report, chief, icd))),
                 (report[:, 0] != START_ID, ContractError, "report must begin with the START id"),
                 (~(report[:, 1:] != PAD_ID).any(axis=1), ContractError,
                  "report has no unpadded label to teacher-force")):
@@ -265,9 +273,7 @@ class ReportGenerator:
                                      f"record it")
         meta = {
             "model_config": self.config.to_dict(),
-            "vocab_sizes": {"report": self._vocab_sizes[0],
-                            "chief": self._vocab_sizes[1],
-                            "icd": self._vocab_sizes[2]},
+            "vocab_sizes": dataclasses.asdict(self._vocab_sizes),
             "inputs": inputs,
         }
         meta.update(extra_metadata or {})
@@ -277,19 +283,16 @@ class ReportGenerator:
     def load(cls, path, input_mask: Optional[InputMask] = None) -> "ReportGenerator":
         """Rebuild a saved model. Without ``input_mask`` it conditions on the
         input preset the checkpoint records (all inputs if none is recorded).
-        Each parameter takes the checkpoint's array itself; no initializer
-        draws or allocates."""
+        Every error names the checkpoint. Each parameter takes the checkpoint's
+        array itself; no initializer draws or allocates."""
         state, meta = load_checkpoint(path)
-        if input_mask is None and "inputs" in meta:
-            input_mask = resolve_input_mask(meta["inputs"])
         try:
-            config = ModelConfig.from_dict(meta["model_config"])
-            sizes = meta["vocab_sizes"]
+            meta = check_row({"inputs": "all", **meta}, {
+                "model_config": dict, "vocab_sizes": VocabSizes, "inputs": str})
             model = cls.__new__(cls)
-            model._build(config, (int(sizes["report"]), int(sizes["chief"]), int(sizes["icd"])),
-                         input_mask, ParameterStore.for_loading(state))
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"checkpoint {path} lacks model metadata: {exc}") from exc
+            model._build(ModelConfig.from_dict(meta["model_config"]), meta["vocab_sizes"],
+                         input_mask or resolve_input_mask(meta["inputs"]),
+                         ParameterStore.for_loading(state))
         except (ConfigurationError, DataError) as exc:
             raise type(exc)(f"checkpoint {path}: {exc}") from exc
         unexpected = sorted(set(state) - set(model.store.parameters))

@@ -11,7 +11,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .records import atomic_open
+from .records import atomic_open, check_row
 from .tensor import Array, Tensor
 
 CHECKPOINT_FORMAT = "cxrgen-checkpoint-v3"
@@ -141,8 +141,9 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[dict[str, Array], dict]:
     """Read a checkpoint; returns (parameter arrays, metadata).
 
     A missing, truncated or foreign file, a v1 JSON or v2 checkpoint, a
-    wrong format tag, and any array that is not finite float64 raise a
-    DataError naming the file (and the parameter, where there is one).
+    wrong format tag, metadata that is no object, and any array that is not
+    finite float64 raise a DataError naming the file (and the parameter,
+    where there is one).
     """
     entries = _read_npz(path)
     meta = entries.pop(META_KEY, None)
@@ -163,7 +164,10 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[dict[str, Array], dict]:
         if not np.isfinite(arr).all():
             raise DataError(f"checkpoint {path}: parameter {p!r} holds non-finite values")
         state[p] = arr
-    return state, dict(payload.get("metadata", {}))
+    try:
+        return state, check_row({"metadata": {}, **payload}, {"metadata": dict})["metadata"]
+    except DataError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from exc
 
 
 def _read_npz(path: Union[str, Path]) -> dict:

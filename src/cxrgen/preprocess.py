@@ -11,7 +11,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConfigurationError, ContractError, DataError, check_fields
 from .records import PatientRecord, RawRecord, ScalarFeatures
@@ -151,14 +151,6 @@ class NormalizationStats:
     def to_dict(self) -> dict:
         return {name: {"min": s.minimum, "max": s.maximum}
                 for name, s in self.features.items()}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "NormalizationStats":
-        try:
-            return cls({name: FeatureStats(float(v["min"]), float(v["max"]))
-                        for name, v in payload.items()})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed normalization stats: {exc}") from exc
 
 
 def minmax_normalize(value: float, stats: FeatureStats) -> float:

@@ -2,10 +2,11 @@
 
 ``read_rows`` reads a JSONL file, numbering each row by its line, and applies
 a caller's field parser to each; ``read_json`` reads a file holding one JSON
-object. ``check_row`` is the one check of a row's fields: each record type
-declares its fields by its annotations, and each other row a small field
-map. A bad file raises one error naming the file, and for a row its number
-and sample id: ``{path}: row N (sample 'id'): field 'x' must be ..., got ...``.
+object and checks it against its caller's field map. ``check_row`` is the one
+check of the fields of a row or document: a record type declares them by its
+annotations, any other a small field map. A bad file raises one error naming
+the file, and for a row its number and sample id: ``{path}: row N (sample
+'id'): field 'x' must be ..., got ...``; for a document, what it is.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import reprlib
 import secrets
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import (IO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar,
+                    Union, get_args, get_origin)
 
 import numpy as np
 
@@ -103,13 +105,14 @@ class PatientRecord:
 _ELEMENT_TYPES = {list[str]: {str}, list[int]: {int}, list[float]: {float}}
 _NUMBERS, _NUMBER_TYPES = list[float], {int, float}
 _WANTED = {str: "text", int: "an integer", float: "a number", list[str]: "a list of strings",
-           list[int]: "a list of integers", list[float]: "a list of numbers"}
+           list[int]: "a list of integers", list[float]: "a list of numbers", dict: "an object"}
 
 
 def check_row(row: Mapping, kinds: Mapping[str, type], within: str = "") -> dict:
     """The fields ``kinds`` names, checked; other keys are ignored. ``str`` takes
     a JSON string, ``int`` an integer, ``float`` an integer or float as a float,
-    neither a bool; ``list[X]`` a list of X; a dataclass an object of exactly its
+    neither a bool; ``list[X]`` a list of X; ``dict`` any object, ``dict[str, X]``
+    an object whose every value is an X; a dataclass an object of exactly its
     fields. A DataError names a missing or rejected field, prefixed by ``within``."""
     out = {}
     for name, kind in kinds.items():
@@ -126,10 +129,13 @@ def check_row(row: Mapping, kinds: Mapping[str, type], within: str = "") -> dict
             value = list(map(float, value))
         elif t is dict and is_dataclass(kind) and value.keys() == field_types(kind).keys():
             value = kind(**check_row(value, field_types(kind), f"{within}{name}."))
+        elif t is dict and get_origin(kind) is dict:
+            value = check_row(value, dict.fromkeys(value, get_args(kind)[1]), f"{within}{name}.")
         elif name not in row:
             raise DataError(f"missing field {within + name!r}")
         else:
-            wanted = _WANTED.get(kind) or f"an object of {', '.join(field_types(kind))}"
+            wanted = _WANTED.get(kind) or _WANTED.get(get_origin(kind)) \
+                or f"an object of {', '.join(field_types(kind))}"
             raise DataError(f"field {within + name!r} must be {wanted}, "
                             f"got {reprlib.repr(value)}")
         out[name] = value
@@ -244,16 +250,26 @@ def read_jsonl(path: PathLike) -> list[dict]:
     return read_rows(path, lambda row: row)
 
 
-def read_json(path: PathLike, what: str, error: type[Exception] = DataError) -> dict:
-    """The JSON object the UTF-8 file at ``path`` holds. Anything else raises
-    ``error`` naming ``what`` the file is and its path."""
+def read_json(path: PathLike, what: str, error: type[Exception] = DataError, kinds=None,
+              defaults: Optional[Mapping] = None) -> dict:
+    """The JSON object the UTF-8 file at ``path`` holds; with ``kinds`` (a field
+    map, or ``dict[str, X]`` for an object of X values), its fields checked by
+    ``check_row``, a field left out taking its value in ``defaults``. Anything
+    else raises ``error`` naming ``what`` the file is, its path and the field."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise error(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise error(f"{what} {path} must hold a JSON object, got {type(payload).__name__}")
-    return payload
+    if kinds is None:
+        return payload
+    if get_origin(kinds) is dict:
+        kinds = dict.fromkeys(payload, get_args(kinds)[1])
+    try:
+        return check_row({**(defaults or {}), **payload}, kinds)
+    except DataError as exc:
+        raise error(f"{what} {path}: {exc}") from exc
 
 
 def file_sha256(path: PathLike) -> str:

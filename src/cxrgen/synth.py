@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, check_fields
+from .errors import ConfigurationError, DataError, check_fields, field_types
 from .records import (RawRecord, file_sha256, read_json, read_table, write_image_features,
                       write_json, write_jsonl, write_raw_records, write_raw_records_csv)
 
@@ -169,8 +169,8 @@ def balance_by_unique_reports(records: Sequence[RawRecord],
 class DatasetManifest:
     """File names, content hashes, and provenance for one emitted dataset."""
 
-    files: dict
-    sha256: dict
+    files: dict[str, str]
+    sha256: dict[str, str]
     meta: dict = field(default_factory=dict)
 
     MANIFEST_NAME = "manifest.json"
@@ -186,15 +186,10 @@ class DatasetManifest:
     @classmethod
     def load(cls, directory: PathLike) -> "DatasetManifest":
         path = Path(directory) / cls.MANIFEST_NAME
-        payload = read_json(path, "manifest")
-        try:
-            files, sha256 = dict(payload["files"]), dict(payload["sha256"])
-            if files.keys() != sha256.keys() or not all(
-                    isinstance(x, str) for x in [*files.values(), *sha256.values()]):
-                raise ValueError("'files' and 'sha256' must map the same names to strings")
-            return cls(files=files, sha256=sha256, meta=dict(payload.get("meta", {})))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"cannot read manifest {path}: {exc}") from exc
+        manifest = cls(**read_json(path, "manifest", DataError, field_types(cls), {"meta": {}}))
+        if manifest.files.keys() != manifest.sha256.keys():
+            raise DataError(f"manifest {path}: 'files' and 'sha256' must name the same entries")
+        return manifest
 
     def verify(self, directory: PathLike) -> None:
         """Recompute every hash; raise DataError on any mismatch."""

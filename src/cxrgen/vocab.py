@@ -31,13 +31,8 @@ class Vocabulary:
     """Bidirectional token <-> id map; ids 0..3 are PAD/START/END/UNK."""
 
     def __init__(self, tokens: Sequence[str]):
-        if isinstance(tokens, str):
-            raise ConfigurationError(f"vocabulary tokens must be a list of str, not {tokens!r}")
         seen = set(RESERVED_TOKENS)
         for tok in tokens:
-            if not isinstance(tok, str):
-                raise ConfigurationError(f"vocabulary token {tok!r} must be a str, "
-                                         f"got {type(tok).__name__}")
             if tok in seen:
                 raise ConfigurationError(f"duplicate or reserved token in vocabulary: {tok!r}")
             seen.add(tok)
@@ -93,8 +88,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Vocabulary":
-        payload = read_json(path, "vocabulary")
+        tokens = read_json(path, "vocabulary", DataError, {"tokens": list[str]})["tokens"]
         try:
-            return cls(payload["tokens"])
-        except (ConfigurationError, KeyError, TypeError) as exc:
-            raise DataError(f"malformed vocabulary {path}: {exc}") from exc
+            return cls(tokens)
+        except ConfigurationError as exc:
+            raise DataError(f"vocabulary {path}: {exc}") from exc

@@ -2,6 +2,7 @@
 checkpoint metadata go through: types, counts and seeds."""
 
 import dataclasses
+import json
 import math
 import re
 from typing import get_args, get_type_hints
@@ -38,12 +39,15 @@ CASES = [pytest.param(cls, field.name, value, id=f"{cls.__name__}.{field.name}-{
 
 
 @pytest.mark.parametrize("cls, name, value", CASES)
-def test_every_config_field_rejects_a_bad_value_by_name(cls, name, value):
+def test_every_config_field_rejects_a_bad_value_by_name(tmp_path, cls, name, value):
     with pytest.raises(ConfigurationError, match=re.escape(repr(name))):
         cls(**{name: value})
-    where = re.escape(f"config file cfg.json, section 's': {name!r}")
+    (section,) = [s for s, section_cls in cli.SECTIONS.items() if section_cls is cls]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {name: value}}), encoding="utf-8")
+    where = re.escape(f"config file {path}, section {section!r}: {name!r}")
     with pytest.raises(ConfigurationError, match=f"^{where}"):
-        cli._section({"s": {name: value}}, "cfg.json", "s", cls)
+        cli._load_config_file(str(path))
 
 
 @pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)

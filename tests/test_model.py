@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import re
 import weakref
 import zipfile
 from collections import Counter
@@ -756,6 +757,16 @@ class TestCheckpointFile:
             np.savez(fh, w=np.zeros(3), __meta__=np.array(json.dumps({"format": "v3"})))
         with pytest.raises(DataError, match="format tag"):
             load_checkpoint(tmp_path / "v3.npz")
+
+    @pytest.mark.parametrize("metadata", [3, [["inputs", "all"]], None])
+    def test_metadata_that_is_no_object_names_the_file(self, tmp_path, metadata):
+        path = tmp_path / "ckpt.npz"
+        tag = {"format": "cxrgen-checkpoint-v3", "metadata": metadata}
+        with open(path, "wb") as fh:
+            np.savez(fh, w=np.zeros(3), __meta__=np.array(json.dumps(tag)))
+        where = re.escape(f"checkpoint {path}: field 'metadata' must be an object, got ")
+        with pytest.raises(DataError, match=f"^{where}"):
+            ReportGenerator.load(path)
 
     def test_v2_checkpoint_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "old.npz"

@@ -53,6 +53,13 @@ def workspace(tmp_path_factory):
             "summary": summary, "fit": result, "generated": gen, "n_generated": n}
 
 
+def _train_stats(workspace) -> NormalizationStats:
+    """The stats fitted on the raw records of the written train split."""
+    raw = {r.sample_id: r for r in read_raw_records(workspace["data"] / "records.jsonl")}
+    train = read_jsonl(workspace["prep"] / "train.jsonl")
+    return NormalizationStats.fit([raw[row["sample_id"]] for row in train])
+
+
 class TestPreprocessStage:
     def test_emits_all_artifacts(self, workspace):
         prep = workspace["prep"]
@@ -90,7 +97,7 @@ class TestPreprocessStage:
 
     def test_norm_stats_round_trip(self, workspace):
         payload = json.loads((workspace["prep"] / "norm_stats.json").read_text())
-        stats = NormalizationStats.from_dict(payload)
+        assert payload == _train_stats(workspace).to_dict()
         assert set(payload) >= {"o2sat", "heart_rate"}
         for rec in load_preprocessed(workspace["prep"])["train"]:
             arr = rec.scalars.as_array()
@@ -159,7 +166,8 @@ class TestPreprocessStage:
         prep = workspace["prep"]
         raw = {r.sample_id: r for r in read_raw_records(workspace["data"] / "records.jsonl")}
         features = load_image_features(workspace["data"] / "features.jsonl")
-        stats = NormalizationStats.from_dict(json.loads((prep / "norm_stats.json").read_text()))
+        stats = _train_stats(workspace)
+        assert stats.to_dict() == json.loads((prep / "norm_stats.json").read_text())
         vocabs = [Vocabulary.load(prep / f"{name}_vocab.json")
                   for name in ("report", "chief", "icd")]
         for name in ("train", "val", "test"):
@@ -532,6 +540,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg}, section {section!r}: ")
         assert repr(key) in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "ablate"])
+    def test_a_config_section_no_command_reads_is_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"feature_dim": 8}, "synht": {"num_samples": 10}}))
+        out = str(tmp_path / "out")
+        args = {"synth": ["--out", out], "preprocess": ["--data", out, "--out", out],
+                "train": ["--data", out, "--out", out], "ablate": ["--out", out]}[command]
+        assert cli_main([command, *args, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: unknown section 'synht'; "), err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_a_config_file_that_is_not_utf8_is_an_error_line(self, tmp_path, capsys):

@@ -136,15 +136,6 @@ class TestNormalization:
         assert stats.features["temperature"].minimum == pytest.approx(96.8)
         assert stats.features["temperature"].maximum == pytest.approx(104.0)
 
-    def test_round_trip_dict(self):
-        records = [make_raw(sample_id="a", heart_rate=60, o2sat=90, resp_rate=10,
-                            sbp=100, dbp=60, temperature_celsius=36.0),
-                   make_raw(sample_id="b", heart_rate=120, o2sat=100, resp_rate=30,
-                            sbp=180, dbp=100, temperature_celsius=40.0)]
-        stats = NormalizationStats.fit(records)
-        again = NormalizationStats.from_dict(stats.to_dict())
-        assert again.features == stats.features
-
 
 class TestOutlierRemoval:
     @pytest.mark.parametrize("field,bad_value", [

@@ -5,14 +5,19 @@ import json
 import re
 from dataclasses import fields
 from typing import get_type_hints
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cxrgen import model
 from cxrgen.cli import _load_config_file
 from cxrgen.errors import ConfigurationError, DataError, EvaluationError
 from cxrgen.metrics import FileEmbeddings
+from cxrgen.model import ReportGenerator
+from cxrgen.params import save_checkpoint
 from cxrgen.pipeline import read_generations, run_evaluation
 from cxrgen.records import (PatientRecord, RawRecord, ScalarFeatures, load_image_features,
                             read_patient_records, read_raw_records, write_image_features,
@@ -300,12 +305,10 @@ def test_planted_phrases_must_be_a_list_of_strings(tmp_path, phrases):
 
 
 def test_a_vocabulary_token_must_be_text(tmp_path):
-    with pytest.raises(ConfigurationError, match="vocabulary token 1 must be a str, got int"):
-        Vocabulary(["a", 1])
     path = tmp_path / "vocab.json"
     path.write_text(json.dumps({"tokens": ["a", 1]}), encoding="utf-8")
-    where = re.escape(f"malformed vocabulary {path}: vocabulary token 1 must be a str, "
-                      f"got int")
+    where = re.escape(f"vocabulary {path}: field 'tokens' must be a list of strings, "
+                      f"got ['a', 1]")
     with pytest.raises(DataError, match=f"^{where}$"):
         Vocabulary.load(path)
 
@@ -313,16 +316,16 @@ def test_a_vocabulary_token_must_be_text(tmp_path):
 def test_a_vocabulary_without_tokens_names_its_file(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text(json.dumps({"words": ["a"]}), encoding="utf-8")
-    with pytest.raises(DataError, match=f"^{re.escape(f'malformed vocabulary {path}: ')}"):
+    with pytest.raises(DataError, match=f"^{re.escape(f'vocabulary {path}: ')}"):
         Vocabulary.load(path)
 
 
 def test_a_vocabulary_is_a_list_of_tokens_not_a_string(tmp_path):
-    with pytest.raises(ConfigurationError, match="vocabulary tokens must be a list of str"):
-        Vocabulary("abc")
     path = tmp_path / "vocab.json"
     path.write_text(json.dumps({"tokens": "abc"}), encoding="utf-8")
-    with pytest.raises(DataError, match=f"^{re.escape(f'malformed vocabulary {path}: ')}"):
+    where = re.escape(f"vocabulary {path}: field 'tokens' must be a list of strings, "
+                      f"got 'abc'")
+    with pytest.raises(DataError, match=f"^{where}$"):
         Vocabulary.load(path)
 
 
@@ -338,7 +341,7 @@ def test_a_manifest_hashes_each_file_by_name(tmp_path, files, sha256):
     path.write_text(json.dumps({"files": {"a": "x"}, "sha256": {"a": "h"}}), encoding="utf-8")
     assert DatasetManifest.load(tmp_path).sha256 == {"a": "h"}
     path.write_text(json.dumps({"files": files, "sha256": sha256}), encoding="utf-8")
-    with pytest.raises(DataError, match=f"^{re.escape(f'cannot read manifest {path}: ')}"):
+    with pytest.raises(DataError, match=f"^{re.escape(f'manifest {path}: ')}"):
         DatasetManifest.load(tmp_path)
 
 
@@ -386,6 +389,8 @@ def _read_as(kind, value):
             return None
         items = [_read_as(kind.__args__[0], x) for x in value]
         return None if None in items else items
+    if kind is dict or getattr(kind, "__origin__", None) is dict:
+        return value if value == {} else None  # the one object among JSON_VALUES
     return None  # the nested scalars: none of JSON_VALUES is an object of its eight fields
 
 
@@ -393,22 +398,118 @@ def _write_rows(path, rows):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
+def _replaced(document, field, value):
+    """A copy of ``document`` whose ``field`` (``outer.name`` for a nested one)
+    is ``value``."""
+    copy = json.loads(json.dumps(document))
+    *outer, name = field.split(".")
+    (copy[outer[0]] if outer else copy)[name] = value
+    return copy
+
+
 def _with_value(row_type, field, value):
     """The good row of ``row_type``, then a copy whose ``field`` is ``value``."""
     good = READERS[ROW_TYPES[row_type][0]][3]
-    row = json.loads(json.dumps({**good, "sample_id": "s1"}))
-    *outer, name = field.split(".")
-    (row[outer[0]] if outer else row)[name] = value
-    return [good, row]
+    return [good, _replaced({**good, "sample_id": "s1"}, field, value)]
+
+
+class _Built(Exception):
+    """Stops ``ReportGenerator.load`` once it has checked the metadata."""
+
+
+def _checkpoint_fields(path):
+    """The vocabulary sizes and the preset name ``ReportGenerator.load`` hands to
+    the model's build, which stops there: the test checkpoint holds no parameters."""
+    built = {}
+
+    def build(self, config, sizes, input_mask, store):
+        built.update({f"vocab_sizes.{name}": size for name, size in vars(sizes).items()},
+                     inputs=input_mask)
+        raise _Built
+
+    with mock.patch.object(ReportGenerator, "_build", build), \
+            mock.patch.object(model, "resolve_input_mask", lambda name: name), \
+            pytest.raises(_Built):
+        ReportGenerator.load(path)
+    return built
+
+
+def _tokens(vocab):
+    """The tokens after the reserved ones, as a vocabulary file lists them."""
+    return vocab.decode(range(len(vocab)))
+
+
+def _write_json(path, document):
+    path.write_text(json.dumps(document), encoding="utf-8")
+
+
+def _unit(vector):
+    return (np.asarray(vector, dtype=np.float64) / float(np.linalg.norm(vector))).tolist()
+
+
+# document type, as its errors name the file -> (file name, how a document is
+# written, the declared kind of each field, a good document, its fields as the
+# loader returns them, what a kept value becomes, and the error class)
+DOCUMENT_TYPES = {
+    "vocabulary": ("vocab.json", _write_json, {"tokens": list[str]}, {"tokens": ["a"]},
+                   lambda path: {"tokens": _tokens(Vocabulary.load(path))},
+                   None, DataError),
+    "manifest": ("manifest.json", _write_json,
+                 {"files": dict[str, str], "sha256": dict[str, str], "meta": dict},
+                 {"files": {"a": "x"}, "sha256": {"a": "h"}, "meta": {}},
+                 lambda path: vars(DatasetManifest.load(path.parent)),
+                 None, DataError),
+    "embeddings": ("emb.json", _write_json, {"b": list[float]},
+                   {"a": [0.6, 0.8], "b": [0.0, 1.0]},
+                   lambda path: {"b": FileEmbeddings.load(path).vector("b").tolist()},
+                   _unit, EvaluationError),
+    "checkpoint": ("checkpoint.npz", lambda path, meta: save_checkpoint(path, {}, meta),
+                   {"vocab_sizes.report": int, "vocab_sizes.chief": int,
+                    "vocab_sizes.icd": int, "inputs": str},
+                   {"model_config": {}, "vocab_sizes": {"report": 9, "chief": 5, "icd": 6},
+                    "inputs": "all"},
+                   _checkpoint_fields, None, DataError),
+}
+
+
+def _document_field_kept_or_named(tmp_path, document_type, field, value):
+    """A document loader keeps ``value`` as ``field``'s declared kind, or raises
+    its error class naming the file and the field. A value of the declared kind
+    may still fail a check no schema states (one width for every embedding,
+    one name set for files and hashes); that error names the file and field too."""
+    name, write, kinds, good, read, keep, error = DOCUMENT_TYPES[document_type]
+    path = tmp_path / name
+    write(path, _replaced(good, field, value))
+    expected = _read_as(kinds[field], value)
+    prefix = f"{document_type} {path}: "
+    if expected is None:
+        with pytest.raises(error) as caught:
+            read(path)
+        assert str(caught.value).startswith(f"{prefix}field {field!r} must be "), \
+            str(caught.value)
+        return
+    try:
+        kept = read(path)[field]
+    except error as exc:
+        message = str(exc)
+        assert message.startswith(prefix) and repr(field) in message, message
+        assert not message.startswith(f"{prefix}field {field!r} must be "), message
+    else:
+        assert repr(kept) == repr(keep(expected) if keep else expected)
 
 
 @pytest.mark.parametrize("row_type, field", [(t, f) for t, (_, kinds, _) in ROW_TYPES.items()
-                                             for f in kinds])
+                                             for f in kinds]
+                         + [(t, f) for t, (_, _, kinds, *_) in DOCUMENT_TYPES.items()
+                            for f in kinds])
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(value=st.sampled_from(JSON_VALUES))
 def test_a_field_keeps_its_declared_type_or_is_rejected_by_name(tmp_path, row_type, field,
                                                                 value):
+    if row_type in DOCUMENT_TYPES:
+        _document_field_kept_or_named(tmp_path, row_type, field, value)
+        return
     reader, kinds, read_row_2 = ROW_TYPES[row_type]
     rows = _with_value(row_type, field, value)
     path = tmp_path / READERS[reader][0]
@@ -435,8 +536,22 @@ def test_a_field_keeps_its_declared_type_or_is_rejected_by_name(tmp_path, row_ty
     ("features", "sample_id", 7),
     ("planted", "sample_id", 7),
     ("generations", "sample_id", 7),
+    ("checkpoint", "vocab_sizes.report", 10.9),
+    ("checkpoint", "vocab_sizes.report", "10"),
+    ("checkpoint", "inputs", ["all"]),
+    ("checkpoint", "inputs", 3),
+    ("manifest", "files", [["a", "x"]]),
+    ("manifest", "sha256", [["a", "h"]]),
+    ("manifest", "meta", [["generator", "synthetic"]]),
 ])
 def test_a_value_no_longer_coerced_is_rejected(tmp_path, row_type, field, value):
+    if row_type in DOCUMENT_TYPES:
+        name, write, _, good, read, _, error = DOCUMENT_TYPES[row_type]
+        path = tmp_path / name
+        write(path, _replaced(good, field, value))
+        with pytest.raises(error, match=f"^{re.escape(f'{row_type} {path}: field {field!r}')}"):
+            read(path)
+        return
     reader, _, read_row_2 = ROW_TYPES[row_type]
     path = tmp_path / READERS[reader][0]
     rows = _with_value(row_type, field, value)

@@ -3,8 +3,9 @@ tensor op has a finite-difference case in acceptance criterion 1, only
 cxrgen.tensor writes the exp, log and variance formulas and the attention
 product q·kT and splits rows into attention heads or merges them back, only
 cxrgen.errors decides which values a config field takes, only cxrgen.records
-opens and decodes input files, and only cxrgen.records decides which values a
-row field takes."""
+opens and decodes input files, only cxrgen.records decides which values a row
+field takes, and only cxrgen.records decides which values a document field
+takes."""
 
 import ast
 import inspect
@@ -394,3 +395,45 @@ def test_a_row_field_conversion_is_caught():
                                   "str(row['sample_id'])}, field_types(cls)))", 1)
     assert row_field_conversions(ast.parse(source), ROW_FIELD_CONVERTERS) == []
     assert len(row_field_conversions(ast.parse(mutant), ROW_FIELD_CONVERTERS)) == 1
+
+
+# cli's config file: check_fields checks each of its sections by their config class
+UNCHECKED_DOCUMENTS = {"cli.py": 1}
+
+
+def unchecked_documents(tree: ast.AST) -> list[int]:
+    """Lines that call ``read_json`` without a field map: no fourth argument
+    and no ``kinds`` keyword, or None for either."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "read_json" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            kinds = node.args[3:4] + [kw.value for kw in node.keywords if kw.arg == "kinds"]
+            if not kinds or isinstance(kinds[0], ast.Constant) and kinds[0].value is None:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_document_read_passes_a_field_map(path):
+    lines = unchecked_documents(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(lines) == UNCHECKED_DOCUMENTS.get(path.name, 0), (
+        f"{path.name} reads a JSON document without a field map at lines {lines}; pass "
+        f"read_json the kind of each field, for cxrgen.records.check_row to check")
+
+
+def test_a_document_read_without_a_field_map_is_caught():
+    assert unchecked_documents(ast.parse("a = read_json(path, 'vocabulary')\n"
+                                         "b = records.read_json(path, 'x', DataError)\n"
+                                         "c = read_json(path, 'x', DataError, None)\n"
+                                         "d = read_json(path, 'x', kinds=None)\n")) == [1, 2, 3, 4]
+    assert unchecked_documents(ast.parse("a = read_json(path, 'x', DataError, KINDS)\n"
+                                         "b = read_json(path, 'x', kinds={'a': str})\n"
+                                         "c = read_rows(path, parse)\n")) == []
+    # a vocabulary loader that no longer declares its tokens
+    source = Path(cxrgen.__file__).with_name("vocab.py").read_text(encoding="utf-8")
+    good = 'read_json(path, "vocabulary", DataError, {"tokens": list[str]})'
+    assert source.count(good) == 1
+    mutant = source.replace(good, 'read_json(path, "vocabulary")')
+    assert unchecked_documents(ast.parse(source)) == []
+    assert len(unchecked_documents(ast.parse(mutant))) == 1
