@@ -14,7 +14,7 @@ from .errors import (ConfigurationError, ContractError, CxrgenError, DataError,
                      DimensionError, EvaluationError, TrainingError)
 from .metrics import (EvalReport, HashedEmbeddings, bleu, corpus_evaluate,
                       embedding_f1, rouge_l)
-from .model import InputMask, ModelConfig, ReportGenerator
+from .model import ModelConfig, ReportGenerator
 from .params import ParameterStore, load_checkpoint, save_checkpoint
 from .preprocess import (NormalizationStats, PreprocessConfig, remove_outliers,
                          standardize_text)
@@ -35,7 +35,7 @@ __all__ = [
     "DimensionError", "EvaluationError", "TrainingError",
     "EvalReport", "HashedEmbeddings", "bleu", "corpus_evaluate",
     "embedding_f1", "rouge_l",
-    "InputMask", "ModelConfig", "ReportGenerator",
+    "ModelConfig", "ReportGenerator",
     "ParameterStore", "load_checkpoint", "save_checkpoint",
     "NormalizationStats", "PreprocessConfig", "remove_outliers",
     "standardize_text",

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="clean, curate, split and encode a dataset")
     p.add_argument("--data", required=True, help="directory with records.jsonl/csv + features.jsonl")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default: config, then 0")
     p.add_argument("--config", help="JSON config file (sections: preprocess, split)")
 
     p = sub.add_parser("train", help="train the report generator")
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for checkpoint/history")
     p.add_argument("--inputs", default="all", choices=sorted(INPUT_PRESETS),
                    help="input-ablation preset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default: config, then 0")
     p.add_argument("--config", help="JSON config file (sections: model, train)")
 
     p = sub.add_parser("generate", help="greedy-decode reports for one split")
@@ -110,9 +110,8 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     config = _load_config_file(args.config)
     prep = PreprocessConfig(**config["preprocess"])
-    plan_kwargs = config["split"]
-    plan_kwargs.setdefault("seed", args.seed)
-    summary = run_preprocess(args.data, args.out, prep, SplitPlan(**plan_kwargs))
+    plan = SplitPlan(**{**config["split"], **_given(seed=args.seed)})
+    summary = run_preprocess(args.data, args.out, prep, plan)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -120,10 +119,8 @@ def _cmd_preprocess(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config_file(args.config)
     model_cfg = ModelConfig(**config["model"])
-    train_kwargs = config["train"]
-    train_kwargs.setdefault("seed", args.seed)
-    result = run_training(args.data, args.out, model_cfg, TrainConfig(**train_kwargs),
-                          inputs=args.inputs)
+    train_cfg = TrainConfig(**{**config["train"], **_given(seed=args.seed)})
+    result = run_training(args.data, args.out, model_cfg, train_cfg, inputs=args.inputs)
     status = "diverged" if result.diverged else "finished"
     print(f"training {status} after {result.epochs_run} epochs; "
           f"best val loss {result.best_val_loss:.4f} at epoch {result.best_epoch}")

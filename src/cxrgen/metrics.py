@@ -36,6 +36,10 @@ Tokens = Sequence[str]
 BLEU_BUCKET_EDGES = (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
 BLEU_BUCKET_LABELS = ("[0.0,0.1)", "[0.1,0.3)", "[0.3,0.5)", "[0.5,0.7)", "[0.7,1.0]")
 MAX_BLEU_ORDER = 4
+# ROUGE-L's recall weight: beta > 1 weights recall more heavily
+ROUGE_L_BETA = 1.2
+# width of a HashedEmbeddings vector
+EMBEDDING_DIM = 64
 
 
 def _encode(seqs: Sequence[Tokens]) -> tuple[list, np.ndarray, list]:
@@ -52,9 +56,8 @@ def _encode(seqs: Sequence[Tokens]) -> tuple[list, np.ndarray, list]:
     return vocab, ids, offsets
 
 
-def _clipped_matches(ids: np.ndarray, offsets: Sequence[int], pairs: int,
-                     max_n: int) -> np.ndarray:
-    """[pairs, max_n] clipped n-gram matches of candidate ``p`` (sequence ``p``
+def _clipped_matches(ids: np.ndarray, offsets: Sequence[int], pairs: int) -> np.ndarray:
+    """[pairs, MAX_BLEU_ORDER] clipped n-gram matches of candidate ``p`` (sequence ``p``
     of the encoding) against reference ``p`` (sequence ``pairs + p``).
 
     Each window of ``n`` tokens gets a key: the rank of (the key of the
@@ -67,9 +70,9 @@ def _clipped_matches(ids: np.ndarray, offsets: Sequence[int], pairs: int,
     seq = np.repeat(np.arange(lengths.size), lengths)
     pair, is_ref = seq % pairs, seq >= pairs
     width = len(ids) + 1
-    matches = np.zeros((pairs, max_n), dtype=np.int64)
+    matches = np.zeros((pairs, MAX_BLEU_ORDER), dtype=np.int64)
     key = pair * width + ids
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_BLEU_ORDER + 1):
         if n > 1:
             key = key[:-1] * width + ids[n - 1:]
         if key.size == 0:
@@ -99,11 +102,10 @@ class BleuResult:
 
 
 def _bleu_result(matches: Sequence[int], c: int, r: int, smooth: bool) -> BleuResult:
-    """BLEU-1..len(matches) of a length-``c`` candidate against a length-``r``
-    reference, from its clipped n-gram ``matches`` per order."""
-    max_n = len(matches)
+    """BLEU-1..``MAX_BLEU_ORDER`` of a length-``c`` candidate against a
+    length-``r`` reference, from its clipped n-gram ``matches`` per order."""
     if c == 0:
-        zeros = (0.0,) * max_n
+        zeros = (0.0,) * MAX_BLEU_ORDER
         return BleuResult(zeros, 0.0, zeros, 0, r, empty_candidate=True)
 
     precisions = []
@@ -118,7 +120,7 @@ def _bleu_result(matches: Sequence[int], c: int, r: int, smooth: bool) -> BleuRe
 
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     scores = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_BLEU_ORDER + 1):
         ps = precisions[:n]
         if any(p == 0.0 for p in ps):
             scores.append(0.0)
@@ -127,20 +129,18 @@ def _bleu_result(matches: Sequence[int], c: int, r: int, smooth: bool) -> BleuRe
     return BleuResult(tuple(precisions), bp, tuple(scores), c, r)
 
 
-def bleu(candidate: Tokens, reference: Tokens, max_n: int = MAX_BLEU_ORDER,
-         smooth: bool = False) -> BleuResult:
-    """Sentence BLEU of ``candidate`` against a single reference.
+def bleu(candidate: Tokens, reference: Tokens, smooth: bool = False) -> BleuResult:
+    """Sentence BLEU-1..``MAX_BLEU_ORDER`` of ``candidate`` against a single
+    reference.
 
     ``smooth`` applies add-one smoothing to orders >= 2 (corpus reporting
     convenience); the default is the strict unsmoothed definition.
     An empty candidate scores zero everywhere and is flagged.
     """
-    if not 1 <= max_n <= MAX_BLEU_ORDER:
-        raise ConfigurationError(f"max_n must be in 1..{MAX_BLEU_ORDER}, got {max_n}")
     cand = list(candidate)
     ref = list(reference)
     _, ids, offsets = _encode([cand, ref])
-    matches = _clipped_matches(ids, offsets, 1, max_n)[0].tolist()
+    matches = _clipped_matches(ids, offsets, 1)[0].tolist()
     return _bleu_result(matches, len(cand), len(ref), smooth)
 
 
@@ -170,12 +170,7 @@ def lcs_length(a: Tokens, b: Tokens) -> int:
     return len(a) - v.bit_count()
 
 
-def _check_beta(beta: float) -> None:
-    if beta <= 0:
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-
-
-def _rouge_result(lcs: int, c: int, r: int, beta: float) -> RougeLResult:
+def _rouge_result(lcs: int, c: int, r: int) -> RougeLResult:
     """ROUGE-L of a length-``c`` candidate against a length-``r`` reference
     that share a longest common subsequence of ``lcs`` tokens."""
     if not c or not r:
@@ -184,17 +179,16 @@ def _rouge_result(lcs: int, c: int, r: int, beta: float) -> RougeLResult:
     recall = lcs / r
     if precision + recall == 0.0:
         return RougeLResult(lcs, precision, recall, 0.0)
-    b2 = beta * beta
+    b2 = ROUGE_L_BETA * ROUGE_L_BETA
     f = (1 + b2) * precision * recall / (recall + b2 * precision)
     return RougeLResult(lcs, precision, recall, f)
 
 
-def rouge_l(candidate: Tokens, reference: Tokens, beta: float = 1.2) -> RougeLResult:
-    """LCS-based F-measure; ``beta`` > 1 weights recall more heavily."""
-    _check_beta(beta)
+def rouge_l(candidate: Tokens, reference: Tokens) -> RougeLResult:
+    """LCS-based F-measure, weighted toward recall by ``ROUGE_L_BETA``."""
     cand = list(candidate)
     ref = list(reference)
-    return _rouge_result(lcs_length(cand, ref), len(cand), len(ref), beta)
+    return _rouge_result(lcs_length(cand, ref), len(cand), len(ref))
 
 
 class EmbeddingProvider(Protocol):
@@ -202,16 +196,14 @@ class EmbeddingProvider(Protocol):
 
 
 class HashedEmbeddings:
-    """Deterministic pseudo-random unit vector per token (sha256-seeded).
+    """Deterministic pseudo-random unit vector of ``EMBEDDING_DIM`` entries per
+    token (sha256-seeded).
 
     Identical tokens get identical vectors on every platform and run, which
     is all the greedy-matching F1 needs to behave like a similarity score.
     """
 
-    def __init__(self, dim: int = 64):
-        if dim < 1:
-            raise ConfigurationError(f"embedding dim must be positive, got {dim}")
-        self.dim = dim
+    def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
 
     def vector(self, token: str) -> np.ndarray:
@@ -219,7 +211,7 @@ class HashedEmbeddings:
         if cached is not None:
             return cached
         seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "big")
-        v = np.random.default_rng(seed).standard_normal(self.dim)
+        v = np.random.default_rng(seed).standard_normal(EMBEDDING_DIM)
         norm = float(np.linalg.norm(v))
         if norm == 0.0:  # pragma: no cover - measure-zero event
             v[0] = 1.0
@@ -374,7 +366,7 @@ class EvalReport:
 
 def corpus_evaluate(pairs: Iterable[tuple[str, Tokens, Tokens]],
                     provider: Optional[EmbeddingProvider] = None,
-                    beta: float = 1.2, smooth: bool = False) -> EvalReport:
+                    smooth: bool = False) -> EvalReport:
     """Score (sample_id, candidate_tokens, reference_tokens) triples.
 
     Every pair is scored from one encoding of the whole corpus, and the
@@ -385,12 +377,11 @@ def corpus_evaluate(pairs: Iterable[tuple[str, Tokens, Tokens]],
     pairs = [(str(sid), list(cand), list(ref)) for sid, cand, ref in pairs]
     if not pairs:
         raise ConfigurationError("corpus_evaluate needs at least one pair")
-    _check_beta(beta)
     n = len(pairs)
     cands = [cand for _, cand, _ in pairs]
     refs = [ref for _, _, ref in pairs]
     vocab, ids, offsets = _encode(cands + refs)
-    matches = _clipped_matches(ids, offsets, n, MAX_BLEU_ORDER).tolist()
+    matches = _clipped_matches(ids, offsets, n).tolist()
     lengths = np.diff(offsets)
     scored = (lengths[:n] > 0) & (lengths[n:] > 0)
     wanted = np.unique(ids[np.repeat(np.tile(scored, 2), lengths)])
@@ -403,7 +394,7 @@ def corpus_evaluate(pairs: Iterable[tuple[str, Tokens, Tokens]],
     for p, (sample_id, cand, ref) in enumerate(pairs):
         c, r = len(cand), len(ref)
         b = _bleu_result(matches[p], c, r, smooth)
-        rouge = _rouge_result(lcs_length(cand, ref), c, r, beta)
+        rouge = _rouge_result(lcs_length(cand, ref), c, r)
         f1 = 0.0
         if c and r:
             f1 = _greedy_f1(matrix[ids[offsets[p]:offsets[p + 1]]],

@@ -1,8 +1,8 @@
-"""The end-to-end report generator and its input-ablation machinery.
+"""The end-to-end report generator and its input-ablation presets.
 
-Ablations are input masks, not separate architectures: a masked source is
-replaced by its neutral value (0.0 scalars, Unknown ethnicity, all-PAD
-text) so every configuration trains the identical parameter set.
+Ablations are input presets, not separate architectures: a source a preset
+leaves out is replaced by its neutral value (0.0 scalars, Unknown ethnicity,
+all-PAD text) so every configuration trains the identical parameter set.
 """
 
 from __future__ import annotations
@@ -29,35 +29,26 @@ SCALAR_NAMES = ScalarFeatures.ORDER
 
 @dataclass(frozen=True)
 class InputMask:
-    """Which non-image sources the encoder is allowed to see."""
+    """One input preset: its ablation label and the non-image sources it keeps."""
 
+    label: str
     scalars: frozenset = frozenset(SCALAR_NAMES)
     ethnicity: bool = True
     chief: bool = True
     icd: bool = True
 
-    def __post_init__(self):
-        unknown = set(self.scalars) - set(SCALAR_NAMES)
-        if unknown:
-            raise ConfigurationError(f"unknown scalar features in mask: {sorted(unknown)}")
 
-
-# Named ablation rows used by the CLI and the fusion experiment.
+# The ablation rows of the fusion experiment, by the name the CLI, the pipeline
+# and a checkpoint use for each.
 INPUT_PRESETS: dict[str, InputMask] = {
-    "all": InputMask(),
-    "image_only": InputMask(scalars=frozenset(), ethnicity=False, chief=False, icd=False),
-    "scalars": InputMask(ethnicity=False, chief=False, icd=False),
-    "text": InputMask(scalars=frozenset(), ethnicity=False),
-    "o2sat": InputMask(scalars=frozenset(["o2sat"]), ethnicity=False, chief=False, icd=False),
+    "all": InputMask("AllDataFusion"),
+    "image_only": InputMask("Baseline", scalars=frozenset(), ethnicity=False, chief=False,
+                            icd=False),
+    "scalars": InputMask("ScalarFusion", ethnicity=False, chief=False, icd=False),
+    "text": InputMask("TextFusion", scalars=frozenset(), ethnicity=False),
+    "o2sat": InputMask("SingularO2Sat", scalars=frozenset(["o2sat"]), ethnicity=False,
+                       chief=False, icd=False),
 }
-
-
-def resolve_input_mask(name: str) -> InputMask:
-    try:
-        return INPUT_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown input preset {name!r}; choose from "
-                                 f"{sorted(INPUT_PRESETS)}") from None
 
 
 @dataclass(frozen=True)
@@ -67,15 +58,6 @@ class VocabSizes:
     report: int
     chief: int
     icd: int
-
-
-ABLATION_LABELS = {
-    "image_only": "Baseline",
-    "o2sat": "SingularO2Sat",
-    "text": "TextFusion",
-    "scalars": "ScalarFusion",
-    "all": "AllDataFusion",
-}
 
 
 @dataclass(frozen=True)
@@ -145,16 +127,20 @@ class ModelConfig:
 
 
 class ReportGenerator:
-    """Fusion encoder + transformer decoder over whole patient records."""
+    """Fusion encoder + transformer decoder over whole patient records,
+    conditioned on the sources of the input preset ``inputs`` names (a key of
+    ``INPUT_PRESETS``)."""
 
     def __init__(self, config: ModelConfig, vocab_size: int, chief_vocab_size: int,
-                 icd_vocab_size: int, seed: int = 0,
-                 input_mask: Optional[InputMask] = None):
+                 icd_vocab_size: int, seed: int = 0, inputs: str = "all"):
         self._build(config, VocabSizes(vocab_size, chief_vocab_size, icd_vocab_size),
-                    input_mask, ParameterStore(np.random.default_rng(seed)))
+                    inputs, ParameterStore(np.random.default_rng(seed)))
 
-    def _build(self, config: ModelConfig, sizes: VocabSizes,
-               input_mask: Optional[InputMask], store: ParameterStore) -> None:
+    def _build(self, config: ModelConfig, sizes: VocabSizes, inputs: str,
+               store: ParameterStore) -> None:
+        if inputs not in INPUT_PRESETS:
+            raise ConfigurationError(f"unknown input preset {inputs!r}; choose from "
+                                     f"{sorted(INPUT_PRESETS)}")
         if sizes.report <= END_ID:
             raise ConfigurationError(f"report vocabulary must cover the reserved ids, "
                                      f"got {sizes.report}")
@@ -162,7 +148,7 @@ class ReportGenerator:
             raise ConfigurationError(f"chief and ICD vocabularies must be non-empty, got "
                                      f"{sizes.chief} and {sizes.icd}")
         self.config = config
-        self.input_mask = input_mask or InputMask()
+        self.inputs = inputs
         self.store = store
         self.encoder = FusionEncoder(store, config, sizes.chief, sizes.icd)
         self.decoder = ReportDecoder(store, config, sizes.report)
@@ -170,10 +156,11 @@ class ReportGenerator:
 
     # -- inputs -----------------------------------------------------------------
     def pack(self, records: Sequence[PatientRecord]) -> PackedRecords:
-        """The masked model inputs of ``records`` as arrays, one row per record.
-        The one place inputs are checked, in array form; an error names the
-        first faulty record. Masked values are replaced before the checks."""
-        cfg, mask, n = self.config, self.input_mask, len(records)
+        """The model inputs of ``records`` under the model's input preset, as
+        arrays, one row per record. The one place inputs are checked, in array
+        form; an error names the first faulty record. A source the preset leaves
+        out is replaced before the checks."""
+        cfg, mask, n = self.config, INPUT_PRESETS[self.inputs], len(records)
         ids = np.array([rec.sample_id for rec in records], dtype=str)
         image = _rows(ids, [rec.image_features for rec in records], cfg.image_feature_dim,
                       np.float64, DataError, "image features")
@@ -262,36 +249,29 @@ class ReportGenerator:
         self.store.load_state_dict(state)
 
     def save(self, path, extra_metadata: Optional[Mapping] = None) -> None:
-        """Write a checkpoint that records the model's own input preset (unless
-        ``extra_metadata`` names one), so ``load`` conditions on the same
-        inputs. A mask that is no preset is rejected."""
-        inputs = next((name for name, mask in INPUT_PRESETS.items()
-                       if mask == self.input_mask), None)
-        if inputs is None:
-            raise ConfigurationError(f"input mask {self.input_mask} matches no preset in "
-                                     f"{sorted(INPUT_PRESETS)}, so a checkpoint cannot "
-                                     f"record it")
-        meta = {
+        """Write a checkpoint that records the model's config, vocabulary sizes
+        and input preset, so ``load`` rebuilds the same model. ``extra_metadata``
+        adds run facts; it cannot replace those three."""
+        save_checkpoint(path, self.state_dict(), {
+            **(extra_metadata or {}),
             "model_config": self.config.to_dict(),
             "vocab_sizes": dataclasses.asdict(self._vocab_sizes),
-            "inputs": inputs,
-        }
-        meta.update(extra_metadata or {})
-        save_checkpoint(path, self.state_dict(), meta)
+            "inputs": self.inputs,
+        })
 
     @classmethod
-    def load(cls, path, input_mask: Optional[InputMask] = None) -> "ReportGenerator":
-        """Rebuild a saved model. Without ``input_mask`` it conditions on the
-        input preset the checkpoint records (all inputs if none is recorded).
-        Every error names the checkpoint. Each parameter takes the checkpoint's
-        array itself; no initializer draws or allocates."""
+    def load(cls, path, inputs: Optional[str] = None) -> "ReportGenerator":
+        """Rebuild a saved model. Without ``inputs`` it conditions on the input
+        preset the checkpoint records (all inputs if none is recorded). Every
+        error names the checkpoint. Each parameter takes the checkpoint's array
+        itself; no initializer draws or allocates."""
         state, meta = load_checkpoint(path)
         try:
             meta = check_row({"inputs": "all", **meta}, {
                 "model_config": dict, "vocab_sizes": VocabSizes, "inputs": str})
             model = cls.__new__(cls)
             model._build(ModelConfig.from_dict(meta["model_config"]), meta["vocab_sizes"],
-                         input_mask or resolve_input_mask(meta["inputs"]),
+                         meta["inputs"] if inputs is None else inputs,
                          ParameterStore.for_loading(state))
         except (ConfigurationError, DataError) as exc:
             raise type(exc)(f"checkpoint {path}: {exc}") from exc

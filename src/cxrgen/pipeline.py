@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, check_fields
 from .metrics import EvalReport, FileEmbeddings, HashedEmbeddings, corpus_evaluate
-from .model import (ABLATION_LABELS, ModelConfig, ReportGenerator,
-                    resolve_input_mask)
+from .model import INPUT_PRESETS, ModelConfig, ReportGenerator
 from .preprocess import (NormalizationStats, PreprocessConfig, build_patient_record,
                          remove_outliers, tokenize_and_fit_vocab, standardize_text)
 from .records import (PatientRecord, RawRecord, atomic_open, check_row,
@@ -44,19 +43,15 @@ class SplitPlan:
     """How the cleaned corpus is carved into train/val/test."""
 
     subset_fraction: float = 0.7   # share of cleaned records kept for train+val
-    train_fraction: float = 0.7
-    val_fraction: float = 0.3
+    train_fraction: float = 0.7    # share of those for train; val takes the rest
     test_size: Optional[int] = None  # cap on the held-out test set; None = all
     seed: int = 0
 
     def __post_init__(self):
         check_fields(type(self), vars(self))
-        for name in ("subset_fraction", "train_fraction", "val_fraction"):
+        for name in ("subset_fraction", "train_fraction"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ConfigurationError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        if abs(self.train_fraction + self.val_fraction - 1.0) > 1e-9:
-            raise ConfigurationError(f"train_fraction + val_fraction must equal 1, got "
-                                     f"{self.train_fraction} + {self.val_fraction}")
 
 
 def run_preprocess(data_dir: PathLike, out_dir: PathLike,
@@ -110,8 +105,7 @@ def run_preprocess(data_dir: PathLike, out_dir: PathLike,
     curated_ids = {r.sample_id for r in curated}
     holdout = [r for r in cleaned if r.sample_id not in curated_ids]
 
-    train_raw, val_raw = split_dataset(curated, (plan.train_fraction, plan.val_fraction),
-                                       plan.seed)
+    train_raw, val_raw = split_dataset(curated, plan.train_fraction, plan.seed)
     test_order = np.random.default_rng(plan.seed + 1).permutation(len(holdout))
     test_raw = [holdout[i] for i in test_order]
     if plan.test_size is not None:
@@ -175,14 +169,13 @@ def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfi
     data = load_preprocessed(data_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mask = resolve_input_mask(inputs)
     model = ReportGenerator(
         model_config,
         vocab_size=data["report_vocab"].size,
         chief_vocab_size=data["chief_vocab"].size,
         icd_vocab_size=data["icd_vocab"].size,
         seed=train_config.seed if model_seed is None else model_seed,
-        input_mask=mask,
+        inputs=inputs,
     )
     result = fit(model, data["train"], data["val"], train_config)
     model.save(out / "checkpoint.npz", extra_metadata={
@@ -212,8 +205,7 @@ def run_generation(data_dir: PathLike, checkpoint: PathLike, out_path: PathLike,
     data_dir = Path(data_dir)
     records = read_patient_records(data_dir / SPLIT_FILES[split])
     vocab = Vocabulary.load(data_dir / "report_vocab.json")
-    mask = resolve_input_mask(inputs) if inputs is not None else None
-    model = ReportGenerator.load(checkpoint, input_mask=mask)
+    model = ReportGenerator.load(checkpoint, inputs=inputs)
     packed = model.pack(records)
     generated = []
     for start in range(0, len(packed), EVAL_CHUNK):
@@ -295,7 +287,7 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
                  model_overrides: Optional[Mapping] = None,
                  train_overrides: Optional[Mapping] = None,
                  synth_overrides: Optional[Mapping] = None) -> dict:
-    """Train input-masked configurations on one synthetic dataset and
+    """Train one model per input preset on one synthetic dataset and
     compare them on the held-out test split.
 
     Returns one row per configuration with corpus BLEU/ROUGE-L/embedding-F1
@@ -328,7 +320,7 @@ def run_ablation(work_dir: PathLike, seed: int = 0,
         report = run_evaluation(gen_path, run_dir / "eval_report.json")
         accuracy = planted_phrase_accuracy(read_generations(gen_path), planted)
         rows[name] = {
-            "label": ABLATION_LABELS.get(name, name),
+            "label": INPUT_PRESETS[name].label,
             "bleu_1": report.corpus["bleu_1"],
             "bleu_4": report.corpus["bleu_4"],
             "rouge_l": report.corpus["rouge_l"],

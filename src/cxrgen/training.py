@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,15 +30,11 @@ class TrainConfig:
     max_epochs: int = 100
     early_stop_patience: int = 5
     seed: int = 0
-    grad_clip_norm: Optional[float] = None
 
     def __post_init__(self):
         check_fields(type(self), vars(self))
         if self.base_lr <= 0:
             raise ConfigurationError(f"base_lr must be positive, got {self.base_lr}")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ConfigurationError(f"grad_clip_norm must be positive when set, got "
-                                     f"{self.grad_clip_norm}")
 
 
 def lr_at_step(step: int, config: TrainConfig) -> float:
@@ -128,32 +124,20 @@ def adam_step(parameters: Mapping[str, Tensor], grads: Mapping[str, Array],
             np.subtract(p, a, out=p)
 
 
-def clip_gradients(grads: Mapping[str, Array], max_norm: float) -> dict[str, Array]:
-    """Scale all gradients down if their joint L2 norm exceeds ``max_norm``."""
-    total = math.sqrt(sum(float((np.asarray(g) ** 2).sum()) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return dict(grads)
-    scale = max_norm / total
-    return {p: np.asarray(g) * scale for p, g in grads.items()}
-
-
-def split_dataset(records: Sequence, fractions: Sequence[float],
+def split_dataset(records: Sequence, train_fraction: float,
                   seed: int) -> tuple[list, list]:
-    """Seeded shuffle, then a contiguous train/val split by the two
-    ``fractions``, which sum to 1; a record left over by the floors goes to
-    train first, then val.
+    """Seeded shuffle, then a contiguous train/val split: train takes
+    ``train_fraction`` of the records and val ``1 - train_fraction``, each
+    rounded down; a record left over by the floors goes to train first, then
+    val.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 2:
-        raise ConfigurationError(f"need 2 split fractions, got {len(fractions)}")
-    if not all(0 < f < math.inf for f in fractions):
-        raise ConfigurationError(f"split fractions must be positive and finite: {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigurationError(f"split fractions must sum to 1, got {sum(fractions)}")
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigurationError(f"train fraction must be finite and in (0, 1), got "
+                                 f"{train_fraction}")
     if len(records) < 2:
         raise ConfigurationError(f"cannot split {len(records)} records into 2 non-empty parts")
     order = np.random.default_rng(seed).permutation(len(records))
-    counts = [int(math.floor(f * len(records))) for f in fractions]
+    counts = [int(math.floor(f * len(records))) for f in (train_fraction, 1.0 - train_fraction)]
     for i in range(len(records) - sum(counts)):
         counts[i % 2] += 1
     return ([records[i] for i in order[:counts[0]]],
@@ -163,7 +147,6 @@ def split_dataset(records: Sequence, fractions: Sequence[float],
 @dataclass
 class FitResult:
     history: list
-    best_state: dict
     best_val_loss: float
     best_epoch: int
     epochs_run: int
@@ -233,8 +216,6 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             tape.backward(batch_loss)
             grads = tape.gradients(parameters)
             del tape  # frees the step's closures and node gradients before the update
-            if config.grad_clip_norm is not None:
-                grads = clip_gradients(grads, config.grad_clip_norm)
             step += 1
             last_lr = lr_at_step(step, config)
             try:
@@ -255,8 +236,7 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             diverged = not math.isfinite(val_loss)
         if diverged:
             model.load_state_dict(best_state)
-            return FitResult(history, best_state, best_val_loss,
-                             best_epoch, epoch, diverged=True)
+            return FitResult(history, best_val_loss, best_epoch, epoch, diverged=True)
         if val_loss < best_val_loss:
             best_val_loss = val_loss
             best_state = model.state_dict()
@@ -265,4 +245,4 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             break
 
     model.load_state_dict(best_state)
-    return FitResult(history, best_state, best_val_loss, best_epoch, epoch)
+    return FitResult(history, best_val_loss, best_epoch, epoch)

@@ -241,8 +241,10 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu_reference(candidate, reference, max_n: int = 4, smooth: bool = False) -> BleuResult:
-    """Reference for ``metrics.bleu``: Counter-of-tuples n-gram clipping."""
+def bleu_reference(candidate, reference, smooth: bool = False) -> BleuResult:
+    """Reference for ``metrics.bleu``: Counter-of-tuples n-gram clipping,
+    BLEU-1..4."""
+    max_n = 4
     cand = list(candidate)
     ref = list(reference)
     c, r = len(cand), len(ref)
@@ -288,8 +290,8 @@ def lcs_reference(a, b) -> int:
     return prev[-1]
 
 
-def rouge_l_reference(candidate, reference, beta: float = 1.2) -> RougeLResult:
-    """Reference for ``metrics.rouge_l`` on ``lcs_reference``."""
+def rouge_l_reference(candidate, reference) -> RougeLResult:
+    """Reference for ``metrics.rouge_l`` on ``lcs_reference``, at beta 1.2."""
     cand = list(candidate)
     ref = list(reference)
     if not cand or not ref:
@@ -299,7 +301,7 @@ def rouge_l_reference(candidate, reference, beta: float = 1.2) -> RougeLResult:
     recall = lcs / len(ref)
     if precision + recall == 0.0:
         return RougeLResult(lcs, precision, recall, 0.0)
-    b2 = beta * beta
+    b2 = 1.2 * 1.2
     f = (1 + b2) * precision * recall / (recall + b2 * precision)
     return RougeLResult(lcs, precision, recall, f)
 
@@ -334,16 +336,15 @@ def embedding_f1_reference(candidate, reference, provider=None) -> float:
     return 2.0 * precision * recall / denom
 
 
-def corpus_reference(pairs, provider=None, beta: float = 1.2,
-                     smooth: bool = False) -> EvalReport:
+def corpus_reference(pairs, provider=None, smooth: bool = False) -> EvalReport:
     """Reference for ``metrics.corpus_evaluate``: the per-pair references,
     one pair at a time."""
     provider = provider or HashedEmbeddings()
     samples = []
     counts = {label: 0 for label in BLEU_BUCKET_LABELS}
     for sample_id, cand, ref in pairs:
-        b = bleu_reference(cand, ref, max_n=4, smooth=smooth)
-        r = rouge_l_reference(cand, ref, beta=beta)
+        b = bleu_reference(cand, ref, smooth=smooth)
+        r = rouge_l_reference(cand, ref)
         f1 = embedding_f1_reference(cand, ref, provider)
         samples.append(SampleScores(str(sample_id), b.scores[0], b.scores[1],
                                     b.scores[2], b.scores[3], r.f_score, f1,

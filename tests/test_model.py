@@ -1,4 +1,4 @@
-"""End-to-end model wrapper: masking presets, config, loss, generation, checkpoints."""
+"""End-to-end model wrapper: input presets, config, loss, generation, checkpoints."""
 
 import dataclasses
 import gc
@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from cxrgen.attention import AttentionProjections
 from cxrgen.errors import ConfigurationError, ContractError, DataError, DimensionError
-from cxrgen.model import (ABLATION_LABELS, INPUT_PRESETS, InputMask,
-                          ModelConfig, ReportGenerator)
+from cxrgen.model import INPUT_PRESETS, SCALAR_NAMES, ModelConfig, ReportGenerator
 from cxrgen.params import ParameterStore
 from cxrgen.pipeline import ABLATION_MODEL
 from cxrgen.preprocess import ETHNICITY_UNKNOWN
@@ -58,14 +57,14 @@ def _tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def _tiny_model(seed=0, input_mask=None):
+def _tiny_model(seed=0, inputs="all"):
     return ReportGenerator(_tiny_config(), vocab_size=30, chief_vocab_size=12,
-                           icd_vocab_size=12, seed=seed, input_mask=input_mask)
+                           icd_vocab_size=12, seed=seed, inputs=inputs)
 
 
 def _masked(preset, rec):
     """One record's packed scalars, ethnicity, chief and ICD ids under ``preset``."""
-    packed = _tiny_model(input_mask=INPUT_PRESETS[preset]).pack([rec])
+    packed = _tiny_model(inputs=preset).pack([rec])
     return (packed.scalars[0], packed.ethnicity[0], packed.chief[0].tolist(),
             packed.icd[0].tolist())
 
@@ -75,11 +74,10 @@ class TestInputMask:
         assert set(INPUT_PRESETS) == {"all", "image_only", "scalars", "text", "o2sat"}
 
     def test_ablation_labels(self):
-        assert ABLATION_LABELS["all"] == "AllDataFusion"
-        assert ABLATION_LABELS["image_only"] == "Baseline"
-        assert ABLATION_LABELS["scalars"] == "ScalarFusion"
-        assert ABLATION_LABELS["text"] == "TextFusion"
-        assert ABLATION_LABELS["o2sat"] == "SingularO2Sat"
+        labels = {name: preset.label for name, preset in INPUT_PRESETS.items()}
+        assert labels == {"all": "AllDataFusion", "image_only": "Baseline",
+                          "scalars": "ScalarFusion", "text": "TextFusion",
+                          "o2sat": "SingularO2Sat"}
 
     def test_all_inputs_passthrough(self):
         rec = _record()
@@ -128,15 +126,14 @@ class TestInputMask:
     def test_pack_equals_the_per_record_oracle(self, preset):
         """Packed, masked arrays hold exactly what masking each record on its
         own gives; the unmasked image and report rows are the records' own."""
-        mask = INPUT_PRESETS[preset]
         records = [PatientRecord(
             sample_id=f"r{i}", scalars=_scalars(o2sat=i / 7, heart_rate=1.0 - i / 9,
                                                 gender=float(i % 2)),
             ethnicity=1 + (2 * i) % 9, chief_ids=[i % 12, (5 * i) % 12],
             icd_ids=[(i + k) % 12 for k in range(6)], image_features=_record(seed=i).image_features,
             report_ids=_report(i % 5, 8 - i % 2), report_text="t") for i in range(7)]
-        packed = _tiny_model(input_mask=mask).pack(records)
-        oracle = [input_mask_apply(mask, rec) for rec in records]
+        packed = _tiny_model(inputs=preset).pack(records)
+        oracle = [input_mask_apply(INPUT_PRESETS[preset], rec) for rec in records]
         assert packed.scalars.tobytes() == np.stack([o[0].as_array() for o in oracle]).tobytes()
         assert packed.ethnicity.tolist() == [o[1] for o in oracle]
         assert packed.chief.tolist() == [o[2] for o in oracle]
@@ -147,18 +144,18 @@ class TestInputMask:
         assert packed.sample_ids.tolist() == [r.sample_id for r in records]
 
     def test_preset_lookup_rejects_unknown(self):
-        from cxrgen.pipeline import resolve_input_mask
-        with pytest.raises(ConfigurationError):
-            resolve_input_mask("vision_only")
+        for name in ("vision_only", "ALL", INPUT_PRESETS["all"]):
+            with pytest.raises(ConfigurationError, match=re.escape(
+                    f"unknown input preset {name!r}; choose from {sorted(INPUT_PRESETS)}")):
+                _tiny_model(inputs=name)
 
     def test_preset_lookup_round_trip(self):
-        from cxrgen.pipeline import resolve_input_mask
         for name in INPUT_PRESETS:
-            assert resolve_input_mask(name) == INPUT_PRESETS[name]
+            assert _tiny_model(inputs=name).inputs == name
 
-    def test_unknown_scalar_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            InputMask(scalars=frozenset(["pulse_ox"]))
+    def test_every_preset_keeps_known_scalars(self):
+        for preset in INPUT_PRESETS.values():
+            assert preset.scalars <= set(SCALAR_NAMES), preset
 
 
 class TestModelConfig:
@@ -241,7 +238,7 @@ class TestLossForRecord:
 
     def test_mask_changes_loss(self):
         full = _tiny_model(seed=0)
-        masked = _tiny_model(seed=0, input_mask=INPUT_PRESETS["image_only"])
+        masked = _tiny_model(seed=0, inputs="image_only")
         rec = _record()
         loss_a, _, _ = full.loss_for_record(rec)
         loss_b, _, _ = masked.loss_for_record(rec)
@@ -259,8 +256,7 @@ class TestLossForBatch:
     @given(data=st.data(), preset=st.sampled_from(sorted(INPUT_PRESETS)))
     def test_matches_the_per_sample_reference(self, data, preset):
         """Loss and every parameter gradient equal the per-sample path."""
-        model = _tiny_model(seed=data.draw(st.integers(0, 3)),
-                            input_mask=INPUT_PRESETS[preset])
+        model = _tiny_model(seed=data.draw(st.integers(0, 3)), inputs=preset)
         records = []
         for i in range(data.draw(st.integers(1, 6), label="batch size")):
             n_real = data.draw(st.integers(0, 6))
@@ -424,7 +420,7 @@ class TestPack:
         # the encoder never sees a masked source, so its values may be anything
         rec = dataclasses.replace(_record(), scalars=_scalars(o2sat=1.5, gender=0.5),
                                   ethnicity=0, chief_ids=[99, 99], icd_ids=[-1] * 6)
-        packed = _tiny_model(input_mask=INPUT_PRESETS["image_only"]).pack([rec])
+        packed = _tiny_model(inputs="image_only").pack([rec])
         assert packed.scalars.tolist() == [[0.0] * 8]
         with pytest.raises(ContractError, match="rec-0"):
             _tiny_model().pack([rec])
@@ -472,8 +468,7 @@ class TestGenerate:
     def test_batch_matches_the_full_prefix_reference(self, data, preset):
         """Cached batch decoding gives every record the full-prefix ids, and
         each step's logits match the full-prefix forward."""
-        model = _tiny_model(seed=data.draw(st.integers(0, 2**16)),
-                            input_mask=INPUT_PRESETS[preset])
+        model = _tiny_model(seed=data.draw(st.integers(0, 2**16)), inputs=preset)
         bias = model.store["decoder.output.b"]
         tuned = bias.data.copy()
         tuned[END_ID] = data.draw(st.floats(0.0, 2.0))  # records end at varied steps
@@ -531,19 +526,35 @@ class TestCheckpointRoundTrip:
 
     def test_extra_metadata_round_trips(self, tmp_path):
         from cxrgen.params import load_checkpoint
-        model = _tiny_model()
+        model = _tiny_model(inputs="o2sat")
         path = tmp_path / "ckpt.npz"
-        model.save(path, extra_metadata={"inputs": "o2sat", "note": "x"})
+        model.save(path, extra_metadata={"note": "x", "best_epoch": 3})
         _, metadata = load_checkpoint(path)
         assert metadata["inputs"] == "o2sat"
-        assert metadata["note"] == "x"
-        assert "model_config" in metadata
+        assert (metadata["note"], metadata["best_epoch"]) == ("x", 3)
+        assert metadata["model_config"] == model.config.to_dict()
+
+    def test_extra_metadata_cannot_replace_what_the_model_records(self, tmp_path):
+        from cxrgen.params import load_checkpoint
+        model = _tiny_model(seed=1)
+        path = tmp_path / "ckpt.npz"
+        model.save(path, extra_metadata={
+            "inputs": "image_only", "vocab_sizes": {"report": 99, "chief": 1, "icd": 1},
+            "model_config": {"model_dim": 8}, "note": "x"})
+        _, metadata = load_checkpoint(path)
+        assert (metadata["inputs"], metadata["note"]) == ("all", "x")
+        assert metadata["vocab_sizes"] == {"report": 30, "chief": 12, "icd": 12}
+        assert metadata["model_config"] == model.config.to_dict()
+        again = ReportGenerator.load(path)
+        assert again.inputs == "all"
+        rec = _record()
+        assert again.loss_for_record(rec)[0].item() == model.loss_for_record(rec)[0].item()
 
     def test_load_respects_mask_argument(self, tmp_path):
         model = _tiny_model(seed=1)
         path = tmp_path / "ckpt.npz"
         model.save(path)
-        masked = ReportGenerator.load(path, input_mask=INPUT_PRESETS["image_only"])
+        masked = ReportGenerator.load(path, inputs="image_only")
         rec = _record()
         # the mask must actually take effect on the loaded model
         loss_a, _, _ = model.loss_for_record(rec)
@@ -553,16 +564,20 @@ class TestCheckpointRoundTrip:
     def test_save_records_the_models_own_preset(self, tmp_path):
         from cxrgen.params import load_checkpoint
         path = tmp_path / "ckpt.npz"
-        _tiny_model(seed=1, input_mask=INPUT_PRESETS["image_only"]).save(path)
+        _tiny_model(seed=1, inputs="image_only").save(path)
         assert load_checkpoint(path)[1]["inputs"] == "image_only"
-        assert ReportGenerator.load(path).input_mask == INPUT_PRESETS["image_only"]
+        assert ReportGenerator.load(path).inputs == "image_only"
 
-    def test_save_rejects_masks_no_checkpoint_can_name(self, tmp_path):
-        custom = InputMask(scalars=frozenset(["o2sat", "sbp"]), ethnicity=False,
-                           chief=False, icd=False)
-        with pytest.raises(ConfigurationError, match="no preset"):
-            _tiny_model(input_mask=custom).save(tmp_path / "a.npz")
-        assert list(tmp_path.iterdir()) == []
+    def test_load_names_the_checkpoint_for_an_unknown_preset(self, tmp_path):
+        from cxrgen.params import load_checkpoint, save_checkpoint
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        _tiny_model().save(good)
+        state, meta = load_checkpoint(good)
+        save_checkpoint(bad, state, {**meta, "inputs": "vision_only"})
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"checkpoint {bad}: unknown input preset 'vision_only'; choose from "
+                f"{sorted(INPUT_PRESETS)}")):
+            ReportGenerator.load(bad)
 
     def test_load_draws_nothing_and_restores_every_array_bit_for_bit(self, tmp_path,
                                                                     monkeypatch):
@@ -583,10 +598,9 @@ class TestCheckpointRoundTrip:
 
     def test_load_applies_recorded_input_preset(self, tmp_path):
         path = tmp_path / "ckpt.npz"
-        _tiny_model(seed=1).save(path, extra_metadata={"inputs": "image_only"})
-        assert ReportGenerator.load(path).input_mask == INPUT_PRESETS["image_only"]
-        override = ReportGenerator.load(path, input_mask=INPUT_PRESETS["all"])
-        assert override.input_mask == INPUT_PRESETS["all"]
+        _tiny_model(seed=1, inputs="image_only").save(path)
+        assert ReportGenerator.load(path).inputs == "image_only"
+        assert ReportGenerator.load(path, inputs="all").inputs == "all"
 
 
 class TestParametersOwnTheirArrays:

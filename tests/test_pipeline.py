@@ -14,6 +14,7 @@ from cxrgen.cli import main as cli_main
 from cxrgen.errors import ConfigurationError, DataError
 from cxrgen.metrics import corpus_evaluate
 from cxrgen.model import ModelConfig
+from cxrgen.params import load_checkpoint
 from cxrgen.pipeline import (SplitPlan, load_preprocessed,
                              planted_phrase_accuracy, read_generations, run_evaluation,
                              run_generation, run_preprocess, run_synth,
@@ -23,7 +24,7 @@ from cxrgen.preprocess import (NormalizationStats, PreprocessConfig, build_patie
 from cxrgen.records import (load_image_features, read_jsonl, read_raw_records,
                             write_jsonl)
 from cxrgen.synth import DatasetManifest, SyntheticConfig
-from cxrgen.training import TrainConfig
+from cxrgen.training import FitResult, TrainConfig
 from cxrgen.vocab import UNK_ID, Vocabulary
 
 from helpers import patient_record_dict_reference
@@ -198,21 +199,20 @@ class TestPreprocessStage:
         with pytest.raises(ConfigurationError):
             SplitPlan(subset_fraction=1.5)
         with pytest.raises(ConfigurationError):
-            SplitPlan(train_fraction=0.6, val_fraction=0.3)
-        with pytest.raises(ConfigurationError):
             SplitPlan(test_size=0)
+        with pytest.raises(TypeError):  # val takes what train leaves
+            SplitPlan(train_fraction=0.7, val_fraction=0.3)
 
-    @pytest.mark.parametrize("train,val", [(float("nan"), 0.3), (float("inf"), 0.3),
-                                           (float("inf"), float("-inf"))])
-    def test_plan_rejects_non_finite_fractions(self, train, val):
+    @pytest.mark.parametrize("train", [float("nan"), float("inf"), float("-inf")])
+    def test_plan_rejects_non_finite_fractions(self, train):
         with pytest.raises(ConfigurationError, match="train_fraction"):
-            SplitPlan(train_fraction=train, val_fraction=val)
+            SplitPlan(train_fraction=train)
 
-    @pytest.mark.parametrize("train,val", [(1.5, -0.5), (-0.5, 1.5), (1.0, 0.0), (0.0, 1.0)])
-    def test_plan_rejects_fractions_outside_0_1_when_built(self, train, val):
-        # they sum to 1, so only a range check stops them before run_preprocess reads
+    @pytest.mark.parametrize("train", [1.5, -0.5, 1.0, 0.0])
+    def test_plan_rejects_fractions_outside_0_1_when_built(self, train):
+        # stopped before run_preprocess reads anything
         with pytest.raises(ConfigurationError, match=r"train_fraction must be in \(0, 1\)"):
-            SplitPlan(train_fraction=train, val_fraction=val)
+            SplitPlan(train_fraction=train)
 
 
 class TestTrainingStage:
@@ -522,11 +522,12 @@ class TestCli:
         ("ablate", {"synth": {"seed": 1.5}}, "seed"),
         # json.loads lets NaN and Infinity literals through as floats
         ("synth", {"synth": {"image_noise": float("nan")}}, "image_noise"),
-        ("preprocess", {"split": {"train_fraction": float("nan"), "val_fraction": 0.3}},
-         "train_fraction"),
+        ("preprocess", {"split": {"train_fraction": float("nan")}}, "train_fraction"),
         ("train", {"model": {"layer_norm_eps": float("inf")}}, "layer_norm_eps"),
         ("train", {"train": {"base_lr": float("nan")}}, "base_lr"),
-        ("ablate", {"train": {"grad_clip_norm": float("-inf")}}, "grad_clip_norm"),
+        # fields that held one value in every run are gone, so unknown keys
+        ("ablate", {"train": {"grad_clip_norm": 1.0}}, "grad_clip_norm"),
+        ("preprocess", {"split": {"val_fraction": 0.3}}, "val_fraction"),
     ])
     def test_bad_config_key_or_type_names_file_section_and_key(self, tmp_path, capsys,
                                                               command, body, key):
@@ -615,6 +616,43 @@ class TestCli:
         monkeypatch.setattr(cli, "run_synth", capture)
         assert cli_main(["synth", "--out", str(tmp_path)]) == 0
         assert seen == [SyntheticConfig()]
+        capsys.readouterr()
+
+    def test_preprocess_and_train_seed_flags_win_over_the_config_file(self, tmp_path,
+                                                                     capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "synth": {"feature_dim": 8}, "preprocess": {"image_feature_dim": 8},
+            "split": {"seed": 1},
+            "model": {"model_dim": 8, "num_heads": 2, "ffn_dim": 8, "embed_dim": 8,
+                      "image_feature_dim": 8},
+            "train": {"seed": 1, "max_epochs": 1}}))
+        data, prep, run = (tmp_path / name for name in ("data", "prep", "run"))
+        assert cli_main(["synth", "--out", str(data), "--n", "30", "--config", str(cfg)]) == 0
+        assert cli_main(["preprocess", "--data", str(data), "--out", str(prep), "--seed", "5",
+                         "--config", str(cfg)]) == 0
+        assert DatasetManifest.load(prep).meta["split_plan"]["seed"] == 5
+        assert cli_main(["train", "--data", str(prep), "--out", str(run), "--seed", "5",
+                         "--config", str(cfg)]) == 0
+        assert load_checkpoint(run / "checkpoint.npz")[1]["train_config"]["seed"] == 5
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags,section,seed", [
+        ([], {}, 0), ([], {"seed": 1}, 1), (["--seed", "5"], {"seed": 1}, 5),
+        (["--seed", "5"], {}, 5)], ids=["default", "config", "flag-over-config", "flag"])
+    def test_preprocess_and_train_seeds_fall_back_to_config_then_default(
+            self, tmp_path, monkeypatch, capsys, flags, section, seed):
+        seen = {}
+        monkeypatch.setattr(cli, "run_preprocess", lambda data, out, prep, plan:
+                            seen.update(split=plan.seed) or {})
+        monkeypatch.setattr(cli, "run_training", lambda data, out, model, train, inputs:
+                            seen.update(train=train.seed) or FitResult([], 1.0, 1, 1))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"split": section, "train": section}))
+        for command in ("preprocess", "train"):
+            assert cli_main([command, "--data", "d", "--out", "o", *flags,
+                             "--config", str(cfg)]) == 0
+        assert seen == {"split": seed, "train": seed}
         capsys.readouterr()
 
     @pytest.mark.parametrize("flags,config,epochs,samples", [

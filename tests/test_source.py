@@ -4,8 +4,9 @@ cxrgen.tensor writes the exp, log and variance formulas and the attention
 product q·kT and splits rows into attention heads or merges them back, only
 cxrgen.errors decides which values a config field takes, only cxrgen.records
 opens and decodes input files, only cxrgen.records decides which values a row
-field takes, and only cxrgen.records decides which values a document field
-takes."""
+field takes, only cxrgen.records decides which values a document field
+takes, and only cxrgen.model builds an input mask: every other caller names
+an input preset."""
 
 import ast
 import inspect
@@ -437,3 +438,55 @@ def test_a_document_read_without_a_field_map_is_caught():
     mutant = source.replace(good, 'read_json(path, "vocabulary")')
     assert unchecked_documents(ast.parse(source)) == []
     assert len(unchecked_documents(ast.parse(mutant))) == 1
+
+
+def input_mask_builds(tree: ast.AST) -> list[int]:
+    """Lines that call ``InputMask``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "InputMask" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)))
+
+
+def input_mask_parameters(tree: ast.AST) -> list[int]:
+    """Lines of functions and lambdas that take an ``input_mask`` parameter."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if a is not None]
+            if "input_mask" in names:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_model_builds_input_masks(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    builds = [] if path.name == "model.py" else input_mask_builds(tree)
+    assert not builds, (f"{path.name} builds an InputMask at lines {builds}; name an "
+                        f"input preset, and let cxrgen.model's INPUT_PRESETS hold it")
+    params = input_mask_parameters(tree)
+    assert not params, (f"{path.name} takes an input_mask parameter at lines {params}; "
+                        f"take the name of an input preset instead")
+
+
+def test_an_input_mask_outside_model_is_caught():
+    assert input_mask_builds(ast.parse("a = InputMask('x')\n"
+                                       "b = model.InputMask(label='y')\n")) == [1, 2]
+    assert input_mask_parameters(ast.parse("def f(input_mask=None): pass\n"
+                                           "def g(*, input_mask): pass\n"
+                                           "h = lambda input_mask: 0\n")) == [1, 2, 3]
+    assert input_mask_builds(ast.parse("m = INPUT_PRESETS[name]\n")) == []
+    assert input_mask_parameters(ast.parse("def f(inputs='all', mask=None): pass\n")) == []
+    # the pipeline building its own mask, and the model taking one again
+    pipeline = Path(cxrgen.__file__).with_name("pipeline.py").read_text(encoding="utf-8")
+    label = "INPUT_PRESETS[name].label"
+    assert pipeline.count(label) == 1 and input_mask_builds(ast.parse(pipeline)) == []
+    mutant = pipeline.replace(label, "InputMask(name).label")
+    assert len(input_mask_builds(ast.parse(mutant))) == 1
+    model = Path(cxrgen.__file__).with_name("model.py").read_text(encoding="utf-8")
+    inputs = 'seed: int = 0, inputs: str = "all"'
+    assert model.count(inputs) == 1 and input_mask_parameters(ast.parse(model)) == []
+    mutant = model.replace(inputs, "seed: int = 0, input_mask=None")
+    assert len(input_mask_parameters(ast.parse(mutant))) == 1

@@ -16,9 +16,8 @@ from cxrgen.model import ModelConfig, ReportGenerator
 from cxrgen.params import ParameterStore
 from cxrgen.tensor import GradientTape, Tensor, active_tape, add, mul, reduce_sum
 from cxrgen.training import (ADAM_BETA1, ADAM_BETA2, ADAM_CHUNK, ADAM_EPS,
-                             OptimizerState, TrainConfig, adam_step,
-                             clip_gradients, evaluate_split, fit, lr_at_step,
-                             split_dataset)
+                             OptimizerState, TrainConfig, adam_step, evaluate_split,
+                             fit, lr_at_step, split_dataset)
 
 from helpers import adam_reference
 
@@ -216,53 +215,50 @@ class TestInPlaceAdam:
         assert not isinstance(info.value, NonFiniteGradientError)
 
 
-class TestClipGradients:
-    def test_below_threshold_unchanged(self):
-        grads = {"a": np.array([3.0, 4.0])}  # norm 5
-        out = clip_gradients(grads, 10.0)
-        np.testing.assert_allclose(out["a"], grads["a"])
-
-    def test_above_threshold_scaled(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        out = clip_gradients(grads, 1.0)
-        assert np.linalg.norm(out["a"]) == pytest.approx(1.0)
-
-
 class TestSplitDataset:
     def test_sizes_at_corpus_scale(self):
         records = list(range(3000))
-        train, val = split_dataset(records, (0.7, 0.3), seed=0)
+        train, val = split_dataset(records, 0.7, seed=0)
         assert (len(train), len(val)) == (2100, 900)
-        train, val = split_dataset(list(range(11)), (0.5, 0.5), seed=0)
+        train, val = split_dataset(list(range(11)), 0.5, seed=0)
         assert (len(train), len(val)) == (6, 5)  # the leftover record goes to train
+
+    def test_counts_at_0_7_equal_the_two_fraction_formula(self):
+        """Split sizes did not move when the validation share stopped being a
+        setting: at 0.7, the one train fraction any preset or default uses,
+        every corpus size splits as the (train, val) = (0.7, 0.3) formula
+        split it, written out here."""
+        for n in range(2, 10_001):
+            counts = [math.floor(0.7 * n), math.floor(0.3 * n)]
+            for i in range(n - sum(counts)):
+                counts[i % 2] += 1
+            train, val = split_dataset([None] * n, 0.7, seed=0)
+            assert [len(train), len(val)] == counts, n
 
     def test_disjoint_and_exhaustive(self):
         records = list(range(250))
-        train, val = split_dataset(records, (0.7, 0.3), seed=2)
+        train, val = split_dataset(records, 0.7, seed=2)
         assert sorted(train + val) == records
 
     def test_deterministic_per_seed(self):
         records = list(range(50))
-        a = split_dataset(records, (0.7, 0.3), seed=3)
-        b = split_dataset(records, (0.7, 0.3), seed=3)
-        c = split_dataset(records, (0.7, 0.3), seed=4)
+        a = split_dataset(records, 0.7, seed=3)
+        b = split_dataset(records, 0.7, seed=3)
+        c = split_dataset(records, 0.7, seed=4)
         assert a == b
         assert a != c
 
     def test_fraction_validation(self):
+        for fraction in (0.0, 1.0, 1.5, -0.5):
+            with pytest.raises(ConfigurationError, match=r"in \(0, 1\)"):
+                split_dataset(list(range(10)), fraction, seed=0)
         with pytest.raises(ConfigurationError):
-            split_dataset(list(range(10)), (0.7, 0.2), seed=0)
-        with pytest.raises(ConfigurationError):
-            split_dataset(list(range(10)), (0.7,), seed=0)
-        with pytest.raises(ConfigurationError):  # no third, test fraction
-            split_dataset(list(range(10)), (0.6, 0.2, 0.2), seed=0)
-        with pytest.raises(ConfigurationError):
-            split_dataset([1], (0.5, 0.5), seed=0)
+            split_dataset([1], 0.5, seed=0)
 
-    @pytest.mark.parametrize("fractions", [(math.nan, 0.3), (0.7, math.inf)])
-    def test_non_finite_fractions_rejected(self, fractions):
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fractions_rejected(self, fraction):
         with pytest.raises(ConfigurationError, match="finite"):
-            split_dataset(list(range(10)), fractions, seed=0)
+            split_dataset(list(range(10)), fraction, seed=0)
 
 
 class TestTrainConfig:
@@ -279,18 +275,11 @@ class TestTrainConfig:
             TrainConfig(base_lr=0.0)
         with pytest.raises(ConfigurationError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            TrainConfig(grad_clip_norm=-1.0)
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf])
     def test_base_lr_must_be_finite(self, lr):
         with pytest.raises(ConfigurationError, match="base_lr"):
             TrainConfig(base_lr=lr)
-
-    @pytest.mark.parametrize("norm", [math.nan, math.inf])
-    def test_grad_clip_norm_must_be_finite(self, norm):
-        with pytest.raises(ConfigurationError, match="grad_clip_norm"):
-            TrainConfig(grad_clip_norm=norm)
 
 
 class _ToyModel:
@@ -413,8 +402,8 @@ class TestFit:
         cfg = TrainConfig(base_lr=0.5, warmup_steps=1, batch_size=4, max_epochs=30,
                           early_stop_patience=4, seed=1)
         result = fit(model, [2.0] * 4, [2.0] * 2, cfg)
-        best = result.best_state["x"][0]
-        assert model.x.data[0] == best
+        assert evaluate_split(model, [2.0] * 2)[0] == result.best_val_loss
+        assert result.best_epoch < result.epochs_run  # a later epoch was undone
 
     def test_divergence_aborts_and_restores(self):
         class Exploding(_ToyModel):
@@ -442,10 +431,13 @@ class TestFit:
             def __init__(self):
                 super().__init__()
                 self.validations = 0
+                self.first_validated = None
 
             def loss_for_batch(self, targets):
                 if list(targets) == ["val"]:
                     self.validations += 1
+                    if self.validations == 1:
+                        self.first_validated = self.x.data.copy()
                     value = 1.0 if self.validations == 1 else np.nan
                     return reduce_sum(mul(Tensor(np.array([value])), 1.0)), 0, 1
                 return super().loss_for_batch(targets)
@@ -457,23 +449,31 @@ class TestFit:
         assert result.diverged
         assert (result.epochs_run, result.best_epoch, result.best_val_loss) == (2, 1, 1.0)
         assert math.isnan(result.history[-1]["val_loss"])
-        assert result.best_state["x"][0] != 0.0      # epoch 1 moved x toward 2
-        np.testing.assert_array_equal(model.x.data, result.best_state["x"])
+        assert model.first_validated[0] != 0.0      # epoch 1 moved x toward 2
+        np.testing.assert_array_equal(model.state_dict()["x"], model.first_validated)
 
     @settings(max_examples=30, deadline=None)
-    @given(n_params=st.integers(1, 4), data=st.data(),
-           clip=st.sampled_from([None, 0.5]))
-    def test_non_finite_gradient_diverges_and_restores(self, n_params, data, clip):
+    @given(n_params=st.integers(1, 4), data=st.data())
+    def test_non_finite_gradient_diverges_and_restores(self, n_params, data):
         """A NaN in any one gradient at any step: fit reports divergence, the
         model holds the best state, and no Adam moment or counter moved."""
         model = _VectorModel(n_params)
         cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=3,
-                          early_stop_patience=5, seed=0, grad_clip_norm=clip)
+                          early_stop_patience=5, seed=0)
         fault_call = data.draw(st.integers(1, 6))      # 2 batches x 3 epochs
         victim = data.draw(st.sampled_from(sorted(model.parameters())))
         states, seen = [], {}
         original_gradients = GradientTape.gradients
         original_for_parameters = OptimizerState.for_parameters.__func__
+        original_evaluate = training.evaluate_split
+        # the state each validation saw, by its loss; the initial state stays
+        # best if no epoch validates
+        validated = [(math.inf, model.state_dict())]
+
+        def recording_evaluate(m, records):
+            loss, acc = original_evaluate(m, records)
+            validated.append((loss, m.state_dict()))
+            return loss, acc
 
         def capture_state(cls, parameters):
             states.append(original_for_parameters(cls, parameters))
@@ -492,13 +492,15 @@ class TestFit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(OptimizerState, "for_parameters", classmethod(capture_state))
             mp.setattr(GradientTape, "gradients", faulty_gradients)
+            mp.setattr(training, "evaluate_split", recording_evaluate)
             result = fit(model, [1.0, 2.0, 1.0, 2.0], [1.5], cfg)
 
         assert result.diverged
         assert seen["calls"] == fault_call
+        best = validated[int(np.argmin([loss for loss, _ in validated]))][1]
         for path, param in model.parameters().items():
             assert np.isfinite(param.data).all()
-            np.testing.assert_array_equal(param.data, result.best_state[path])
+            np.testing.assert_array_equal(param.data, best[path])
         m_before, v_before, step_before = seen["state"]
         assert states[0].step == step_before == fault_call - 1
         for path in m_before:
@@ -514,17 +516,6 @@ class TestFit:
         cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=2)
         with pytest.raises(TrainingError, match="gradient shape"):
             fit(model, [1.0, 2.0], [1.5], cfg)
-
-    def test_second_fit_leaves_first_best_state_alone(self):
-        model = _VectorModel(2)
-        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=3,
-                          early_stop_patience=5, seed=0)
-        first = fit(model, [1.0, 2.0, 1.0, 2.0], [1.5], cfg)
-        kept = {k: a.copy() for k, a in first.best_state.items()}
-        second = fit(model, [4.0, 4.0], [4.0], cfg)
-        assert second.best_state["x0"][0] != kept["x0"][0]
-        for k, a in first.best_state.items():
-            np.testing.assert_array_equal(a, kept[k])
 
     def test_no_step_tape_outlives_its_step(self, monkeypatch):
         """Each step's tape, with its closures and node gradients, is freed
@@ -559,15 +550,14 @@ class TestFit:
             fit(_ToyModel(), [1.0], [], TrainConfig())
 
     def test_deterministic_given_seed(self):
-        results = []
-        for _ in range(2):
-            model = _ToyModel()
+        results, models = [], [_ToyModel(), _ToyModel()]
+        for model in models:
             cfg = TrainConfig(base_lr=0.07, warmup_steps=3, batch_size=2,
                               max_epochs=10, early_stop_patience=5, seed=9)
             results.append(fit(model, [1.0, 2.0, 3.0, 2.0], [2.0], cfg))
         assert results[0].history == results[1].history
-        np.testing.assert_array_equal(results[0].best_state["x"],
-                                      results[1].best_state["x"])
+        np.testing.assert_array_equal(models[0].state_dict()["x"],
+                                      models[1].state_dict()["x"])
 
 
     def test_packs_train_once_and_draws_batches_from_it(self):
