@@ -251,8 +251,9 @@ class ReportGenerator:
     def save(self, path, extra_metadata: Optional[Mapping] = None) -> None:
         """Write a checkpoint that records the model's config, vocabulary sizes
         and input preset, so ``load`` rebuilds the same model. ``extra_metadata``
-        adds run facts; it cannot replace those three."""
-        save_checkpoint(path, self.state_dict(), {
+        adds run facts; it cannot replace those three. The parameters' own
+        arrays are written, not copies."""
+        save_checkpoint(path, {p: t.data for p, t in self.parameters().items()}, {
             **(extra_metadata or {}),
             "model_config": self.config.to_dict(),
             "vocab_sizes": dataclasses.asdict(self._vocab_sizes),
@@ -262,9 +263,13 @@ class ReportGenerator:
     @classmethod
     def load(cls, path, inputs: Optional[str] = None) -> "ReportGenerator":
         """Rebuild a saved model. Without ``inputs`` it conditions on the input
-        preset the checkpoint records (all inputs if none is recorded). Every
-        error names the checkpoint. Each parameter takes the checkpoint's array
-        itself; no initializer draws or allocates."""
+        preset the checkpoint records (all inputs if none is recorded). An
+        unknown ``inputs`` is rejected before the checkpoint is read; every
+        other error names the checkpoint. Each parameter takes the checkpoint's
+        array itself; no initializer draws or allocates."""
+        if inputs is not None and inputs not in INPUT_PRESETS:
+            raise ConfigurationError(f"inputs={inputs!r} is not an input preset; choose "
+                                     f"from {sorted(INPUT_PRESETS)}")
         state, meta = load_checkpoint(path)
         try:
             meta = check_row({"inputs": "all", **meta}, {

@@ -452,4 +452,5 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(grad, idx, g)
         return (grad,)
 
-    return _emit("embedding_lookup", table.data[idx].copy(), (table,), backward)
+    # integer-array indexing already returns a new array
+    return _emit("embedding_lookup", table.data[idx], (table,), backward)

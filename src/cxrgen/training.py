@@ -181,6 +181,11 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
     validation loss aborts the run (``diverged=True``) and restores the best
     checkpoint seen so far; the model is always left holding the
     best-validation parameters when fit returns.
+
+    Beside the model, fit holds four parameter-sized sets of arrays: the two
+    Adam moments, the best-state snapshot, which each improving epoch copies
+    into in place, and one step's gradients, dropped once ``adam_step`` has
+    applied or rejected them.
     """
     if not train_set or not val_set:
         raise ConfigurationError("fit needs non-empty train and validation sets")
@@ -222,6 +227,8 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
                 adam_step(parameters, grads, state, last_lr)
             except NonFiniteGradientError:
                 diverged = True
+            del grads  # applied or rejected, no gradient outlives its step
+            if diverged:
                 break
         if not diverged:
             val_loss, val_acc = evaluate_split(model, val_set)
@@ -239,7 +246,8 @@ def fit(model, train_set: Sequence, val_set: Sequence, config: TrainConfig) -> F
             return FitResult(history, best_val_loss, best_epoch, epoch, diverged=True)
         if val_loss < best_val_loss:
             best_val_loss = val_loss
-            best_state = model.state_dict()
+            for path, t in parameters.items():
+                np.copyto(best_state[path], t.data)
             best_epoch = epoch
         if epoch - best_epoch >= config.early_stop_patience:
             break

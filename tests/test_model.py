@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import re
+import tracemalloc
 import weakref
 import zipfile
 from collections import Counter
@@ -579,6 +580,15 @@ class TestCheckpointRoundTrip:
                 f"{sorted(INPUT_PRESETS)}")):
             ReportGenerator.load(bad)
 
+    def test_load_rejects_an_unknown_inputs_argument_before_reading(self, tmp_path):
+        good, missing = tmp_path / "good.npz", tmp_path / "missing.npz"
+        _tiny_model().save(good)
+        message = re.escape(f"inputs='vision_only' is not an input preset; choose from "
+                            f"{sorted(INPUT_PRESETS)}")
+        for path in (good, missing):
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                ReportGenerator.load(path, inputs="vision_only")
+
     def test_load_draws_nothing_and_restores_every_array_bit_for_bit(self, tmp_path,
                                                                     monkeypatch):
         model = _tiny_model(seed=4)
@@ -716,6 +726,51 @@ class TestParametersOwnTheirArrays:
         adam_step(params, tape.gradients(params), OptimizerState.for_parameters(params), 0.1)
         moved = [k for k, p in params.items() if not np.array_equal(p.data, before[k])]
         assert "decoder.output.w" in moved
+
+
+def _traced_peak_over_parameters(model, action):
+    """(the peak bytes ``action()`` allocates beyond what was live before it,
+    as a multiple of ``model``'s parameter bytes; what ``action()`` returned)"""
+    param_bytes = sum(t.data.nbytes for t in model.parameters().values())
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        value = action()
+        return (tracemalloc.get_traced_memory()[1] - before) / param_bytes, value
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """fit and save hold no parameter-sized array they do not need. The model
+    is wide enough that its parameters, not the activations, set the peaks."""
+
+    @staticmethod
+    def _wide_model():
+        return ReportGenerator(_tiny_config(model_dim=256, ffn_dim=256, embed_dim=256),
+                               vocab_size=30, chief_vocab_size=12, icd_vocab_size=12)
+
+    def test_fit_holds_moments_snapshot_and_one_steps_gradients(self):
+        """Two Adam moments, the best snapshot and one step's gradients make
+        4x the parameter bytes above the model; a second step's gradients or a
+        second snapshot would make 5x."""
+        model = self._wide_model()
+        records = [_record(seed=i) for i in range(6)]
+        cfg = TrainConfig(base_lr=1e-3, warmup_steps=1, batch_size=2, max_epochs=3,
+                          early_stop_patience=5)
+        ratio, result = _traced_peak_over_parameters(
+            model, lambda: fit(model, records[:4], records[4:], cfg))
+        assert result.best_epoch >= 2  # a later epoch re-took the snapshot
+        assert ratio < 4.75
+
+    def test_save_writes_the_parameters_own_arrays(self, tmp_path):
+        model = self._wide_model()
+        ratio, _ = _traced_peak_over_parameters(model, lambda: model.save(tmp_path / "c.npz"))
+        assert ratio < 0.5
 
 
 class TestCheckpointFile:

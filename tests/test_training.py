@@ -543,6 +543,61 @@ class TestFit:
             gc.enable()
         assert len(tapes) == 4 and all(ref() is None for ref in tapes)
 
+    @pytest.mark.parametrize("poisoned_call", [None, 2], ids=["applied", "rejected"])
+    def test_no_step_gradient_outlives_its_step(self, monkeypatch, poisoned_call):
+        """Every array ``tape.gradients`` returns is freed once adam_step has
+        applied or rejected it: before the next step's forward, before
+        validation, and before a NonFiniteGradientError's restore."""
+        arrays, calls = [], []
+
+        class Tracked(GradientTape):
+            def gradients(self, parameters):
+                grads = super().gradients(parameters)
+                calls.append(None)
+                if len(calls) == poisoned_call:
+                    grads = {k: np.full_like(g, np.nan) for k, g in grads.items()}
+                arrays.extend(weakref.ref(g) for g in grads.values())
+                return grads
+
+        def all_freed():
+            return all(ref() is None for ref in arrays)
+
+        class Checked(_ToyModel):
+            def loss_for_batch(self, targets):
+                assert all_freed()
+                return super().loss_for_batch(targets)
+
+            def load_state_dict(self, state):
+                assert all_freed()
+                super().load_state_dict(state)
+
+        monkeypatch.setattr(training, "GradientTape", Tracked)
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=2,
+                          early_stop_patience=5, seed=0)
+        gc.disable()  # freed by reference counting, not by the cycle collector
+        try:
+            result = fit(Checked(), [1.0, 2.0, 3.0], [2.0], cfg)
+        finally:
+            gc.enable()
+        assert result.diverged == (poisoned_call is not None)
+        assert len(calls) == (2 if result.diverged else 4) and all_freed()
+
+    def test_best_state_is_snapshotted_once_then_copied_into(self):
+        """fit takes one state_dict; each later improvement overwrites it."""
+        snapshots = []
+
+        class Counting(_ToyModel):
+            def state_dict(self):
+                snapshots.append(super().state_dict())
+                return snapshots[-1]
+
+        model = Counting()
+        cfg = TrainConfig(base_lr=0.05, warmup_steps=1, batch_size=2, max_epochs=4,
+                          early_stop_patience=5, seed=0)
+        result = fit(model, [1.0, 1.0], [1.0], cfg)
+        assert result.best_epoch == 4 and len(snapshots) == 1
+        np.testing.assert_array_equal(snapshots[0]["x"], model.x.data)
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigurationError):
             fit(_ToyModel(), [], [1.0], TrainConfig())
