@@ -6,8 +6,7 @@ data, a transformer decoder, training with Adam + warmup, and overlap /
 embedding metrics for evaluating generated reports.
 """
 
-from .attention import (AttentionProjections, causal_mask, multi_head_attention,
-                        scaled_dot_product_attention)
+from .attention import AttentionProjections, multi_head_attention
 from .decoder import ReportDecoder, report_loss
 from .encoder import FusionEncoder, one_hot_ethnicity
 from .errors import (ConfigurationError, ContractError, CxrgenError, DataError,
@@ -27,8 +26,7 @@ from .vocab import Vocabulary
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionProjections", "causal_mask", "multi_head_attention",
-    "scaled_dot_product_attention",
+    "AttentionProjections", "multi_head_attention",
     "ReportDecoder", "report_loss",
     "FusionEncoder", "one_hot_ethnicity",
     "ConfigurationError", "ContractError", "CxrgenError", "DataError",

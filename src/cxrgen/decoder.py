@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .attention import AttentionProjections, causal_mask, multi_head_attention
+from .attention import MASKED_LOGIT, AttentionProjections, multi_head_attention
 from .errors import ContractError, DimensionError
 from .params import ParameterStore
 from .tensor import (Tensor, _attention, _heads, _layer_norm, add, cross_entropy, dense,
@@ -53,9 +53,9 @@ class _DecoderLayer:
         self.ln3_beta = store.zeros(f"{prefix}.ln3.beta", (d,))
         self._eps = cfg.layer_norm_eps
 
-    def forward(self, x: Tensor, encoder_rows: Tensor, mask: np.ndarray,
+    def forward(self, x: Tensor, encoder_rows: Tensor, bias: np.ndarray,
                 batch_size: int) -> Tensor:
-        attended = multi_head_attention(x, x, x, self.self_attn, batch_size, mask).output
+        attended = multi_head_attention(x, x, x, self.self_attn, batch_size, bias).output
         x = layer_norm(add(x, attended), self.ln1_gamma, self.ln1_beta, self._eps)
         crossed = multi_head_attention(x, encoder_rows, encoder_rows, self.cross_attn,
                                        batch_size).output
@@ -72,6 +72,9 @@ class ReportDecoder:
         d = config.model_dim
         self.token_embedding = store.embedding("decoder.token_embedding", (vocab_size, d))
         self.positions = sinusoidal_positions(config.report_len, d)
+        # position i may see j <= i: 0.0 on and below the diagonal
+        self.causal_bias = np.triu(np.full((config.report_len, config.report_len),
+                                           MASKED_LOGIT), 1)
         self.layers = [_DecoderLayer(store, config, f"decoder.layer{i}")
                        for i in range(config.decoder_layers)]
         self.output_w = store.dense("decoder.output.w", (d, vocab_size))
@@ -101,9 +104,9 @@ class ReportDecoder:
                                  f"model width {d}")
         x = add(mul(embedding_lookup(self.token_embedding, ids.reshape(-1)), math.sqrt(d)),
                 Tensor(np.tile(self.positions[:length], (batch, 1))))
-        mask = causal_mask(length)
+        bias = self.causal_bias[:length, :length]
         for layer in self.layers:
-            x = layer.forward(x, encoder_rows, mask, batch)
+            x = layer.forward(x, encoder_rows, bias, batch)
         return add(matmul(x, self.output_w), self.output_b)
 
     def generate_batch(self, encoder_rows: Tensor, batch_size: int) -> list[list[int]]:
@@ -140,7 +143,7 @@ class _KVCache:
     step. Both are held in the attention op's head layout ``_heads``. ``step``
     runs the layer's fused projections in the taped ops' order on numpy arrays
     through the ops' own kernels ``_attention``, given a transposed view of
-    the cached keys, and ``_layer_norm``. No mask is needed: the cache holds
+    the cached keys, and ``_layer_norm``. No causal bias is needed: the cache holds
     only positions <= t.
     """
 

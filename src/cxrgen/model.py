@@ -134,7 +134,7 @@ class ReportGenerator:
     def __init__(self, config: ModelConfig, vocab_size: int, chief_vocab_size: int,
                  icd_vocab_size: int, seed: int = 0, inputs: str = "all"):
         self._build(config, VocabSizes(vocab_size, chief_vocab_size, icd_vocab_size),
-                    inputs, ParameterStore(np.random.default_rng(seed)))
+                    inputs, ParameterStore(seed))
 
     def _build(self, config: ModelConfig, sizes: VocabSizes, inputs: str,
                store: ParameterStore) -> None:

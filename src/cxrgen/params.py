@@ -28,10 +28,8 @@ class ParameterStore:
     reproduces the exact same initialization run to run.
     """
 
-    def __init__(self, rng: Union[np.random.Generator, int, None] = None):
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        self._rng: Optional[np.random.Generator] = rng
+    def __init__(self, seed: int):
+        self._rng: Optional[np.random.Generator] = np.random.default_rng(seed)
         self._source: Optional[Mapping[str, Array]] = None
         self._params: dict[str, Tensor] = {}
 

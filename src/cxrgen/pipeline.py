@@ -163,8 +163,7 @@ def load_preprocessed(data_dir: PathLike) -> dict:
 
 
 def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfig,
-                 train_config: TrainConfig, inputs: str = "all",
-                 model_seed: Optional[int] = None) -> FitResult:
+                 train_config: TrainConfig, inputs: str = "all") -> FitResult:
     """Train on a preprocessed directory; write checkpoint.npz + history.csv."""
     data = load_preprocessed(data_dir)
     out = Path(out_dir)
@@ -174,7 +173,7 @@ def run_training(data_dir: PathLike, out_dir: PathLike, model_config: ModelConfi
         vocab_size=data["report_vocab"].size,
         chief_vocab_size=data["chief_vocab"].size,
         icd_vocab_size=data["icd_vocab"].size,
-        seed=train_config.seed if model_seed is None else model_seed,
+        seed=train_config.seed,
         inputs=inputs,
     )
     result = fit(model, data["train"], data["val"], train_config)

@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError, DataError, check_fields, field_types
+from .preprocess import ETHNICITY_GROUPS
 from .records import (RawRecord, file_sha256, read_json, read_table, write_image_features,
                       write_json, write_jsonl, write_raw_records, write_raw_records_csv)
 
@@ -49,9 +50,6 @@ CHIEF_COMPLAINTS = (
 )
 ICD_TITLES = ("pneumonia", "congestive heart failure",
               "acute asthma exacerbation", "viral illness")
-
-ETHNICITY_VALUES = ("White", "African American", "Hispanic/Latino", "Black",
-                    "Asian", "White/European", "Russian", "Other", "Unknown")
 
 DATASET_FILES = ("records", "features", "planted")
 
@@ -125,7 +123,7 @@ def generate_synthetic(config: SyntheticConfig) -> SyntheticDataset:
             dbp=round(float(rng.uniform(50.0, 120.0)), 2),
             temperature_celsius=round(float(rng.uniform(35.5, 40.5)), 2),
             gender="Male" if rng.integers(2) == 0 else "Female",
-            ethnicity=ETHNICITY_VALUES[int(rng.integers(len(ETHNICITY_VALUES)))],
+            ethnicity=ETHNICITY_GROUPS[int(rng.integers(len(ETHNICITY_GROUPS)))],
             chief_complaint=chief_raw,
             icd_title=icd,
             report=report,

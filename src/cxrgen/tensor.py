@@ -313,6 +313,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, batch: int,
             or q.shape[1] != k.shape[1] or q.shape[1] % heads or v.shape[1] % heads:
         raise DimensionError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} do not "
                              f"split into {batch} records of {heads} heads")
+    logits_shape = (q.shape[0] // batch, k.shape[0] // batch)
+    if bias is not None and bias.shape != logits_shape:
+        raise DimensionError(f"attention: bias shape {bias.shape} does not match logits "
+                             f"shape {logits_shape}")
     qd = np.ascontiguousarray(_heads(q.data, batch, heads))
     vd = np.ascontiguousarray(_heads(v.data, batch, heads))
     kt = np.ascontiguousarray(np.swapaxes(_heads(k.data, batch, heads), -1, -2))

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import FD_STEP, GRAD_RTOL, check_gradients
-from cxrgen.attention import (MASKED_LOGIT, AttentionProjections, multi_head_attention,
-                              scaled_dot_product_attention)
+from cxrgen.attention import MASKED_LOGIT, AttentionProjections, multi_head_attention
 from cxrgen.metrics import BLEU_BUCKET_LABELS, bleu, corpus_evaluate, rouge_l
 from cxrgen.model import ModelConfig, ReportGenerator
 from cxrgen.params import ParameterStore
@@ -163,7 +162,8 @@ def test_criterion_1_gradient_correctness():
         kv = _rand(s, "kv", (2 * 4, 6), rng)
         wm = rng.standard_normal((2 * 3, 6))
         mask = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=bool)
-        return lambda: weighted(multi_head_attention(q, kv, kv, proj, 2, mask).output, wm)
+        bias = np.where(mask, 0.0, MASKED_LOGIT)
+        return lambda: weighted(multi_head_attention(q, kv, kv, proj, 2, bias).output, wm)
 
     for make in (op_matmul, op_attention_masked, op_attention_heads, op_add_same,
                  op_add_bias_row, op_mul_elem, op_mul_scalar, op_relu, op_layer_norm,
@@ -215,7 +215,8 @@ def test_criterion_2_attention_invariants():
         if i % 2 == 0:
             mask = rng.uniform(size=(nq, nk)) < 0.6
             mask[np.arange(nq), rng.integers(0, nk, size=nq)] = True  # keep rows viable
-        w = scaled_dot_product_attention(q, k, v, mask).weights[0, 0]
+        bias = None if mask is None else np.where(mask, 0.0, MASKED_LOGIT)
+        w = attention(q, k, v, 1, 1, bias)[1][0, 0]
         assert np.all(w >= 0.0)
         worst_sum_err = max(worst_sum_err, float(np.abs(w.sum(axis=1) - 1.0).max()))
         if mask is not None:

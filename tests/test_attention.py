@@ -1,4 +1,4 @@
-"""Attention: known values, masking, invariants, and gradient checks."""
+"""Attention: known values, logit bias, invariants, and gradient checks."""
 
 import math
 
@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxrgen.attention import (AttentionProjections, causal_mask, multi_head_attention,
-                              scaled_dot_product_attention)
-from cxrgen.errors import ConfigurationError, ContractError, DimensionError
+from cxrgen.attention import MASKED_LOGIT, AttentionProjections, multi_head_attention
+from cxrgen.errors import ConfigurationError, DimensionError
 from cxrgen.params import ParameterStore
-from cxrgen.tensor import Tensor, reduce_sum, mul
+from cxrgen.tensor import Tensor, attention, reduce_sum, mul
 
 from helpers import check_gradients
 
@@ -20,9 +19,14 @@ def t(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def as_bias(mask):
+    """The logit bias of a boolean [n_q, n_k] mask, True marking a permitted key."""
+    return None if mask is None else np.where(mask, 0.0, MASKED_LOGIT)
+
+
 def one_head(q, k, v, mask=None):
     """Output rows and [n_q, n_k] weights of one record of one head."""
-    out, w = scaled_dot_product_attention(q, k, v, mask)
+    out, w = attention(q, k, v, 1, 1, as_bias(mask))
     assert w.shape[:2] == (1, 1)
     return out, w[0, 0]
 
@@ -72,29 +76,19 @@ class TestScaledDotProduct:
         assert w[0, 2] == 0.0 and w[2, 4] == 0.0 and w[2, 0] == 0.0
         np.testing.assert_allclose(w.sum(axis=1), np.ones(3), atol=1e-12)
 
-    def test_fully_masked_row_rejected(self):
-        rng = np.random.default_rng(4)
-        q, k = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((4, 3)))
-        v = Tensor(rng.standard_normal((4, 3)))
-        mask = np.ones((2, 4), dtype=bool)
-        mask[1, :] = False
-        with pytest.raises(ContractError):
-            scaled_dot_product_attention(q, k, v, mask)
-
     def test_shape_mismatches_rejected(self):
         rng = np.random.default_rng(5)
         q = Tensor(rng.standard_normal((2, 3)))
         k = Tensor(rng.standard_normal((4, 5)))
         v = Tensor(rng.standard_normal((4, 3)))
         with pytest.raises(DimensionError):
-            scaled_dot_product_attention(q, k, v)
+            attention(q, k, v, 1, 1)
         k_ok = Tensor(rng.standard_normal((4, 3)))
         v_bad = Tensor(rng.standard_normal((3, 3)))
         with pytest.raises(DimensionError):
-            scaled_dot_product_attention(q, k_ok, v_bad)
+            attention(q, k_ok, v_bad, 1, 1)
         with pytest.raises(DimensionError):
-            scaled_dot_product_attention(q, k_ok, Tensor(rng.standard_normal((4, 2))),
-                                         np.ones((3, 4), dtype=bool))
+            attention(q, k_ok, Tensor(rng.standard_normal((4, 2))), 1, 1, np.zeros((3, 4)))
 
     def test_key_permutation_permutes_weights(self):
         rng = np.random.default_rng(6)
@@ -132,14 +126,14 @@ class TestScaledDotProduct:
         v = rng.standard_normal((2 * 6, 3 * 2))
         mask = rng.uniform(size=(4, 6)) > 0.3
         mask[:, 0] = True
-        out, w = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask, 3, 2)
+        out, w = attention(Tensor(q), Tensor(k), Tensor(v), 3, 2, as_bias(mask))
         assert w.shape == (2, 3, 4, 6)
         for b in range(2):
             for j in range(3):
-                o, wbj = scaled_dot_product_attention(
-                    Tensor(q[4 * b:4 * b + 4, 5 * j:5 * j + 5]),
-                    Tensor(k[6 * b:6 * b + 6, 5 * j:5 * j + 5]),
-                    Tensor(v[6 * b:6 * b + 6, 2 * j:2 * j + 2]), mask)
+                o, wbj = attention(Tensor(q[4 * b:4 * b + 4, 5 * j:5 * j + 5]),
+                                   Tensor(k[6 * b:6 * b + 6, 5 * j:5 * j + 5]),
+                                   Tensor(v[6 * b:6 * b + 6, 2 * j:2 * j + 2]), 1, 1,
+                                   as_bias(mask))
                 np.testing.assert_allclose(out.data[4 * b:4 * b + 4, 2 * j:2 * j + 2], o.data,
                                            atol=1e-12)
                 np.testing.assert_allclose(w[b, j], wbj[0, 0], atol=1e-12)
@@ -153,7 +147,7 @@ class TestScaledDotProduct:
         mask[0, 1] = False
 
         def loss():
-            out, _ = scaled_dot_product_attention(q, k, v, mask)
+            out, _ = attention(q, k, v, 1, 1, as_bias(mask))
             return reduce_sum(mul(out, probe))
 
         check_gradients(loss, [q, k, v])
@@ -169,7 +163,7 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(8)
         q, k = Tensor(rng.standard_normal((2, d))), Tensor(rng.standard_normal((3, d)))
         v = Tensor(rng.standard_normal((3, d)))
-        direct, _ = scaled_dot_product_attention(q, k, v)
+        direct, _ = attention(q, k, v, 1, 1)
         fused = multi_head_attention(q, k, v, proj)
         np.testing.assert_allclose(fused.output.data, direct.data, atol=1e-12)
 
@@ -228,11 +222,12 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(11)
         q, kv = rng.standard_normal((3 * 4, 6)), rng.standard_normal((3 * 5, 6))
         mask = np.tril(np.ones((4, 5), dtype=bool))
-        batched = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), proj, 3, mask)
+        batched = multi_head_attention(Tensor(q), Tensor(kv), Tensor(kv), proj, 3,
+                                       as_bias(mask))
         assert batched.weights.shape == (3, 2, 4, 5)
         for b in range(3):
             one = multi_head_attention(Tensor(q[4 * b:4 * b + 4]), Tensor(kv[5 * b:5 * b + 5]),
-                                       Tensor(kv[5 * b:5 * b + 5]), proj, 1, mask)
+                                       Tensor(kv[5 * b:5 * b + 5]), proj, 1, as_bias(mask))
             np.testing.assert_allclose(batched.output.data[4 * b:4 * b + 4], one.output.data,
                                        atol=1e-12)
             np.testing.assert_allclose(batched.weights[b], one.weights[0], atol=1e-12)
@@ -248,13 +243,3 @@ class TestMultiHeadAttention:
         with pytest.raises(DimensionError):
             multi_head_attention(x, x, x, proj, 2)
 
-
-class TestCausalMask:
-    def test_lower_triangular(self):
-        m = causal_mask(4)
-        assert m.dtype == bool
-        np.testing.assert_array_equal(m, np.tril(np.ones((4, 4), dtype=bool)))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ContractError):
-            causal_mask(0)

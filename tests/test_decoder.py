@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxrgen import decoder
+from cxrgen.attention import MASKED_LOGIT, multi_head_attention
 from cxrgen.decoder import ReportDecoder, report_loss, sinusoidal_positions, token_accuracy
 from cxrgen.errors import ContractError, DimensionError
 from cxrgen.model import ModelConfig
@@ -53,6 +55,34 @@ class TestSinusoidalPositions:
         table = sinusoidal_positions(43, 16)
         for i in range(42):
             assert np.abs(table[i] - table[i + 1]).max() > 1e-6
+
+
+class TestCausalBias:
+    def test_shape_and_values(self):
+        dec, _ = tiny_decoder()
+        bias = dec.causal_bias
+        assert bias.shape == (9, 9) and bias.dtype == np.float64
+        below = np.tril(np.ones((9, 9), dtype=bool))
+        assert (bias[below] == 0.0).all() and not np.signbit(bias[below]).any()
+        assert (bias[~below] == MASKED_LOGIT).all()
+
+    def test_forwards_of_different_lengths_slice_the_one_array(self, monkeypatch):
+        dec, _ = tiny_decoder(decoder_layers=2)
+        seen = []
+
+        def spy(q_in, k_in, v_in, projections, batch_size=1, bias=None):
+            seen.append(bias)
+            return multi_head_attention(q_in, k_in, v_in, projections, batch_size, bias)
+
+        monkeypatch.setattr(decoder, "multi_head_attention", spy)
+        for length in (3, 9):
+            seen.clear()
+            dec.teacher_forced_forward(encoder_rows(), [START_ID] + [5] * (length - 1))
+            self_biases = seen[::2]  # each layer's self-attention; its cross-attention has none
+            assert len(self_biases) == 2 and seen[1::2] == [None, None]
+            for bias in self_biases:
+                assert bias.base is dec.causal_bias and bias.shape == (length, length)
+                np.testing.assert_array_equal(bias, dec.causal_bias[:length, :length])
 
 
 class TestTeacherForcedForward:

@@ -6,10 +6,12 @@ cxrgen.errors decides which values a config field takes, only cxrgen.records
 opens and decodes input files, only cxrgen.records decides which values a row
 field takes, only cxrgen.records decides which values a document field
 takes, and only cxrgen.model builds an input mask: every other caller names
-an input preset."""
+an input preset. README's package table names exactly the package's modules."""
 
 import ast
 import inspect
+import pkgutil
+import re
 import textwrap
 from pathlib import Path
 
@@ -490,3 +492,38 @@ def test_an_input_mask_outside_model_is_caught():
     assert model.count(inputs) == 1 and input_mask_parameters(ast.parse(model)) == []
     mutant = model.replace(inputs, "seed: int = 0, input_mask=None")
     assert len(input_mask_parameters(ast.parse(mutant))) == 1
+
+
+README = Path(cxrgen.__file__).parents[2] / "README.md"
+
+
+def package_table_rows(readme: str) -> list[str]:
+    """Module names the first column of README's "Package layout" table gives,
+    in order: ``| `cxrgen.tensor` | ... |`` gives ``tensor``."""
+    section = readme.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `cxrgen\.(\w+)` \|", section, flags=re.MULTILINE)
+
+
+def test_readme_package_table_names_every_module():
+    modules = sorted(m.name for m in pkgutil.iter_modules(cxrgen.__path__))
+    rows = package_table_rows(README.read_text(encoding="utf-8"))
+    assert sorted(rows) == modules, (
+        f"README's package table names {sorted(rows)}; the package holds {modules}")
+
+
+def test_a_stale_package_table_is_caught():
+    readme = README.read_text(encoding="utf-8")
+    modules = sorted(m.name for m in pkgutil.iter_modules(cxrgen.__path__))
+    assert sorted(package_table_rows(readme)) == modules
+    row = "| `cxrgen.errors` |"
+    assert readme.count(row) == 1
+    # a module without a row, a row without a module, and a module named twice
+    without = re.sub(r"^\| `cxrgen\.errors` \|.*\n", "", readme, flags=re.MULTILINE)
+    assert sorted(package_table_rows(without)) != modules
+    for mutant in (readme.replace(row, "| `cxrgen.mask` |"),
+                   readme.replace(row, "| `cxrgen.tensor` |")):
+        assert sorted(package_table_rows(mutant)) != modules
+    # a module named only outside the table does not count
+    assert package_table_rows("| `cxrgen.tensor` | x |\n## Package layout\n\n"
+                              "| `cxrgen.errors` | y |\n## Next\n| `cxrgen.cli` | z |\n"
+                              ) == ["errors"]

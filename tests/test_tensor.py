@@ -45,7 +45,7 @@ class TestForwardSemantics:
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(6)
         q, k, v = (t(rng.standard_normal(shape)) for shape in ((2, 3), (4, 3), (4, 2)))
-        bias = np.array([[0.5, -1.2, 3.3, 0.0]])
+        bias = np.array([[0.5, -1.2, 3.3, 0.0], [0.5, -1.2, 3.3, 0.0]])
         a_out, a = attention(q, k, v, 1, 1, bias)
         b_out, b = attention(q, k, v, 1, 1, bias + 1000.0)
         np.testing.assert_allclose(b, a, atol=1e-12)
@@ -152,6 +152,15 @@ class TestForwardSemantics:
                 ((t(np.ones((2, 3, 8))), k, v), 2, 2)):             # not rows
             with pytest.raises(DimensionError):
                 attention(*bad, heads, batch)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (3, 6), (6, 5), (5,)],
+                             ids=["one_query_row", "extra_key", "rows_of_every_record", "1d"])
+    def test_attention_bias_shape_mismatch(self, shape):
+        # the bias is one record's [n_q, n_k] logits, shared by every record and head
+        q, k, v = t(np.ones((6, 8))), t(np.ones((10, 8))), t(np.ones((10, 4)))
+        attention(q, k, v, 2, 2, np.zeros((3, 5)))  # the shape that fits
+        with pytest.raises(DimensionError, match=r"bias shape .* logits shape \(3, 5\)"):
+            attention(q, k, v, 2, 2, np.zeros(shape))
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("batch,heads", [(1, 1), (2, 3)], ids=["2d", "4d"])
