@@ -305,9 +305,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, batch: int,
     """``_attention`` of ``batch`` records split into ``heads`` heads: query
     rows q [B·n_q, h·w], key rows k [B·n_k, h·w] and value rows v [B·n_k,
     h·w_v], record after record, plus an optional constant logit ``bias``
-    [n_q, n_k]. Returns (output rows [B·n_q, h·w_v], weights [B, h, n_q, n_k]
-    as an array). One tape node, whose backward runs the chain q·kT, scale,
-    bias add, softmax, weights·v in reverse and merges each gradient to rows."""
+    [n_q, n_k] shared by every record and head; a bias of another shape is a
+    DimensionError. Returns (output rows [B·n_q, h·w_v], weights [B, h, n_q,
+    n_k] as an array). One tape node, whose backward runs the chain q·kT,
+    scale, bias add, softmax, weights·v in reverse and merges each gradient to
+    rows."""
     if not q.ndim == k.ndim == v.ndim == 2 or heads < 1 or batch < 1 \
             or q.shape[0] % batch or k.shape[0] % batch or k.shape[0] != v.shape[0] \
             or q.shape[1] != k.shape[1] or q.shape[1] % heads or v.shape[1] % heads:
