@@ -3,28 +3,32 @@
 Post-layer-norm blocks: masked self-attention, cross-attention over the
 encoder rows, then a position-wise feed-forward, each wrapped in a residual
 add followed by layer norm. Token embeddings are scaled by sqrt(d_model)
-and summed with fixed sinusoidal position encodings. Teacher forcing runs a
-batch of records as [B·T, d] rows. Greedy decoding also runs a batch: it
-caches each layer's keys and values and computes only the newest position
-per step, dropping each record from the batch once it emits END.
+and summed with fixed sinusoidal position encodings. The forward is written
+once and takes each block's two attentions from its caller. Teacher forcing
+runs a batch of records as [B·T, d] rows under the causal bias. Greedy
+decoding runs it on each record's newest position, attending over a
+key/value cache, until every record has emitted END.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .attention import MASKED_LOGIT, AttentionProjections, multi_head_attention
 from .errors import ContractError, DimensionError
 from .params import ParameterStore
-from .tensor import (Tensor, _attention, _heads, _layer_norm, add, cross_entropy, dense,
-                     embedding_lookup, layer_norm, matmul, mul, reduce_sum, relu)
+from .tensor import (Tensor, _attention, _heads, add, cross_entropy, dense, embedding_lookup,
+                     layer_norm, mul, no_tape, reduce_sum, relu)
 from .vocab import END_ID, START_ID
 
 if TYPE_CHECKING:
     from .model import ModelConfig
+
+Attend = Callable[[Tensor, AttentionProjections], Tensor]  # query rows -> attended rows
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -53,13 +57,12 @@ class _DecoderLayer:
         self.ln3_beta = store.zeros(f"{prefix}.ln3.beta", (d,))
         self._eps = cfg.layer_norm_eps
 
-    def forward(self, x: Tensor, encoder_rows: Tensor, bias: np.ndarray,
-                batch_size: int) -> Tensor:
-        attended = multi_head_attention(x, x, x, self.self_attn, batch_size, bias).output
-        x = layer_norm(add(x, attended), self.ln1_gamma, self.ln1_beta, self._eps)
-        crossed = multi_head_attention(x, encoder_rows, encoder_rows, self.cross_attn,
-                                       batch_size).output
-        x = layer_norm(add(x, crossed), self.ln2_gamma, self.ln2_beta, self._eps)
+    def forward(self, x: Tensor, self_attend: Attend, cross_attend: Attend) -> Tensor:
+        """The block over rows ``x``, with its self- and cross-attention given."""
+        x = layer_norm(add(x, self_attend(x, self.self_attn)), self.ln1_gamma, self.ln1_beta,
+                       self._eps)
+        x = layer_norm(add(x, cross_attend(x, self.cross_attn)), self.ln2_gamma,
+                       self.ln2_beta, self._eps)
         ffn = dense(relu(dense(x, self.ffn_w1, self.ffn_b1)), self.ffn_w2, self.ffn_b2)
         return layer_norm(add(x, ffn), self.ln3_gamma, self.ln3_beta, self._eps)
 
@@ -79,6 +82,16 @@ class ReportDecoder:
                        for i in range(config.decoder_layers)]
         self.output_w = store.dense("decoder.output.w", (d, vocab_size))
         self.output_b = store.zeros("decoder.output.b", (vocab_size,))
+
+    def _forward(self, ids: np.ndarray, positions: np.ndarray,
+                 attends: Sequence[tuple[Attend, Attend]]) -> Tensor:
+        """Logits [N, V] of N token ``ids`` at the given ``positions`` rows
+        [N, d], each layer attending with its (self, cross) pair of ``attends``."""
+        x = add(mul(embedding_lookup(self.token_embedding, ids),
+                    math.sqrt(self.config.model_dim)), Tensor(positions))
+        for layer, (self_attend, cross_attend) in zip(self.layers, attends):
+            x = layer.forward(x, self_attend, cross_attend)
+        return dense(x, self.output_w, self.output_b)
 
     def teacher_forced_forward(self, encoder_rows: Tensor, target_ids) -> Tensor:
         """Per-position logits for START-led target prefixes.
@@ -102,37 +115,37 @@ class ReportDecoder:
         if encoder_rows.ndim != 2 or encoder_rows.shape[1] != d:
             raise DimensionError(f"encoder rows shape {encoder_rows.shape} does not match "
                                  f"model width {d}")
-        x = add(mul(embedding_lookup(self.token_embedding, ids.reshape(-1)), math.sqrt(d)),
-                Tensor(np.tile(self.positions[:length], (batch, 1))))
         bias = self.causal_bias[:length, :length]
-        for layer in self.layers:
-            x = layer.forward(x, encoder_rows, bias, batch)
-        return add(matmul(x, self.output_w), self.output_b)
+        attends = (lambda x, p: multi_head_attention(x, x, x, p, batch, bias).output,
+                   lambda x, p: multi_head_attention(x, encoder_rows, encoder_rows, p,
+                                                     batch).output)
+        return self._forward(ids.reshape(-1), np.tile(self.positions[:length], (batch, 1)),
+                             [attends] * len(self.layers))
+
+    def step(self, cache: "_KVCache", tokens: np.ndarray) -> Tensor:
+        """Logits [B, V] at the cache's next position ``t``, given each
+        record's token at position t - 1."""
+        positions = np.tile(self.positions[cache.t], (len(tokens), 1))
+        logits = self._forward(tokens, positions, cache.attends())
+        cache.t += 1
+        return logits
 
     def generate_batch(self, encoder_rows: Tensor, batch_size: int) -> list[list[int]]:
         """Greedy ids for ``batch_size`` records whose ``encoder_rows`` lie one
         after another: START first, then the argmax until END or ``report_len``.
-
-        Incremental decoding in plain numpy, so no tape records it: each step
-        runs only the newest position of every unfinished record against the
-        cached keys and values, and a record leaves the batch at its END.
-        """
-        cap = self.config.report_len
-        cache = _KVCache(self, encoder_rows, batch_size, cap)
-        ids = [[START_ID] for _ in range(batch_size)]
-        active = np.arange(batch_size)
+        Each ``step`` runs under ``no_tape`` on every record's newest position.
+        All records step until each has emitted END; each is then cut after
+        its first END."""
+        cache = _KVCache(self, encoder_rows, batch_size, self.config.report_len)
         tokens = np.full(batch_size, START_ID)
-        for _ in range(cap - 1):
-            tokens = np.argmax(cache.step(tokens), axis=1)
-            for row, token in zip(active, tokens.tolist()):
-                ids[row].append(token)
-            going = tokens != END_ID
-            if not going.all():
-                active, tokens = active[going], tokens[going]
-                if not active.size:
-                    break
-                cache.keep(going)
-        return ids
+        steps, ended = [tokens], np.zeros(batch_size, dtype=bool)
+        with no_tape():
+            while len(steps) < self.config.report_len and not ended.all():
+                tokens = np.argmax(self.step(cache, tokens).data, axis=1)
+                steps.append(tokens)
+                ended |= tokens == END_ID
+        return [ids[:ids.index(END_ID) + 1] if END_ID in ids else ids
+                for ids in np.stack(steps, axis=1).tolist()]
 
 
 class _KVCache:
@@ -140,11 +153,9 @@ class _KVCache:
 
     Each layer's cross-attention K/V are projected once from the encoder
     rows; its self-attention K/V [B, h, length, d // h] fill one position per
-    step. Both are held in the attention op's head layout ``_heads``. ``step``
-    runs the layer's fused projections in the taped ops' order on numpy arrays
-    through the ops' own kernels ``_attention``, given a transposed view of
-    the cached keys, and ``_layer_norm``. No causal bias is needed: the cache holds
-    only positions <= t.
+    step, ``t`` being the next. Both are held in the head layout ``_heads``,
+    and ``attends`` runs the attention kernel ``_attention`` over them. No
+    causal bias is needed: the cache holds only positions <= t.
     """
 
     def __init__(self, decoder: ReportDecoder, encoder_rows: Tensor, batch_size: int,
@@ -157,7 +168,7 @@ class _KVCache:
         if batch_size < 1 or encoder_rows.shape[0] % batch_size:
             raise DimensionError(f"{encoder_rows.shape[0]} encoder rows do not split into "
                                  f"{batch_size} records")
-        self.decoder, self.t = decoder, 0
+        self.t = 0
         enc = encoder_rows.data
         self.cross = [(_heads(enc @ layer.cross_attn.w_k.data, batch_size, self.heads),
                        _heads(enc @ layer.cross_attn.w_v.data, batch_size, self.heads))
@@ -165,38 +176,24 @@ class _KVCache:
         shape = (batch_size, self.heads, length, d // self.heads)
         self.self_kv = [(np.empty(shape), np.empty(shape)) for _ in decoder.layers]
 
-    def _attend(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
-                projections) -> np.ndarray:
-        q = _heads(x @ projections.w_q.data, x.shape[0], self.heads)
-        return _attention(q, np.swapaxes(keys, -1, -2), values, None)[0] @ projections.w_o.data
+    def _attend(self, keys: np.ndarray, values: np.ndarray, x: Tensor,
+                projections: AttentionProjections) -> Tensor:
+        q = _heads(x.data @ projections.w_q.data, x.shape[0], self.heads)
+        return Tensor(_attention(q, np.swapaxes(keys, -1, -2), values, None)[0]
+                      @ projections.w_o.data)
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the batch rows selected by the boolean ``rows``."""
-        self.cross = [(k[rows], v[rows]) for k, v in self.cross]
-        self.self_kv = [(k[rows], v[rows]) for k, v in self.self_kv]
+    def _attend_new(self, keys: np.ndarray, values: np.ndarray, x: Tensor,
+                    projections: AttentionProjections) -> Tensor:
+        """Store position ``t``'s keys and values, then attend over 0..t."""
+        t, batch = self.t, x.shape[0]
+        keys[:, :, t] = _heads(x.data @ projections.w_k.data, batch, self.heads)[:, :, 0]
+        values[:, :, t] = _heads(x.data @ projections.w_v.data, batch, self.heads)[:, :, 0]
+        return self._attend(keys[:, :, :t + 1], values[:, :, :t + 1], x, projections)
 
-    def step(self, tokens: np.ndarray) -> np.ndarray:
-        """Logits [B, V] at the next position, given each record's last token."""
-        dec, t = self.decoder, self.t
-        d = dec.config.model_dim
-        x = dec.token_embedding.data[tokens] * math.sqrt(d) + dec.positions[t]
-        for layer, (keys, values), (cross_k, cross_v) in zip(dec.layers, self.self_kv,
-                                                            self.cross):
-            attn = layer.self_attn
-            keys[:, :, t] = _heads(x @ attn.w_k.data, x.shape[0], self.heads)[:, :, 0]
-            values[:, :, t] = _heads(x @ attn.w_v.data, x.shape[0], self.heads)[:, :, 0]
-            attended = self._attend(x, keys[:, :, :t + 1], values[:, :, :t + 1], attn)
-            x = _layer_norm(x + attended, layer.ln1_gamma.data, layer.ln1_beta.data,
-                            layer._eps)[0]
-            crossed = self._attend(x, cross_k, cross_v, layer.cross_attn)
-            x = _layer_norm(x + crossed, layer.ln2_gamma.data, layer.ln2_beta.data,
-                            layer._eps)[0]
-            hidden = x @ layer.ffn_w1.data + layer.ffn_b1.data
-            ffn = np.where(hidden > 0, hidden, 0.0) @ layer.ffn_w2.data + layer.ffn_b2.data
-            x = _layer_norm(x + ffn, layer.ln3_gamma.data, layer.ln3_beta.data,
-                            layer._eps)[0]
-        self.t += 1
-        return x @ dec.output_w.data + dec.output_b.data
+    def attends(self) -> list[tuple[Attend, Attend]]:
+        """Per layer, the (self, cross) attention of position ``t``."""
+        return [(partial(self._attend_new, *kv), partial(self._attend, *cross))
+                for kv, cross in zip(self.self_kv, self.cross)]
 
 
 def report_loss(logits: Tensor, labels, pad_mask) -> Tensor:

@@ -11,11 +11,11 @@ last axis.
 Forward passes run as plain numpy; when a ``GradientTape`` is active and not
 paused by ``no_tape``, each op also appends a node holding a backward
 closure. Nodes are appended after their inputs, so a single reverse
-sweep over the tape is a valid topological order. The attention and
-layer-norm formulas live once, in the numpy kernels ``_attention`` and
-``_layer_norm``: the taped ops and the decoder's key/value cache both call
-them, and no other module calls ``np.exp``, ``np.log`` or ``.var``. The head
-layout lives once, in ``_heads``: head i of a row is its column block i.
+sweep over the tape is a valid topological order. The attention formula
+lives once, in the numpy kernel ``_attention``: the taped op and the
+decoder's key/value cache both call it, and no other module calls
+``np.exp``, ``np.log`` or ``.var``. The head layout lives once, in
+``_heads``: head i of a row is its column block i.
 
 Ops never write into a tensor's ``data``. The optimizer does: ``adam_step``
 updates each parameter's array in place between steps. That is safe because a
@@ -234,16 +234,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two same-shape tensors."""
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def backward(g: Array) -> tuple:
-            return g, g
-    elif ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0]:
-        # row-broadcast bias add
-        def backward(g: Array) -> tuple:
-            return g, g.sum(axis=0)
-    else:
+    if ad.shape != bd.shape:
         raise DimensionError(f"add: incompatible shapes {ad.shape} + {bd.shape}")
+
+    def backward(g: Array) -> tuple:
+        return g, g
+
     return _emit("add", ad + bd, (a, b), backward)
 
 
@@ -359,27 +357,18 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _emit("cross_entropy", -logp[rows, idx], (logits,), backward)
 
 
-def _layer_norm(x: Array, gamma: Array, beta: Array,
-                epsilon: float) -> tuple[Array, Array, Array]:
-    """Layer norm of the rows of a numpy array: (out, xhat, inv), where
-    ``xhat`` is the standardized input and ``inv`` the reciprocal standard
-    deviation. Uses the biased variance; ``epsilon`` sits inside the root."""
-    mean = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + epsilon)
-    xhat = (x - mean) * inv
-    return gamma * xhat + beta, xhat, inv
-
-
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-6) -> Tensor:
     """Normalize each row of a 2-d input to zero mean / unit variance, then
-    scale-shift (``_layer_norm``)."""
+    scale-shift. Uses the biased variance; ``epsilon`` sits inside the root."""
     if x.ndim != 2:
         raise DimensionError(f"layer_norm: expected a 2-d input, got shape {x.shape}")
     width = x.shape[-1]
     if gamma.shape != (width,) or beta.shape != (width,):
         raise DimensionError(
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} do not match width {width}")
-    out, xhat, inv = _layer_norm(x.data, gamma.data, beta.data, epsilon)
+    mean = x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + epsilon)
+    xhat = (x.data - mean) * inv
 
     def backward(g: Array) -> tuple:
         gy = g * gamma.data
@@ -390,7 +379,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-6) ->
         dbeta = g.sum(axis=0)
         return dx, dgamma, dbeta
 
-    return _emit("layer_norm", out, (x, gamma, beta), backward)
+    return _emit("layer_norm", gamma.data * xhat + beta.data, (x, gamma, beta), backward)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -399,7 +388,12 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"dense: incompatible shapes {x.shape} x {w.shape}")
     if b.shape != (w.shape[1],):
         raise DimensionError(f"dense: bias shape {b.shape} does not match output width {w.shape[1]}")
-    return add(matmul(x, w), b)
+    xd, wd = x.data, w.data
+
+    def backward(g: Array) -> tuple:
+        return g @ wd.T, xd.T @ g, g.sum(axis=0)
+
+    return _emit("dense", xd @ wd + b.data, (x, w, b), backward)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:

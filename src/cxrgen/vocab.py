@@ -23,10 +23,6 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-def detokenize(tokens: Iterable[str]) -> str:
-    return " ".join(tokens)
-
-
 class Vocabulary:
     """Bidirectional token <-> id map; ids 0..3 are PAD/START/END/UNK."""
 
@@ -57,9 +53,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def id_of(self, token: str) -> int:
         """Id for ``token``; unknown tokens map to UNK."""
         return self._token_to_id.get(token, UNK_ID)
@@ -79,7 +72,7 @@ class Vocabulary:
         return [t for t in tokens if t not in RESERVED_TOKENS]
 
     def text(self, ids: Iterable[int]) -> str:
-        return detokenize(self.decode(ids))
+        return " ".join(self.decode(ids))
 
     # -- persistence: {"tokens": [every token after the reserved ones]} ------
     def save(self, path: Union[str, Path]) -> None:

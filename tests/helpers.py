@@ -219,19 +219,15 @@ def check_cached_decoding(decoder, encoder_rows: Tensor, batch_size: int) -> lis
     per_record = [Tensor(encoder_rows.data[n * b:n * (b + 1)]) for b in range(batch_size)]
     expected = [greedy_full_prefix(decoder, rows) for rows in per_record]
     assert decoder.generate_batch(encoder_rows, batch_size) == expected
-    # step the cache along the greedy ids, dropping records after their END
+    # step the whole batch along the greedy ids; a record that has ended feeds END
     cache = _KVCache(decoder, encoder_rows, batch_size, decoder.config.report_len)
-    active = list(range(batch_size))
-    for t in range(decoder.config.report_len - 1):
-        logits = cache.step(np.array([expected[b][t] for b in active]))
-        for row, b in enumerate(active):
-            full = decoder.teacher_forced_forward(per_record[b], expected[b][:t + 1])
-            np.testing.assert_allclose(logits[row], full.data[-1], rtol=0, atol=1e-9)
-        going = np.array([len(expected[b]) > t + 2 for b in active])
-        active = [b for b, g in zip(active, going) if g]
-        if not active:
-            break
-        cache.keep(going)
+    for t in range(max(map(len, expected)) - 1):
+        tokens = np.array([ids[t] if t < len(ids) else END_ID for ids in expected])
+        logits = decoder.step(cache, tokens).data
+        for b, ids in enumerate(expected):
+            if t + 1 < len(ids):
+                full = decoder.teacher_forced_forward(per_record[b], ids[:t + 1])
+                np.testing.assert_allclose(logits[b], full.data[-1], rtol=0, atol=1e-9)
     return expected
 
 

@@ -92,10 +92,6 @@ def test_criterion_1_gradient_correctness():
         a, b = _rand(s, "a", (3, 4), rng), _rand(s, "b", (3, 4), rng)
         return lambda: weighted(add(a, b), w1t)
 
-    def op_add_bias_row(s):
-        a, b = _rand(s, "a", (3, 4), rng), _rand(s, "b", (4,), rng)
-        return lambda: weighted(add(a, b), w1t)
-
     def op_mul_elem(s):
         a, b = _rand(s, "a", (3, 4), rng), _rand(s, "b", (3, 4), rng)
         return lambda: weighted(mul(a, b), w1t)
@@ -166,7 +162,7 @@ def test_criterion_1_gradient_correctness():
         return lambda: weighted(multi_head_attention(q, kv, kv, proj, 2, bias).output, wm)
 
     for make in (op_matmul, op_attention_masked, op_attention_heads, op_add_same,
-                 op_add_bias_row, op_mul_elem, op_mul_scalar, op_relu, op_layer_norm,
+                 op_mul_elem, op_mul_scalar, op_relu, op_layer_norm,
                  op_dense, op_concat,
                  op_reshape, op_reduce_sum,
                  op_embedding_lookup, op_cross_entropy, op_multi_head_attention):

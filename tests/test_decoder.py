@@ -258,6 +258,22 @@ class TestGreedyGeneration:
             if len(ids) < cap:
                 assert ids[-1] == END_ID
 
+    def test_each_step_runs_every_decoder_layer(self, monkeypatch):
+        """Cached decoding runs the decoder's own block, not a copy of it: each
+        step calls every layer's forward once, in order."""
+        dec, store = tiny_decoder(seed=1, decoder_layers=2)
+        set_end_bias(store, 1.5)
+        calls, forward = [], decoder._DecoderLayer.forward
+
+        def spy(layer, *args):
+            calls.append(layer)
+            return forward(layer, *args)
+
+        monkeypatch.setattr(decoder._DecoderLayer, "forward", spy)
+        batch = dec.generate_batch(encoder_rows(seed=2, n=4 * 3), 4)
+        steps = max(map(len, batch)) - 1
+        assert steps > 0 and calls == dec.layers * steps
+
     def test_max_len_one_is_start_only(self):
         # the cap is report_len: at 1 only START fits
         dec, _ = tiny_decoder(report_len=1)

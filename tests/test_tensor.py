@@ -208,10 +208,13 @@ class TestForwardSemantics:
         np.testing.assert_allclose(relu(dense(x, w, b)).data, [[0.0, 2.0]])
 
     def test_only_the_shapes_the_model_uses(self):
-        # no 0-d operand for add and mul, no 1-d input for layer_norm
+        # no 0-d operand for add and mul, no bias row for add (dense adds
+        # biases), no 1-d input for layer_norm
         x = t(np.ones((2, 3)))
         with pytest.raises(DimensionError):
             add(x, Tensor(2.5))
+        with pytest.raises(DimensionError):
+            add(x, t(np.ones(3)))
         with pytest.raises(DimensionError):
             mul(x, Tensor(2.5))
         with pytest.raises(DimensionError):
@@ -304,9 +307,11 @@ class TestGradientsAgainstFiniteDifferences:
         check_gradients(lambda: reduce_sum(mul(matmul(a, b), matmul(a, b))), [a, b])
 
     def test_add_same_shape_and_bias(self):
+        # a bias row is added by dense, whose backward sums it over the rows
         x = t(self.rng.standard_normal((3, 4)))
         b = t(self.rng.standard_normal(4))
-        check_gradients(lambda: reduce_sum(mul(add(x, b), add(x, b))), [x, b])
+        w = t(np.eye(4))
+        check_gradients(lambda: reduce_sum(mul(add(x, dense(x, w, b)), dense(x, w, b))), [x, b])
 
     def test_mul_elementwise_and_scalar(self):
         a = t(self.rng.standard_normal((2, 3)))
